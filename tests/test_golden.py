@@ -1,0 +1,31 @@
+"""Golden CSV bytes for the deterministic lattice kinds.
+
+Each file under ``tests/golden/`` holds the CSV of the kind's default
+config run at seed 0, with the ``wall_time_s`` and ``timestamp`` columns
+removed.  A change to the lattice kernels must reproduce these bytes.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from supdev.harness import default_config, records_to_csv, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+KINDS = ("kronecker-search", "lattice-correlation", "limsup", "divergence")
+
+
+def csv_without_timing(kind: str) -> str:
+    record = run_experiment(default_config(kind), seed=0)
+    lines = []
+    for line in records_to_csv([record]).splitlines():
+        cells = line.split(",")
+        del cells[12:14]  # wall_time_s, timestamp
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_csv_bytes(kind):
+    expected = (GOLDEN / f"{kind}.csv").read_text(encoding="utf-8")
+    assert csv_without_timing(kind) == expected
