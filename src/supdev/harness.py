@@ -172,14 +172,30 @@ CSV_HEADER = (
 )
 
 
+def _check_seed(seed: int, source: str) -> int:
+    """Seeds key a 64-bit Philox stream, so they must lie in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} {seed} outside [0, 2**64)")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Validated on construction, so configs parsed from INI and configs
+    with CLI overrides applied (``dataclasses.replace``) pass one check."""
+
     kind: str
     params: dict
     seed: Optional[int] = None
     reps: int = 10000
     workers: int = 1
     output: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.reps < 1 or self.workers < 1:
+            raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
+        if self.seed is not None:
+            _check_seed(self.seed, "seed")
 
     def canonical(self) -> str:
         lines = [f"kind={self.kind}", f"reps={self.reps}"]
@@ -240,8 +256,6 @@ def parse_config(text: str) -> ExperimentConfig:
         workers = int(exp.get("workers", 1))
     except ValueError as exc:
         raise ConfigError(f"seed/reps/workers must be integers: {exc}") from exc
-    if reps < 1 or workers < 1:
-        raise ConfigError("reps and workers must be >= 1")
     params = _validate_params(kind, dict(cp["params"]) if "params" in cp else {})
     output = dict(cp["output"]) if "output" in cp else {}
     bad_out = set(output) - {"csv", "json", "plotdata"}
@@ -258,13 +272,14 @@ def load_config(path: str) -> ExperimentConfig:
 def effective_seed(config: ExperimentConfig, cli_seed: Optional[int] = None) -> int:
     """Seed precedence: CLI flag > environment > config > 0."""
     if cli_seed is not None:
-        return int(cli_seed)
+        return _check_seed(int(cli_seed), "seed override")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        return _check_seed(seed, SEED_ENV_VAR)
     if config.seed is not None:
         return config.seed
     return 0
@@ -503,8 +518,8 @@ def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
     )
     search = lattice_search(problem, arm_threshold=False)
     target = 1.0 / p["omega"]
-    counts = solution_count(problem, C=p["C"], search=search)
     xi_rep = xi(problem)
+    counts = solution_count(problem, C=p["C"], search=search, xi_rep=xi_rep)
     rows = [
         CheckRow(
             name="approximation_found",

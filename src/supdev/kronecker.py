@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 ENUM_BUDGET = 10**8  # hard cap on enumeration sizes (desk scale)
+_SCAN_CHUNK = 1 << 14  # lattice points per lattice_search chunk: a few arrays stay cache-resident
 
 
 def nearest_int_dist(u) -> np.ndarray:
@@ -109,9 +110,30 @@ class XiReport:
                 raise DomainError("argmin sup-norm escaped (0, radius]")
 
 
+def _frac(u: np.ndarray) -> np.ndarray:
+    """Fractional part u - floor(u), in [0, 1]."""
+    return u - np.floor(u)
+
+
 def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
-    """Brute-force minimum of ||h sum(lambda_l nu_l)|| over nonzero integer
-    vectors with sup norm at most the enumeration radius.
+    """Minimum of ||h sum(lambda_l nu_l)|| over nonzero integer vectors with
+    sup norm at most the enumeration radius m.
+
+    The vectors form rows nu_1 = -m..m that share the inner sums
+    s = nu_2 lambda_2 + ... + nu_N lambda_N.  The values frac(h s) are sorted
+    once; a row's approximate minimum is the circular gap from
+    frac(-h nu_1 lambda_1) to its two sorted neighbours (searchsorted), so
+    all rows cost (2m+1)^(N-1) log terms instead of (2m+1)^N.
+
+    An approximate distance and the exact one, nearest_int_dist(h*(nu_1
+    lambda_1 + s)), differ by a handful of roundings of quantities of size
+    at most h m sum|lambda| + 1, that is by less than
+    4 eps (h m sum|lambda| + 1); the slack e = 64 eps (h m sum|lambda| + 1)
+    covers that many times over.  Any row holding the exact minimum then has
+    an approximate minimum at most g + 2e, where g is the smallest
+    approximate row minimum.  Those rows, and row nu_1 = 0 (where the zero
+    vector is excluded), are evaluated exactly in scan order, so xi and its
+    argmin equal those of a full enumeration bit for bit.
 
     Ties break to the lexicographically smallest vector (scan order).  A
     zero minimum is reported with the degenerate flag rather than raised.
@@ -134,9 +156,17 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
         combos = np.stack([g.ravel() for g in grids], axis=1)
         inner = combos @ lam[1:]
 
+    ring = np.sort(_frac(problem.h * inner))
+    shift = _frac(-problem.h * (side * lam[0]))
+    pos = np.searchsorted(ring, shift)
+    gap = np.minimum(nearest_int_dist(shift - ring[pos - 1]), nearest_int_dist(shift - ring[pos % ring.size]))
+    gap[m] = math.inf  # row nu_1 = 0 is always evaluated exactly
+    slack = 64.0 * np.finfo(float).eps * (problem.h * m * float(np.abs(lam).sum()) + 1.0)
+    rows = np.union1d(np.flatnonzero(gap <= gap.min() + 2.0 * slack), [m])
+
     best = math.inf
     best_vec = None
-    for nu1 in side:
+    for nu1 in side[rows]:
         sums = problem.h * (nu1 * lam[0] + inner)
         dists = nearest_int_dist(sums)
         if nu1 == 0:
@@ -146,6 +176,8 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
         if dists[i] < best:
             best = float(dists[i])
             best_vec = (int(nu1), *map(int, combos[i])) if n > 1 else (int(nu1),)
+        if best == 0.0:  # later rows cannot beat zero under the strict rule
+            break
     return XiReport(xi=best, argmin=best_vec, radius=m, degenerate=(best == 0.0))
 
 
@@ -175,6 +207,16 @@ def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> Latti
     misses 1/omega and the interval is longer than the guarantee threshold
     (which requires computing Xi), a CheckError is raised; below the
     threshold the miss is legitimate.
+
+    A point can be a hit, or improve on the best distance so far, only if
+    its first-frequency distance is at most thr = max(1/omega, best).  Each
+    chunk therefore computes ||t lambda_1 - beta_1|| everywhere and the
+    other frequencies only on the points within thr.  Before a first best
+    exists thr starts at 1/omega and widens (to the smallest candidate
+    distance, or doubling when no point is within it) until it brackets the
+    chunk minimum.  Distances use the same floating-point expressions as a
+    full scan, and ties still go to the smallest m, so the result equals a
+    full scan's exactly.
     """
     m_lo, m_hi = _lattice_range(problem)
     count = m_hi - m_lo + 1
@@ -187,16 +229,28 @@ def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> Latti
     best = math.inf
     best_m = m_lo
     hit_chunks = []
-    chunk = max(1, min(count, (1 << 22) // max(problem.n_freq, 1)))
+    chunk = max(1, min(count, _SCAN_CHUNK))
     for start in range(m_lo, m_hi + 1, chunk):
         ms = np.arange(start, min(start + chunk, m_hi + 1))
         ts = problem.h * ms
-        dist = nearest_int_dist(np.outer(ts, lam) - bet).max(axis=1)
-        i = int(np.argmin(dist))
-        if dist[i] < best:
-            best = float(dist[i])
-            best_m = int(ms[i])
-        hit_chunks.append(ts[dist <= target])
+        first = nearest_int_dist(ts * lam[0] - bet[0])
+        thr = target if best == math.inf else max(target, best)
+        while True:
+            cand = np.flatnonzero(first <= thr)
+            dist = first[cand]
+            t_cand = ts[cand]
+            for lam_j, bet_j in zip(lam[1:], bet[1:]):
+                dist = np.maximum(dist, nearest_int_dist(t_cand * lam_j - bet_j))
+            lowest = dist.min(initial=math.inf)
+            if lowest <= thr or thr >= best:
+                break
+            thr = float(lowest) if dist.size else 2.0 * thr
+        if dist.size:
+            i = int(np.argmin(dist))
+            if dist[i] < best:
+                best = float(dist[i])
+                best_m = int(ms[cand[i]])
+        hit_chunks.append(t_cand[dist <= target])
     hits = np.concatenate(hit_chunks)
 
     if arm_threshold and best > target:
@@ -241,21 +295,26 @@ def solution_count(
     C: float = 1.0,
     search: Optional[LatticeSearch] = None,
     assert_lower_bounds: bool = False,
+    xi_rep: Optional[XiReport] = None,
 ) -> SolutionCount:
     """Count the 1/omega approximants on the lattice and evaluate the two
     lower bounds with the supplied free constant.
 
-    The bounds are reported for comparison; they are asserted only in
-    calibration mode (assert_lower_bounds=True) because their constant is
-    not pinned by the statement.
+    A caller that already holds the lattice search or the Xi report of
+    ``problem`` passes them in (``search``, ``xi_rep``) so neither scan is
+    repeated; missing ones are computed here.  The bounds are reported for
+    comparison; they are asserted only in calibration mode
+    (assert_lower_bounds=True) because their constant is not pinned by the
+    statement.
     """
     if search is None:
         search = lattice_search(problem, arm_threshold=False)
+    if xi_rep is None:
+        xi_rep = xi(problem)
     n = problem.n_freq
     ratio = n * problem.omega / problem.c_o
     k = solution_k(ratio)
     lower_ii = (C / (problem.omega * math.sqrt(k))) ** n * search.lattice_size
-    xi_rep = xi(problem)
     lower_iii = C ** (n / 2.0) / (problem.h * xi_rep.xi) if xi_rep.xi > 0.0 else math.inf
     count = int(search.hits.size)
     if assert_lower_bounds:

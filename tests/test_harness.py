@@ -293,6 +293,18 @@ class TestCli:
         assert code == 0
         assert "c_max=" in out and "never stored" in out
 
+    @pytest.mark.parametrize(
+        "override", [["--reps", "0"], ["--workers", "0"], ["--seed", "-1"], ["--seed", str(2**64)]]
+    )
+    def test_out_of_range_override_exit_two(self, capsys, override):
+        assert cli_main(["verify", "equicorrelated", *override]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_out_of_range_env_seed_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        assert cli_main(["verify", "equicorrelated"]) == 2
+        assert SEED_ENV_VAR in capsys.readouterr().err
+
     def test_seed_echoed(self, capsys):
         cli_main(["verify", "limsup", "--seed", "99"])
         assert "seed=99" in capsys.readouterr().out

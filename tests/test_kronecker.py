@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supdev import harness, kronecker
 from supdev.bounds import bound_equicorrelated
 from supdev.errors import BudgetError, CheckError, DomainError
 from supdev.kronecker import (
@@ -23,6 +27,73 @@ from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 def lat_problem(lambdas, betas, omega=10, h=1.0, interval=(1.0, 1000.0), c_o=0.125):
     return LatticeProblem(
         lambdas=tuple(lambdas), betas=tuple(betas), omega=omega, h=h, interval=interval, c_o=c_o
+    )
+
+
+def brute_force_xi(problem, radius):
+    """Reference Xi: every row nu_1 = -m..m evaluated exactly, in scan order."""
+    m, n = radius, problem.n_freq
+    lam = np.asarray(problem.lambdas, dtype=float)
+    side = np.arange(-m, m + 1)
+    if n == 1:
+        inner = np.zeros(1)
+        combos = np.zeros((1, 0), dtype=np.int64)
+    else:
+        grids = np.meshgrid(*([side] * (n - 1)), indexing="ij")
+        combos = np.stack([g.ravel() for g in grids], axis=1)
+        inner = combos @ lam[1:]
+    best, best_vec = math.inf, None
+    for nu1 in side:
+        dists = nearest_int_dist(problem.h * (nu1 * lam[0] + inner))
+        if nu1 == 0:
+            nonzero = np.any(combos != 0, axis=1) if n > 1 else np.zeros(1, dtype=bool)
+            dists = np.where(nonzero, dists, math.inf)
+        i = int(np.argmin(dists))
+        if dists[i] < best:
+            best = float(dists[i])
+            best_vec = (int(nu1), *map(int, combos[i])) if n > 1 else (int(nu1),)
+    return best, best_vec
+
+
+def full_scan(problem):
+    """Reference lattice search: every point against every frequency at once.
+    Returns (t_best, achieved, m_best, lattice_size, hits)."""
+    m_lo = max(0, int(math.ceil(problem.interval[0] / problem.h - 1e-12)))
+    m_hi = int(math.floor(problem.interval[1] / problem.h + 1e-12))
+    ms = np.arange(m_lo, m_hi + 1)
+    ts = problem.h * ms
+    dist = nearest_int_dist(np.outer(ts, problem.lambdas) - np.asarray(problem.betas)).max(axis=1)
+    i = int(np.argmin(dist))
+    hits = ts[dist <= 1.0 / problem.omega]
+    return problem.h * int(ms[i]), float(dist[i]), int(ms[i]), ms.size, hits
+
+
+def assert_same_search(res, ref):
+    assert (res.t_best, res.achieved, res.m_best, res.lattice_size) == ref[:4]
+    assert np.array_equal(res.hits, ref[4])
+
+
+# rationals p/q make exact ties (xi == 0, equal distances at many points);
+# floats stand in for generic, rationally independent frequencies
+_reals = st.one_of(
+    st.floats(0.05, 8.0),
+    st.builds(lambda p, q: p / q, st.integers(-12, 12), st.integers(1, 6)),
+)
+
+
+@st.composite
+def lattice_problems(draw):
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1.0, 0.5, 0.25, 0.37, 2.0]))
+    lo = draw(st.floats(0.0, 50.0))
+    length = draw(st.floats(2.0 * h, 3000.0 * h))  # up to 3000 lattice points
+    return lat_problem(
+        lambdas=draw(st.lists(_reals, min_size=n, max_size=n)),
+        betas=draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5])),
+                            min_size=n, max_size=n)),
+        omega=draw(st.integers(1, 60)),
+        h=h,
+        interval=(lo, lo + length),
     )
 
 
@@ -86,6 +157,22 @@ class TestXi:
         with pytest.raises(BudgetError):
             xi(lat_problem([1.1, 1.2, 1.3], [0, 0, 0]), radius=5000)
 
+    def test_rational_ties_break_to_scan_order(self):
+        # nu_1/2 + nu_2/4 is an integer on many vectors: the first in scan order wins
+        rep = xi(lat_problem([0.5, 0.25], [0.0, 0.0]), radius=6)
+        assert rep.xi == 0.0 and rep.degenerate
+        assert rep.argmin == (-6, -4)
+        assert (rep.xi, rep.argmin) == brute_force_xi(lat_problem([0.5, 0.25], [0.0, 0.0]), 6)
+
+    @given(lattice_problems(), st.integers(1, 200), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, problem, radius, scale):
+        problem = lat_problem(problem.lambdas, problem.betas, h=problem.h * scale, interval=(0.0, 1e9))
+        radius = min(radius, {1: 200, 2: 40, 3: 12}[problem.n_freq])
+        rep = xi(problem, radius=radius)
+        assert (rep.xi, rep.argmin) == brute_force_xi(problem, radius)
+        assert rep.degenerate == (rep.xi == 0.0) and rep.radius == radius
+
 
 class TestLatticeSearch:
     def test_homogeneous_targets_hit_zero(self):
@@ -121,6 +208,23 @@ class TestLatticeSearch:
         tight = lattice_search(lat_problem(lam, bet, omega=10, interval=(1.0, 3000.0)))
         assert set(tight.hits.tolist()) <= set(wide.hits.tolist())
 
+    @given(lattice_problems(), st.sampled_from([7, 64, 1 << 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, problem, chunk):
+        with mock.patch.object(kronecker, "_SCAN_CHUNK", chunk):
+            res = lattice_search(problem, arm_threshold=False)
+        assert_same_search(res, full_scan(problem))
+
+    @pytest.mark.parametrize("lambdas,betas", [([0.5], [0.25]), ([0.5, math.sqrt(2.0)], [0.25, 0.1])])
+    def test_no_hit_lattice_widens(self, monkeypatch, lambdas, betas):
+        # ||m/2 - 1/4|| = 1/4 > 1/omega at every point: no candidate passes
+        # the first filter, and the minimum ties everywhere in one dimension
+        monkeypatch.setattr(kronecker, "_SCAN_CHUNK", 16)
+        prob = lat_problem(lambdas, betas, omega=10, interval=(3.0, 500.0))
+        res = lattice_search(prob, arm_threshold=False)
+        assert res.hits.size == 0 and res.achieved >= 0.25
+        assert_same_search(res, full_scan(prob))
+
     def test_empty_lattice_rejected(self):
         # the nonnegative multiples of h miss a negative interval entirely
         with pytest.raises(DomainError):
@@ -148,6 +252,20 @@ class TestSolutionCount:
         small = solution_count(lat_problem(lam, bet, omega=10, interval=(1.0, 500.0)))
         big = solution_count(lat_problem(lam, bet, omega=10, interval=(1.0, 1000.0)))
         assert big.count >= small.count
+
+    def test_supplied_xi_is_not_recomputed(self, monkeypatch):
+        prob = lat_problem([math.sqrt(2.0), math.sqrt(3.0)], [0.25, 0.75], omega=10, interval=(1.0, 5000.0))
+        expect = solution_count(prob)
+        rep = xi(prob)
+        monkeypatch.setattr(kronecker, "xi", mock.Mock(side_effect=AssertionError("xi recomputed")))
+        assert solution_count(prob, xi_rep=rep) == expect
+
+    def test_kronecker_case_computes_xi_once(self, monkeypatch):
+        spy = mock.Mock(wraps=xi)
+        monkeypatch.setattr(kronecker, "xi", spy)
+        monkeypatch.setattr(harness, "xi", spy)
+        harness.run_experiment(harness.default_config("kronecker-search"), seed=0)
+        assert spy.call_count == 1
 
     def test_lower_bounds_reported_not_asserted(self):
         prob = lat_problem([math.sqrt(2.0)], [0.5], omega=10, interval=(1.0, 200.0))
