@@ -1,8 +1,11 @@
-"""Golden CSV bytes for the deterministic lattice kinds.
+"""Golden CSV bytes for every experiment kind.
 
 Each file under ``tests/golden/`` holds the CSV of the kind's default
 config run at seed 0, with the ``wall_time_s`` and ``timestamp`` columns
-removed.  A change to the lattice kernels must reproduce these bytes.
+removed.  A change to the lattice kernels or the Monte Carlo engine must
+reproduce these bytes.  The MC kinds report count estimators (or means of
+vector maxima), so a projection that moves a path value by an ulp leaves
+their rows unchanged.
 """
 
 from pathlib import Path
@@ -12,7 +15,18 @@ import pytest
 from supdev.harness import default_config, records_to_csv, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
-KINDS = ("kronecker-search", "lattice-correlation", "limsup", "divergence")
+KINDS = (
+    "kronecker-search",
+    "lattice-correlation",
+    "limsup",
+    "divergence",
+    "equicorrelated",
+    "block",
+    "szego",
+    "decoupling",
+    "cyclic-transfer",
+    "moderate-trig",
+)
 
 
 def csv_without_timing(kind: str) -> str:
