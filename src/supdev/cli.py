@@ -103,7 +103,10 @@ def _resolve_config(args, kind):
 
 
 def _print_record(record, bound_only=False, mc_only=False) -> bool:
+    """Print the rows; the margin and PASS/FAIL verdict compare both sides,
+    so they appear only when neither side is hidden."""
     print(f"experiment={record.experiment} seed={record.seed} reps={record.reps} hash={record.config_hash}")
+    verdict = not bound_only and not mc_only
     ok = True
     for row in record.checks:
         bits = [f"  {row.name}:"]
@@ -113,9 +116,9 @@ def _print_record(record, bound_only=False, mc_only=False) -> bool:
                 bits.append(f"ci=[{row.mc_lo:.6g}, {row.mc_hi:.6g}]")
         if row.bound is not None and not mc_only:
             bits.append(f"bound={row.bound:.6g}")
-        if row.margin is not None and not bound_only and not mc_only:
+        if row.margin is not None and verdict:
             bits.append(f"margin={row.margin:.6g}")
-        if row.passed is not None:
+        if row.passed is not None and verdict:
             bits.append("PASS" if row.passed else "FAIL")
             ok &= row.passed
         print(" ".join(bits))
@@ -150,8 +153,6 @@ def main(argv=None) -> int:
         mc_only = args.command == "simulate"
         ok = _print_record(record, bound_only=bound_only, mc_only=mc_only)
         _write_outputs(record, cfg, args)
-        if bound_only or mc_only:
-            return 0
         return 0 if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,11 +22,11 @@ from .errors import CheckError, DomainError
 from .mc import (
     CovarianceSpec,
     McEstimate,
-    Z95,
     normal_draws,
-    wilson_half_width,
     _chunk_bounds,
     _map_chunks,
+    _mean_estimate,
+    _prob_estimate,
 )
 from .quadrature import adaptive_simpson
 from .spectrum import PolynomialSpec, power_sum
@@ -250,15 +250,7 @@ def verify_decoupling_mc(
         inside = np.all((x >= los) & (x <= his), axis=1)
         return int(np.count_nonzero(inside))
 
-    counts = _map_chunks(run, _chunk_bounds(reps, n), workers)
-    total = sum(counts)
-    lhs = McEstimate(
-        estimate=total / reps,
-        reps=reps,
-        half_width=wilson_half_width(total, reps),
-        seed=seed,
-        kind="probability",
-    )
+    lhs = _prob_estimate(sum(_map_chunks(run, _chunk_bounds(reps, n), workers)), reps, seed)
     if lhs.estimate > rhs + 3.0 * lhs.half_width:
         raise CheckError(
             f"decoupling inequality violated: lhs {lhs.estimate:.6g} > rhs {rhs:.6g} "
@@ -323,17 +315,7 @@ def verify_gebelein_nelson(
         return float(prod.sum()), float((prod * prod).sum())
 
     parts = _map_chunks(run, _chunk_bounds(reps, 2), workers)
-    total = sum(x[0] for x in parts)
-    total_sq = sum(x[1] for x in parts)
-    mean = total / reps
-    var = max(0.0, (total_sq - total * total / reps) / max(reps - 1, 1))
-    lhs = McEstimate(
-        estimate=mean,
-        reps=reps,
-        half_width=Z95 * math.sqrt(var / reps),
-        seed=seed,
-        kind="mean",
-    )
+    lhs = _mean_estimate(sum(x[0] for x in parts), sum(x[1] for x in parts), reps, seed)
     for name, rhs in (("gebelein", gebelein_rhs), ("nelson", nelson_rhs)):
         if abs(lhs.estimate) > rhs + 3.0 * lhs.half_width:
             raise CheckError(

@@ -5,8 +5,13 @@ out as a fixed table of raw 64-bit draws; replication ``r`` owns the rows
 ``[r * pad, (r + 1) * pad)`` where ``pad`` is the per-replication draw count
 rounded up to the 4-draw Philox block.  Uniforms are ``((raw >> 11) + 0.5) *
 2^-53`` (strictly inside (0, 1)) and normals go through the inverse CDF, so
-every replication consumes a fixed, known number of draws.  Workers split
-the replication range into fixed-size chunks and merge counts/sums in chunk
+every replication consumes a fixed, known number of draws.  Path draws come
+in the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
+rows interleaved the same way (a_k cos(w_k u), a_k sin(w_k u)), so a chunk of
+paths is one GEMM of its draws against that matrix.  The replication range
+is split into chunks whose size depends only on the replication count and
+the output width (at most 2^18 output values per chunk), never on the
+worker count; workers take whole chunks and counts/sums merge in chunk
 order, which makes results bit-identical for any worker count.
 """
 
@@ -234,21 +239,28 @@ class GridSpec:
         return self.start + self.step * np.arange(self.count)
 
 
-def _design_matrices(spec: PolynomialSpec, nodes: np.ndarray):
-    """(C, S) with C[k, m] = a_k cos(w_k u_m), S likewise with sin."""
-    a = spec.coeff_values()
-    if a.size == 0:
-        return np.zeros((0, nodes.size)), np.zeros((0, nodes.size))
-    w = spec.angular_freqs()
-    phase = np.outer(w, nodes)
-    return a[:, None] * np.cos(phase), a[:, None] * np.sin(phase)
+def _design_matrix(spec: PolynomialSpec, nodes: np.ndarray) -> np.ndarray:
+    """(2m, nodes) matrix with rows 2k, 2k+1 = a_k cos(w_k u), a_k sin(w_k u).
+
+    The row order matches the draw order of ``normal_draws(seed, s, n, 2m)``,
+    so ``draws @ matrix`` gives the paths in one GEMM.
+    """
+    a = spec.coeff_values()[:, None]
+    phase = np.outer(spec.angular_freqs(), nodes)
+    return np.stack([a * np.cos(phase), a * np.sin(phase)], axis=1).reshape(-1, nodes.size)
 
 
 def _chunk_bounds(reps: int, nodes: int) -> list:
-    """Fixed chunking of the replication range (independent of workers)."""
+    """Fixed chunking of the replication range (independent of workers).
+
+    A chunk holds at most 2^18 output values (2 MiB of float64, one core's
+    L2 cache) and between 64 and CHUNK_REPS replications, so outputs up to
+    32 wide keep CHUNK_REPS-row chunks.  The boundaries depend only on
+    (reps, nodes).
+    """
     per = CHUNK_REPS
     if nodes > 0:
-        per = max(64, min(CHUNK_REPS, (1 << 23) // max(nodes, 1)))
+        per = max(64, min(CHUNK_REPS, (1 << 18) // nodes))
     return [(s, min(s + per, reps)) for s in range(0, reps, per)]
 
 
@@ -259,6 +271,17 @@ def _map_chunks(fn: Callable, chunks: list, workers: int) -> list:
         return list(pool.map(fn, chunks))
 
 
+def _map_paths(dmat: np.ndarray, seed: int, reps: int, workers: int, reduce: Callable) -> list:
+    """``reduce(draws @ dmat)`` for every chunk of paths, in chunk order."""
+    width, nodes = dmat.shape
+
+    def run(chunk):
+        s, e = chunk
+        return reduce(normal_draws(seed, s, e - s, width) @ dmat)
+
+    return _map_chunks(run, _chunk_bounds(reps, nodes), workers)
+
+
 def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, rep_start: int = 0) -> np.ndarray:
     """Sample paths on the grid, shape (reps, n_nodes).
 
@@ -266,13 +289,7 @@ def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, 
     interleaved order (g_y, g'_y, g_{y+1}, ...), independent of the grid, so
     two specs sharing a range and seed consume identical (g, g') pairs.
     """
-    nodes = grid.nodes()
-    m = spec.n_terms
-    if m == 0:
-        return np.zeros((reps, nodes.size))
-    draws = normal_draws(seed, rep_start, reps, 2 * m).reshape(reps, m, 2)
-    cmat, smat = _design_matrices(spec, nodes)
-    return draws[:, :, 0] @ cmat + draws[:, :, 1] @ smat
+    return normal_draws(seed, rep_start, reps, 2 * spec.n_terms) @ _design_matrix(spec, grid.nodes())
 
 
 def _prob_estimate(count: int, reps: int, seed: int) -> McEstimate:
@@ -308,19 +325,9 @@ def mc_sup_prob(
     """P{max over grid nodes <= theta} with a Wilson interval."""
     if reps < 1:
         raise DomainError("mc_sup_prob needs reps >= 1")
-    nodes = grid.nodes()
-    m = spec.n_terms
-    if m == 0:
-        return _prob_estimate(reps if 0.0 <= theta else 0, reps, seed)
-    cmat, smat = _design_matrices(spec, nodes)
-
-    def run(chunk) -> int:
-        s, e = chunk
-        draws = normal_draws(seed, s, e - s, 2 * m).reshape(e - s, m, 2)
-        paths = draws[:, :, 0] @ cmat + draws[:, :, 1] @ smat
-        return int(np.count_nonzero(paths.max(axis=1) <= theta))
-
-    counts = _map_chunks(run, _chunk_bounds(reps, nodes.size), workers)
+    counts = _map_paths(
+        _design_matrix(spec, grid.nodes()), seed, reps, workers, lambda p: int(np.count_nonzero(p.max(axis=1) <= theta))
+    )
     return _prob_estimate(sum(counts), reps, seed)
 
 
@@ -359,20 +366,12 @@ def mc_expected_sup_path(
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
     if reps < 1:
         raise DomainError("mc_expected_sup_path needs reps >= 1")
-    nodes = grid.nodes()
-    m = spec.n_terms
-    if m == 0:
-        return _mean_estimate(0.0, 0.0, reps, seed)
-    cmat, smat = _design_matrices(spec, nodes)
 
-    def run(chunk):
-        s, e = chunk
-        draws = normal_draws(seed, s, e - s, 2 * m).reshape(e - s, m, 2)
-        paths = draws[:, :, 0] @ cmat + draws[:, :, 1] @ smat
+    def moments(paths):
         sups = np.abs(paths).max(axis=1) if absolute else paths.max(axis=1)
         return float(sups.sum()), float((sups * sups).sum())
 
-    parts = _map_chunks(run, _chunk_bounds(reps, nodes.size), workers)
+    parts = _map_paths(_design_matrix(spec, grid.nodes()), seed, reps, workers, moments)
     return _mean_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), reps, seed)
 
 
@@ -393,20 +392,8 @@ def sup_diff_samples(
     if (spec_a.y, spec_a.x) != (spec_b.y, spec_b.x):
         raise DomainError("coupled specs must share the index range [y, x]")
     nodes = grid.nodes()
-    m = spec_a.n_terms
-    if m == 0:
-        return np.zeros(reps)
-    ca, sa = _design_matrices(spec_a, nodes)
-    cb, sb = _design_matrices(spec_b, nodes)
-    dc, ds = ca - cb, sa - sb
-
-    def run(chunk):
-        s, e = chunk
-        draws = normal_draws(seed, s, e - s, 2 * m).reshape(e - s, m, 2)
-        diff = draws[:, :, 0] @ dc + draws[:, :, 1] @ ds
-        return np.abs(diff).max(axis=1)
-
-    parts = _map_chunks(run, _chunk_bounds(reps, nodes.size), workers)
+    dmat = _design_matrix(spec_a, nodes) - _design_matrix(spec_b, nodes)
+    parts = _map_paths(dmat, seed, reps, workers, lambda d: np.abs(d).max(axis=1))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

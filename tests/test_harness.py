@@ -258,6 +258,16 @@ class TestCli:
         assert cli_main(["bound", "equicorrelated", "-c", str(cfg)]) == 0
         assert cli_main(["simulate", "equicorrelated", "-c", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("mode", ["bound", "simulate"])
+    @pytest.mark.parametrize("kind", ["equicorrelated", "lattice-correlation"])
+    def test_one_sided_modes_print_no_verdict(self, capsys, mode, kind):
+        # the verdict compares both sides, one of which these modes hide;
+        # lattice-correlation fails its variance floor under verify
+        assert cli_main([mode, kind]) == 0
+        out = capsys.readouterr().out
+        assert ("bound=" if mode == "bound" else "mc=") in out
+        assert "PASS" not in out and "FAIL" not in out and "margin=" not in out
+
     def test_alias_subcommands(self, capsys):
         assert cli_main(["decouple", "--reps", "4000"]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ from scipy.special import ndtr
 
 from supdev.errors import DomainError, FactorizationError
 from supdev.mc import (
+    CHUNK_REPS,
     CovarianceSpec,
     GridSpec,
     McEstimate,
@@ -16,7 +17,9 @@ from supdev.mc import (
     mc_vector_sup_prob,
     normal_draws,
     sample_path,
+    sup_diff_samples,
     wilson_half_width,
+    _chunk_bounds,
 )
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
@@ -118,6 +121,14 @@ class TestSamplePath:
         paths = sample_path(spec, GridSpec.uniform(0, 1, 8), seed=1, reps=3)
         assert np.array_equal(paths, np.zeros((3, 8)))
 
+    def test_empty_range_estimators(self):
+        # the zero path: max 0 everywhere, so the estimators are exact
+        spec, grid = unit_spec(0, y=1), GridSpec.uniform(0, 1, 500)
+        assert mc_sup_prob(spec, grid, 0.0, 300, seed=1).estimate == 1.0
+        assert mc_sup_prob(spec, grid, -0.1, 300, seed=1).estimate == 0.0
+        assert mc_expected_sup_path(spec, grid, 300, seed=1).estimate == 0.0
+        assert np.array_equal(sup_diff_samples(spec, spec, grid, 5, seed=1), np.zeros(5))
+
     def test_single_term_identity(self):
         # one coefficient: path = g cos t + g' sin t with (g, g') from the stream
         spec = unit_spec(1, freq_rule=lambda k: 1.0)
@@ -152,6 +163,64 @@ class TestSamplePath:
         a = sample_path(spec, coarse, seed=13, reps=50).max(axis=1)
         b = sample_path(spec, fine, seed=13, reps=50).max(axis=1)
         assert np.all(b >= a - 1e-12)
+
+
+    def test_matches_separate_cos_sin_projection(self):
+        # independent reference: de-interleave the draws into [g_cos | g_sin]
+        # and project through the stacked [C; S] design matrix
+        spec = unit_spec(40, y=3, coeffs="inv_sqrt")
+        grid = GridSpec.uniform(0.0, 7.0, 301)
+        paths = sample_path(spec, grid, seed=17, reps=64, rep_start=5)
+        g = normal_draws(seed=17, rep_start=5, n_reps=64, draws_per_rep=2 * spec.n_terms)
+        phase = np.outer(spec.angular_freqs(), grid.nodes())
+        a = spec.coeff_values()[:, None]
+        ref = np.hstack([g[:, 0::2], g[:, 1::2]]) @ np.vstack([a * np.cos(phase), a * np.sin(phase)])
+        assert np.max(np.abs(paths - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestWideGrid:
+    """Grids wide enough that the replication range splits into several chunks."""
+
+    SPEC = unit_spec(64)
+    OTHER = unit_spec(64, freq_rule=lambda k: 0.71 * k)
+    GRID = GridSpec.uniform(0.0, 10.0, 1000)
+    REPS = 2000
+
+    def test_several_chunks(self):
+        assert len(_chunk_bounds(self.REPS, self.GRID.n)) >= 2
+        assert len(_chunk_bounds(2000, 1258)) >= 2
+
+    def test_narrow_outputs_keep_full_chunks(self):
+        for reps in (1, 8191, 8192, 60000, 100000):
+            expect = [(s, min(s + CHUNK_REPS, reps)) for s in range(0, reps, CHUNK_REPS)]
+            for n in range(1, 33):
+                assert _chunk_bounds(reps, n) == expect
+
+    def test_chunks_cover_range_in_order(self):
+        for reps, n in ((2000, 1258), (1000, 193), (77, 5000), (2000, 10**6)):
+            chunks = _chunk_bounds(reps, n)
+            assert chunks[0][0] == 0 and chunks[-1][1] == reps
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert all(e - s <= max(64, (1 << 18) // n) for s, e in chunks)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_identical(self, workers):
+        spec, other, grid, reps = self.SPEC, self.OTHER, self.GRID, self.REPS
+        assert mc_sup_prob(spec, grid, 9.0, reps, seed=4, workers=1) == mc_sup_prob(
+            spec, grid, 9.0, reps, seed=4, workers=workers
+        )
+        for absolute in (False, True):
+            assert mc_expected_sup_path(spec, grid, reps, seed=4, absolute=absolute) == mc_expected_sup_path(
+                spec, grid, reps, seed=4, workers=workers, absolute=absolute
+            )
+        assert np.array_equal(
+            sup_diff_samples(spec, other, grid, reps, seed=4, workers=1),
+            sup_diff_samples(spec, other, grid, reps, seed=4, workers=workers),
+        )
+
+    def test_identical_pair_is_exactly_zero(self):
+        est = mc_expected_sup_diff(self.SPEC, self.SPEC, self.GRID, self.REPS, seed=3, workers=2)
+        assert est.estimate == 0.0 and est.half_width == 0.0
 
 
 class TestSupProb:
