@@ -3,8 +3,10 @@
 
 Writes results/<kind>.csv, results/<kind>.json and results/<kind>_plot.csv,
 prints one verdict line per check, and exits 0 only if every assertion row
-passed.  Seed and worker count come from the command line; reruns with the
-same seed reproduce the same rows byte-for-byte (timing columns aside).
+passed, and exits 2 with one "config error" line when the seed, the worker
+count or a kind is invalid.  Seed and worker count come from the command
+line; reruns with the same seed reproduce the same rows byte-for-byte
+(timing columns aside).
 """
 
 import argparse
@@ -13,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from supdev.errors import ConfigError
 from supdev.harness import EXPERIMENT_KINDS, default_config, emit, run_experiment
 
 
@@ -24,9 +27,14 @@ def main() -> int:
     parser.add_argument("--kinds", nargs="*", default=list(EXPERIMENT_KINDS))
     args = parser.parse_args()
 
+    try:
+        configs = [default_config(kind, seed=args.seed, workers=args.workers) for kind in args.kinds]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
     all_ok = True
-    for kind in args.kinds:
-        cfg = default_config(kind, seed=args.seed, workers=args.workers)
+    for kind, cfg in zip(args.kinds, configs):
         record = run_experiment(cfg)
         stem = str(Path(args.out) / kind.replace("-", "_"))
         emit([record], "csv", stem + ".csv")

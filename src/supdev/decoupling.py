@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .mc import (
     normal_draws,
     _chunk_bounds,
     _map_chunks,
+    _map_projected,
     _mean_estimate,
     _prob_estimate,
 )
@@ -205,6 +207,20 @@ def decoupling_multiplier(cov: CovarianceSpec, p: float, beta: float) -> float:
     return math.exp(log_mult)
 
 
+def _in_box(x: np.ndarray, los: Sequence[float], his: Sequence[float]) -> np.ndarray:
+    """Rows of x with los[j] <= x[:, j] <= his[j] for every column j.
+
+    Built column by column: ``np.all(..., axis=1)`` over a few columns pays
+    numpy's per-row overhead.
+    """
+    inside = x[:, 0] >= los[0]
+    inside &= x[:, 0] <= his[0]
+    for j in range(1, x.shape[1]):
+        inside &= x[:, j] >= los[j]
+        inside &= x[:, j] <= his[j]
+    return inside
+
+
 class DecouplingCheck(NamedTuple):
     lhs: McEstimate
     rhs: float
@@ -240,17 +256,12 @@ def verify_decoupling_mc(
     )
     rhs = mult * float(np.prod([m ** (1.0 / p) for m in masses]))
 
-    fact = cov.factor()
-    los = np.array([b[0] for b in boxes])
-    his = np.array([b[1] for b in boxes])
-
-    def run(chunk) -> int:
-        s, e = chunk
-        x = normal_draws(seed, s, e - s, n) @ fact.T
-        inside = np.all((x >= los) & (x <= his), axis=1)
-        return int(np.count_nonzero(inside))
-
-    lhs = _prob_estimate(sum(_map_chunks(run, _chunk_bounds(reps, n), workers)), reps, seed)
+    los = [b[0] for b in boxes]
+    his = [b[1] for b in boxes]
+    counts = _map_projected(
+        cov.factor().T, seed, reps, workers, lambda x: int(np.count_nonzero(_in_box(x, los, his)))
+    )
+    lhs = _prob_estimate(sum(counts), reps, seed)
     if lhs.estimate > rhs + 3.0 * lhs.half_width:
         raise CheckError(
             f"decoupling inequality violated: lhs {lhs.estimate:.6g} > rhs {rhs:.6g} "
@@ -259,9 +270,18 @@ def verify_decoupling_mc(
     return DecouplingCheck(lhs, rhs, mult, masses)
 
 
+@lru_cache(maxsize=4)
+def _hermegauss(n_nodes: int) -> tuple:
+    """Probabilists' Gauss-Hermite nodes and weights (read-only, shared)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _hermite_abs_moment(f_vals_at, p: float, n_nodes: int = 200) -> float:
     """E |f(Z)|^p for Z standard normal via Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes, weights = _hermegauss(n_nodes)
     vals = np.abs(f_vals_at(nodes)) ** p
     return float(np.sum(weights * vals) / math.sqrt(2.0 * math.pi))
 

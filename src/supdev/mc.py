@@ -13,13 +13,19 @@ is split into chunks whose size depends only on the replication count and
 the output width (at most 2^18 output values per chunk), never on the
 worker count; workers take whole chunks and counts/sums merge in chunk
 order, which makes results bit-identical for any worker count.
+
+Path and vector estimators share one projected-chunk map: a vector X = F z
+is the path case with the matrix F^T in place of the design matrix.  Thread
+pools are kept per worker count and reused across calls.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +54,7 @@ __all__ = [
 
 Z95 = 1.959963984540054  # ndtri(0.975)
 CHUNK_REPS = 8192  # fixed chunk size: chunk boundaries never depend on workers
+_COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
 _SUBSTREAM_RULE = "philox4x64(key=seed) raw draws [rep*pad, rep*pad + d), pad = 4*ceil(d/4)"
 
 
@@ -63,8 +70,10 @@ def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> 
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(rep_start * pad // 4)
     raw = bg.random_raw(n_reps * pad).reshape(n_reps, pad)[:, :draws_per_rep]
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 def wilson_half_width(successes: int, reps: int, z: float = Z95) -> float:
@@ -264,22 +273,46 @@ def _chunk_bounds(reps: int, nodes: int) -> list:
     return [(s, min(s + per, reps)) for s in range(0, reps, per)]
 
 
+@lru_cache(maxsize=4)
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """One pool per worker count, reused across calls; an evicted pool's
+    idle threads exit when it is garbage-collected."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the cached pools but not their threads, so a
+    # pool reused there would wait forever; the child starts fresh pools.
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
 def _map_chunks(fn: Callable, chunks: list, workers: int) -> list:
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    return list(_executor(workers).map(fn, chunks))
 
 
-def _map_paths(dmat: np.ndarray, seed: int, reps: int, workers: int, reduce: Callable) -> list:
-    """``reduce(draws @ dmat)`` for every chunk of paths, in chunk order."""
-    width, nodes = dmat.shape
+def _map_projected(matrix: np.ndarray, seed: int, reps: int, workers: int, reduce: Callable) -> list:
+    """``reduce(draws @ matrix)`` for every chunk of replications, in chunk
+    order.  ``reduce`` owns its argument and may overwrite it."""
+    width, outputs = matrix.shape
 
     def run(chunk):
         s, e = chunk
-        return reduce(normal_draws(seed, s, e - s, width) @ dmat)
+        return reduce(normal_draws(seed, s, e - s, width) @ matrix)
 
-    return _map_chunks(run, _chunk_bounds(reps, nodes), workers)
+    return _map_chunks(run, _chunk_bounds(reps, outputs), workers)
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)``; narrow arrays go column by column, which avoids
+    numpy's per-row overhead on a short reduction axis."""
+    if x.shape[1] >= _COLUMN_MAX_WIDTH:
+        return x.max(axis=1)
+    m = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j], out=m)
+    return m
 
 
 def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, rep_start: int = 0) -> np.ndarray:
@@ -314,6 +347,24 @@ def _mean_estimate(total: float, total_sq: float, reps: int, seed: int) -> McEst
     )
 
 
+def _sup_prob(
+    matrix: np.ndarray, theta: float, reps: int, seed: int, workers: int, absolute: bool
+) -> McEstimate:
+    def count(x) -> int:
+        return int(np.count_nonzero(_row_max(np.abs(x, out=x) if absolute else x) <= theta))
+
+    return _prob_estimate(sum(_map_projected(matrix, seed, reps, workers, count)), reps, seed)
+
+
+def _expected_sup(matrix: np.ndarray, reps: int, seed: int, workers: int, absolute: bool) -> McEstimate:
+    def moments(x):
+        sups = _row_max(np.abs(x, out=x) if absolute else x)
+        return float(sups.sum()), float((sups * sups).sum())
+
+    parts = _map_projected(matrix, seed, reps, workers, moments)
+    return _mean_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), reps, seed)
+
+
 def mc_sup_prob(
     spec: PolynomialSpec,
     grid: GridSpec,
@@ -325,10 +376,7 @@ def mc_sup_prob(
     """P{max over grid nodes <= theta} with a Wilson interval."""
     if reps < 1:
         raise DomainError("mc_sup_prob needs reps >= 1")
-    counts = _map_paths(
-        _design_matrix(spec, grid.nodes()), seed, reps, workers, lambda p: int(np.count_nonzero(p.max(axis=1) <= theta))
-    )
-    return _prob_estimate(sum(counts), reps, seed)
+    return _sup_prob(_design_matrix(spec, grid.nodes()), theta, reps, seed, workers, absolute=False)
 
 
 def mc_vector_sup_prob(
@@ -342,17 +390,7 @@ def mc_vector_sup_prob(
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
     if reps < 1:
         raise DomainError("mc_vector_sup_prob needs reps >= 1")
-    fact = cov.factor()
-    n = cov.n
-
-    def run(chunk) -> int:
-        s, e = chunk
-        x = normal_draws(seed, s, e - s, n) @ fact.T
-        vals = np.abs(x) if absolute else x
-        return int(np.count_nonzero(vals.max(axis=1) <= theta))
-
-    counts = _map_chunks(run, _chunk_bounds(reps, n), workers)
-    return _prob_estimate(sum(counts), reps, seed)
+    return _sup_prob(cov.factor().T, theta, reps, seed, workers, absolute)
 
 
 def mc_expected_sup_path(
@@ -366,13 +404,7 @@ def mc_expected_sup_path(
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
     if reps < 1:
         raise DomainError("mc_expected_sup_path needs reps >= 1")
-
-    def moments(paths):
-        sups = np.abs(paths).max(axis=1) if absolute else paths.max(axis=1)
-        return float(sups.sum()), float((sups * sups).sum())
-
-    parts = _map_paths(_design_matrix(spec, grid.nodes()), seed, reps, workers, moments)
-    return _mean_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), reps, seed)
+    return _expected_sup(_design_matrix(spec, grid.nodes()), reps, seed, workers, absolute)
 
 
 def sup_diff_samples(
@@ -393,7 +425,7 @@ def sup_diff_samples(
         raise DomainError("coupled specs must share the index range [y, x]")
     nodes = grid.nodes()
     dmat = _design_matrix(spec_a, nodes) - _design_matrix(spec_b, nodes)
-    parts = _map_paths(dmat, seed, reps, workers, lambda d: np.abs(d).max(axis=1))
+    parts = _map_projected(dmat, seed, reps, workers, lambda d: _row_max(np.abs(d, out=d)))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -422,14 +454,4 @@ def mc_expected_sup_vector(
     """Mean of max_i X_i (or max |X_i|) for the Gaussian vector X = F z."""
     if reps < 1:
         raise DomainError("mc_expected_sup_vector needs reps >= 1")
-    fact = cov.factor()
-    n = cov.n
-
-    def run(chunk):
-        s, e = chunk
-        x = normal_draws(seed, s, e - s, n) @ fact.T
-        sups = (np.abs(x) if absolute else x).max(axis=1)
-        return float(sups.sum()), float((sups * sups).sum())
-
-    parts = _map_chunks(run, _chunk_bounds(reps, n), workers)
-    return _mean_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), reps, seed)
+    return _expected_sup(cov.factor().T, reps, seed, workers, absolute)

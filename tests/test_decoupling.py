@@ -13,9 +13,10 @@ from supdev.decoupling import (
     riemann_gap,
     verify_decoupling_mc,
     verify_gebelein_nelson,
+    _in_box,
 )
 from supdev.errors import DomainError
-from supdev.mc import CovarianceSpec, GridSpec, mc_sup_prob
+from supdev.mc import CHUNK_REPS, CovarianceSpec, GridSpec, mc_sup_prob
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
 
@@ -199,6 +200,26 @@ class TestVerifyDecouplingMc:
         p = 2.0 * decoupling_coeff_vector(cov).p_value
         chk = verify_decoupling_mc(cov, p, 2.0, [(0.0, math.inf)] * 3, 40000, seed=6)
         assert chk.lhs.estimate <= chk.rhs + 3.0 * chk.lhs.half_width
+
+    def test_box_test_matches_all_over_rows(self, rng):
+        los = np.array([-1.0, -math.inf, 0.0, 0.5, -math.inf, 2.0])
+        his = np.array([1.0, 0.5, math.inf, 0.5, math.inf, 1.0])  # a point box and an empty box
+        values = np.array([-math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf])
+        x = rng.choice(values, size=(5000, 6))
+        for n in range(1, 7):
+            sub = x[:, :n]
+            ref = np.all((sub >= los[:n]) & (sub <= his[:n]), axis=1)
+            assert np.array_equal(_in_box(sub, list(los[:n]), list(his[:n])), ref), n
+            assert ref.any() == (n < 6)
+
+    def test_worker_count_identical(self):
+        cov = CovarianceSpec.equicorrelated(4, 0.3)
+        p = 2.0 * decoupling_coeff_vector(cov).p_value
+        boxes = [(0.0, math.inf), (-math.inf, 1.0), (-0.5, 2.0), (-1.0, 1.0)]
+        reps = 3 * CHUNK_REPS + 500  # 4 chunks
+        ref = verify_decoupling_mc(cov, p, 2.0, boxes, reps, seed=9, workers=1)
+        for workers in (2, 3, 2):
+            assert verify_decoupling_mc(cov, p, 2.0, boxes, reps, seed=9, workers=workers) == ref
 
     def test_desk_scale_cap(self):
         cov = CovarianceSpec.equicorrelated(7, 0.1)

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +321,22 @@ class TestCli:
     def test_seed_echoed(self, capsys):
         cli_main(["verify", "limsup", "--seed", "99"])
         assert "seed=99" in capsys.readouterr().out
+
+
+class TestVerificationScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verifications.py"
+
+    @pytest.mark.parametrize(
+        "args", [["--workers", "0"], ["--seed", "-1"], ["--kinds", "nope"], ["--kinds", "limsup", "nope"]]
+    )
+    def test_bad_input_exit_two_without_traceback(self, args, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), *args, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not any(tmp_path.iterdir())

@@ -1,8 +1,14 @@
+import gc
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from supdev.errors import DomainError, FactorizationError
 from supdev.mc import (
@@ -20,6 +26,8 @@ from supdev.mc import (
     sup_diff_samples,
     wilson_half_width,
     _chunk_bounds,
+    _executor,
+    _row_max,
 )
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
@@ -34,7 +42,23 @@ def unit_spec(x, freq_rule=lambda k: 0.7 * k, y=1, coeffs="ones"):
     )
 
 
+def out_of_place_draws(seed, rep_start, n_reps, draws_per_rep):
+    """The uniform conversion written as one out-of-place expression."""
+    pad = 4 * ((draws_per_rep + 3) // 4)
+    bg = np.random.Philox(key=np.uint64(seed))
+    bg.advance(rep_start * pad // 4)
+    raw = bg.random_raw(n_reps * pad).reshape(n_reps, pad)[:, :draws_per_rep]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
 class TestDraws:
+    def test_in_place_conversion_is_bit_identical(self):
+        for width in range(1, 34):  # unpadded at multiples of 4, padded otherwise
+            for rep_start in (0, 1, 7, 1000):
+                got = normal_draws(seed=21, rep_start=rep_start, n_reps=37, draws_per_rep=width)
+                ref = out_of_place_draws(21, rep_start, 37, width)
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (width, rep_start)
+
     def test_partition_invariance(self):
         full = normal_draws(seed=9, rep_start=0, n_reps=40, draws_per_rep=7)
         head = normal_draws(seed=9, rep_start=0, n_reps=13, draws_per_rep=7)
@@ -307,6 +331,99 @@ class TestExpectedSup:
         a = sample_path(spec, grid, seed=21, reps=50)
         b = sample_path(perp, grid, seed=21, reps=50)
         assert np.allclose(a, b, atol=1e-12)
+
+
+class TestRowMax:
+    def test_matches_max_over_axis_one(self, rng):
+        for width in range(1, 65):
+            x = rng.standard_normal((300, width))
+            x[rng.random(x.shape) < 0.05] = np.inf
+            x[rng.random(x.shape) < 0.05] = -np.inf
+            x[3] = -np.inf
+            x[4] = np.inf
+            before = x.copy()
+            got = _row_max(x)
+            assert np.array_equal(got.view(np.uint64), x.max(axis=1).view(np.uint64)), width
+            assert np.array_equal(x, before)
+
+
+def vector_estimates(cov, workers, absolute):
+    return (
+        mc_vector_sup_prob(cov, 1.8, VECTOR_REPS, seed=7, workers=workers, absolute=absolute),
+        mc_expected_sup_vector(cov, VECTOR_REPS, seed=7, workers=workers, absolute=absolute),
+    )
+
+
+def _exit_zero_if_equal(ref):
+    os._exit(0 if vector_estimates(NARROW, 2, False) == ref else 1)
+
+
+VECTOR_REPS = 3 * CHUNK_REPS + 500  # at least 4 chunks at any width
+NARROW = CovarianceSpec.stationary([0.7**k for k in range(12)])
+WIDE = CovarianceSpec.block(5, 8, 0.5, 0.2)
+
+
+class TestVectorWorkers:
+    @pytest.mark.parametrize("cov", [NARROW, WIDE], ids=["n12", "n40"])
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_worker_count_identical(self, cov, absolute):
+        assert len(_chunk_bounds(VECTOR_REPS, cov.n)) >= 3
+        ref = vector_estimates(cov, 1, absolute)
+        assert vector_estimates(cov, 2, absolute) == ref
+        assert vector_estimates(cov, 3, absolute) == ref
+
+    def test_pool_is_reused(self):
+        assert _executor(2) is _executor(2)
+
+    def test_alternating_worker_counts(self):
+        ref = vector_estimates(NARROW, 1, True)
+        for workers in (2, 3, 2, 1, 3, 2):
+            assert vector_estimates(NARROW, workers, True) == ref
+
+    def test_concurrent_callers_share_pools(self):
+        ref = vector_estimates(NARROW, 1, False)
+        results = []
+        threads = [
+            threading.Thread(target=lambda w=w: results.append(vector_estimates(NARROW, w, False)))
+            for w in (2, 3, 2, 3, 2, 3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [ref] * len(threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_fresh_pools(self):
+        ref = vector_estimates(NARROW, 2, False)  # the parent's pool now has threads
+        child = multiprocessing.get_context("fork").Process(target=_exit_zero_if_equal, args=(ref,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+        assert child.exitcode == 0
+
+    def test_evicted_pool_threads_exit(self):
+        vector_estimates(NARROW, 5, False)
+        pool = _executor(5)
+        threads = list(pool._threads)
+        assert threads
+        ref = weakref.ref(pool)
+        del pool
+        for workers in range(6, 6 + _executor.cache_info().maxsize):
+            _executor(workers)
+        gc.collect()
+        assert ref() is None
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
 
 
 class TestGridSpec:
