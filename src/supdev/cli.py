@@ -13,6 +13,7 @@ import sys
 from .errors import SupdevError, ConfigError
 from .harness import (
     EXPERIMENT_KINDS,
+    KINDS,
     SEED_ENV_VAR,
     calibrate,
     default_config,
@@ -20,20 +21,6 @@ from .harness import (
     load_config,
     run_experiment,
 )
-
-_KIND_HELP = {
-    "equicorrelated": "grid max of an equicorrelated Gaussian vector vs the product bound",
-    "block": "block-partitioned covariance max vs the factorized Gaussian bound",
-    "szego": "stationary-sequence max vs the spectral geometric-mean sandwich",
-    "moderate-trig": "periodic-sum grid supremum vs the moderate-deviation bound",
-    "cyclic-transfer": "almost periodic sup vs its rational-frequency companion plus error term",
-    "decoupling": "product-of-indicators factorization, correlation inequalities, OU row-sum constant",
-    "kronecker-search": "simultaneous approximation on a step lattice: hit search and counts",
-    "limsup": "running maximum of an exponential sum along an arithmetic progression",
-    "divergence": "growth of the normalized absolute-covariance partial sums",
-    "lattice-correlation": "correlation cap and variance floor of the cosine part on lattice points",
-}
-
 
 def _add_common(sub):
     sub.add_argument("-c", "--config", help="INI config file (defaults per kind otherwise)")
@@ -57,19 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run one experiment kind's standard comparison",
         description="Checks for each kind:\n"
-        + "\n".join(f"  {k:>19}: {v}" for k, v in _KIND_HELP.items()),
+        + "\n".join(f"  {name:>19}: {kind.help}" for name, kind in KINDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_verify.add_argument("kind", choices=EXPERIMENT_KINDS)
     _add_common(p_verify)
-
-    p_bound = subs.add_parser("bound", help="evaluate the closed-form bound side only")
-    p_bound.add_argument("kind", choices=EXPERIMENT_KINDS)
-    _add_common(p_bound)
-
-    p_sim = subs.add_parser("simulate", help="run the Monte Carlo estimate side only")
-    p_sim.add_argument("kind", choices=EXPERIMENT_KINDS)
-    _add_common(p_sim)
 
     for alias, kind in (("decouple", "decoupling"), ("cyclic", "cyclic-transfer"), ("kronecker", "kronecker-search")):
         p_alias = subs.add_parser(alias, help=f"alias for 'verify {kind}'")
@@ -77,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_alias.set_defaults(alias_kind=kind)
 
     p_cal = subs.add_parser("calibrate", help="fit free constants and report them (never persisted)")
-    p_cal.add_argument("kind", choices=("cyclic-transfer", "kronecker-search"))
+    p_cal.add_argument("kind", choices=tuple(name for name in EXPERIMENT_KINDS if KINDS[name].calibrate))
     _add_common(p_cal)
 
     return parser
@@ -102,23 +81,21 @@ def _resolve_config(args, kind):
     return cfg
 
 
-def _print_record(record, bound_only=False, mc_only=False) -> bool:
-    """Print the rows; the margin and PASS/FAIL verdict compare both sides,
-    so they appear only when neither side is hidden."""
+def _print_record(record) -> bool:
+    """Print the rows; returns whether every assertion row passed."""
     print(f"experiment={record.experiment} seed={record.seed} reps={record.reps} hash={record.config_hash}")
-    verdict = not bound_only and not mc_only
     ok = True
     for row in record.checks:
         bits = [f"  {row.name}:"]
-        if row.mc is not None and not bound_only:
+        if row.mc is not None:
             bits.append(f"mc={row.mc:.6g}")
             if row.mc_lo is not None:
                 bits.append(f"ci=[{row.mc_lo:.6g}, {row.mc_hi:.6g}]")
-        if row.bound is not None and not mc_only:
+        if row.bound is not None:
             bits.append(f"bound={row.bound:.6g}")
-        if row.margin is not None and verdict:
+        if row.margin is not None:
             bits.append(f"margin={row.margin:.6g}")
-        if row.passed is not None and verdict:
+        if row.passed is not None:
             bits.append("PASS" if row.passed else "FAIL")
             ok &= row.passed
         print(" ".join(bits))
@@ -149,9 +126,7 @@ def main(argv=None) -> int:
             print("note: calibrated constants are reported only, never stored as defaults")
             return 0
         record = run_experiment(cfg, seed=args.seed)
-        bound_only = args.command == "bound"
-        mc_only = args.command == "simulate"
-        ok = _print_record(record, bound_only=bound_only, mc_only=mc_only)
+        ok = _print_record(record)
         _write_outputs(record, cfg, args)
         return 0 if ok else 1
     except ConfigError as exc:
@@ -160,7 +135,7 @@ def main(argv=None) -> int:
     except SupdevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

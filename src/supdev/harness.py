@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,9 +57,11 @@ __all__ = [
     "ResultRecord",
     "CSV_HEADER",
     "EXPERIMENT_KINDS",
+    "KINDS",
     "calibrate",
     "default_config",
     "emit",
+    "load_config",
     "load_records_json",
     "parse_config",
     "records_to_csv",
@@ -75,96 +77,23 @@ _TYPES = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
     "list_float": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
     "list_int": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
 }
 
-# kind -> {param: (type name, required, default)}
-_SCHEMAS = {
-    "equicorrelated": {
-        "n": ("int", True, None),
-        "lam": ("float", True, None),
-        "theta": ("float", True, None),
-    },
-    "block": {
-        "blocks": ("int", True, None),  # N
-        "block_size": ("int", True, None),  # k
-        "u": ("float", True, None),
-        "lam": ("float", True, None),
-        "theta": ("float", True, None),
-    },
-    "szego": {
-        "root_coeffs": ("list_float", True, None),
-        "floor": ("float", False, 0.05),
-        "n": ("int", True, None),
-        "z": ("float", True, None),
-    },
-    "moderate-trig": {
-        "coeff_kind": ("str", False, "ones"),
-        "y": ("int", False, 1),
-        "x": ("int", True, None),
-        "eta": ("float", True, None),
-        "eps": ("float", False, 1.0),
-        "C": ("float", False, 1.0),
-    },
-    "cyclic-transfer": {
-        "coeff_kind": ("str", False, "inv_sqrt"),
-        "x": ("int", True, None),
-        "y": ("int", False, 1),
-        "freq_step": ("float", False, 0.6180339887498949),
-        "ts_kind": ("str", False, "pow2"),
-        "U": ("float", True, None),
-        "H": ("float", True, None),
-        "C": ("float", False, 1.0),
-        "grid_per_unit": ("int", False, 256),
-    },
-    "decoupling": {
-        "n": ("int", False, 3),
-        "lam": ("float", False, 0.2),
-        "rho": ("float", False, 0.5),
-        "beta": ("float", False, 2.0),
-        "ou_n": ("int", False, 200),
-    },
-    "kronecker-search": {
-        "lambdas": ("list_float", True, None),
-        "betas": ("list_float", True, None),
-        "omega": ("int", True, None),
-        "h": ("float", False, 1.0),
-        "t_lo": ("float", True, None),
-        "t_hi": ("float", True, None),
-        "c_o": ("float", False, 0.125),
-        "C": ("float", False, 1.0),
-    },
-    "limsup": {
-        "alphas": ("list_float", True, None),
-        "lambdas": ("list_float", True, None),
-        "max_terms": ("int", True, None),
-        "start": ("int", False, 1),
-        "step": ("int", False, 1),
-        "convention": ("str", False, "2pi"),
-        "target_frac": ("float", False, 0.98),
-    },
-    "divergence": {
-        "coeffs": ("list_float", True, None),
-        "lambdas": ("list_float", True, None),
-        "a": ("float", False, 1.0),
-        "ladder": ("list_int", False, (1000, 10000, 100000)),
-        "growth": ("float", False, 0.1),
-    },
-    "lattice-correlation": {
-        "lambdas": ("list_float", True, None),
-        "coeffs": ("list_float", True, None),
-        "a": ("float", False, 1.0),
-        "omega": ("int", True, None),
-        "beta": ("float", True, None),
-        "c": ("float", False, 0.6),
-        "scan_hi": ("float", False, 2.0e5),
-        "max_points": ("int", False, 8),
-    },
-}
+class Kind(NamedTuple):
+    """One experiment kind: its runner, its optional constant fit, its
+    default replication count, its one-line description and its parameter
+    schema ``{name: (type name, required, default)}``.  The default slot
+    holds the ``default_config`` value of every parameter; an INI config
+    that omits an optional one gets the same value."""
 
-EXPERIMENT_KINDS = tuple(sorted(_SCHEMAS))
+    run: Callable
+    params: dict
+    reps: int
+    help: str
+    calibrate: Optional[Callable] = None
+
 
 CSV_HEADER = (
     "experiment,check,config_hash,seed,reps,x,mc,mc_lo,mc_hi,bound,margin,"
@@ -207,8 +136,15 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
+def _kind(name: str) -> Kind:
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise ConfigError(f"unknown experiment kind {name!r}; known: {EXPERIMENT_KINDS}") from None
+
+
 def _validate_params(kind: str, raw: dict) -> dict:
-    schema = _SCHEMAS[kind]
+    schema = _kind(kind).params
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown [params] keys for kind {kind!r}: {sorted(unknown)}")
@@ -248,8 +184,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "kind" not in exp:
         raise ConfigError("[experiment] needs a 'kind'")
     kind = exp["kind"].strip()
-    if kind not in _SCHEMAS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; known: {EXPERIMENT_KINDS}")
+    _kind(kind)
     try:
         seed = int(exp["seed"]) if "seed" in exp else None
         reps = int(exp.get("reps", 10000))
@@ -265,8 +200,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    return parse_config(text)
 
 
 def effective_seed(config: ExperimentConfig, cli_seed: Optional[int] = None) -> int:
@@ -506,9 +445,8 @@ def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     return rows
 
 
-def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
-    p = cfg.params
-    problem = LatticeProblem(
+def _lattice_problem(p: dict) -> LatticeProblem:
+    return LatticeProblem(
         lambdas=tuple(p["lambdas"]),
         betas=tuple(p["betas"]),
         omega=p["omega"],
@@ -516,6 +454,11 @@ def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
         interval=(p["t_lo"], p["t_hi"]),
         c_o=p["c_o"],
     )
+
+
+def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
+    p = cfg.params
+    problem = _lattice_problem(p)
     search = lattice_search(problem, arm_threshold=False)
     target = 1.0 / p["omega"]
     xi_rep = xi(problem)
@@ -647,28 +590,182 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
     return rows
 
 
-_RUNNERS: dict = {
-    "equicorrelated": _run_equicorrelated,
-    "block": _run_block,
-    "szego": _run_szego,
-    "moderate-trig": _run_moderate_trig,
-    "cyclic-transfer": _run_cyclic_transfer,
-    "decoupling": _run_decoupling,
-    "kronecker-search": _run_kronecker_search,
-    "limsup": _run_limsup,
-    "divergence": _run_divergence,
-    "lattice-correlation": _run_lattice_correlation,
+def _calibrate_transfer(cfg: ExperimentConfig, seed: int) -> dict:
+    """The largest C for which the transfer comparison still passes (the
+    error term decays in C, so admissible C form an interval (0, C_max])."""
+    tb, est_x, est_perp, theta, h = _transfer_pieces(cfg.params, cfg.reps, seed, cfg.workers)
+    cushion = 3.0 * (est_x.half_width + est_perp.half_width)
+    deficit = est_x.estimate - est_perp.estimate - cushion
+    d = tb.delta_report.delta
+    if d == 0.0 or deficit <= 0.0:
+        c_max = math.inf
+    else:
+        q = h * h / (d * d * tb.log_kappa_guarded)
+        c_max = math.log(2.0 / deficit) / q if deficit < 2.0 else 0.0
+    return {"kind": cfg.kind, "c_max": c_max, "passes_at_C_1": bool(c_max >= 1.0)}
+
+
+def _calibrate_kronecker(cfg: ExperimentConfig, seed: int) -> dict:
+    """The largest C for which both count lower bounds stay below the
+    observed count."""
+    problem = _lattice_problem(cfg.params)
+    search = lattice_search(problem, arm_threshold=False)
+    base = solution_count(problem, C=1.0, search=search)
+    count = base.count
+    if count == 0:
+        return {"kind": cfg.kind, "c_max": 0.0}
+    # lower_ii scales like C^N, lower_iii like C^{N/2}
+    n = problem.n_freq
+    c_ii = (count / base.lower_ii) ** (1.0 / n) if base.lower_ii > 0 else math.inf
+    c_iii = (count / base.lower_iii) ** (2.0 / n) if math.isfinite(base.lower_iii) and base.lower_iii > 0 else math.inf
+    return {"kind": cfg.kind, "c_max": min(c_ii, c_iii), "count": count}
+
+
+KINDS = {
+    "equicorrelated": Kind(
+        _run_equicorrelated,
+        {
+            "n": ("int", True, 8),
+            "lam": ("float", True, 0.3),
+            "theta": ("float", True, 2.0),
+        },
+        reps=100000,
+        help="grid max of an equicorrelated Gaussian vector vs the product bound",
+    ),
+    "block": Kind(
+        _run_block,
+        {
+            "blocks": ("int", True, 3),  # N
+            "block_size": ("int", True, 4),  # k
+            "u": ("float", True, 0.5),
+            "lam": ("float", True, 0.1),
+            "theta": ("float", True, 2.0),
+        },
+        reps=100000,
+        help="block-partitioned covariance max vs the factorized Gaussian bound",
+    ),
+    "szego": Kind(
+        _run_szego,
+        {
+            "root_coeffs": ("list_float", True, (1.0, 0.6, -0.3)),
+            "floor": ("float", False, 0.05),
+            "n": ("int", True, 5),
+            "z": ("float", True, 1.5),
+        },
+        reps=60000,
+        help="stationary-sequence max vs the spectral geometric-mean sandwich",
+    ),
+    "moderate-trig": Kind(
+        _run_moderate_trig,
+        {
+            "coeff_kind": ("str", False, "inv_sqrt"),
+            "y": ("int", False, 1),
+            "x": ("int", True, 100),
+            "eta": ("float", True, 0.3),
+            "eps": ("float", False, 1.0),
+            "C": ("float", False, 0.05),
+        },
+        reps=10000,
+        help="periodic-sum grid supremum vs the moderate-deviation bound",
+    ),
+    "cyclic-transfer": Kind(
+        _run_cyclic_transfer,
+        {
+            "coeff_kind": ("str", False, "inv_sqrt"),
+            "x": ("int", True, 64),
+            "y": ("int", False, 1),
+            "freq_step": ("float", False, _FREQ_GOLDEN),
+            "ts_kind": ("str", False, "pow2"),
+            "U": ("float", True, 8.0),
+            "H": ("float", True, 1.0),
+            "C": ("float", False, 1.0),
+            "grid_per_unit": ("int", False, 128),
+        },
+        reps=2000,
+        help="almost periodic sup vs its rational-frequency companion plus error term",
+        calibrate=_calibrate_transfer,
+    ),
+    "decoupling": Kind(
+        _run_decoupling,
+        {
+            "n": ("int", False, 3),
+            "lam": ("float", False, 0.2),
+            "rho": ("float", False, 0.5),
+            "beta": ("float", False, 2.0),
+            "ou_n": ("int", False, 200),
+        },
+        reps=60000,
+        help="product-of-indicators factorization, correlation inequalities, OU row-sum constant",
+    ),
+    "kronecker-search": Kind(
+        _run_kronecker_search,
+        {
+            "lambdas": ("list_float", True, (2**0.5, 3**0.5)),
+            "betas": ("list_float", True, (0.25, 0.75)),
+            "omega": ("int", True, 10),
+            "h": ("float", False, 1.0),
+            "t_lo": ("float", True, 1.0),
+            "t_hi": ("float", True, 1.0e6),
+            "c_o": ("float", False, 0.125),
+            "C": ("float", False, 1.0),
+        },
+        reps=1,
+        help="simultaneous approximation on a step lattice: hit search and counts",
+        calibrate=_calibrate_kronecker,
+    ),
+    "limsup": Kind(
+        _run_limsup,
+        {
+            "alphas": ("list_float", True, (1.0, 1.0, 1.0)),
+            "lambdas": ("list_float", True, (2**0.5, 3**0.5, 5**0.5)),
+            "max_terms": ("int", True, 100000),
+            "start": ("int", False, 1),
+            "step": ("int", False, 1),
+            "convention": ("str", False, "2pi"),
+            "target_frac": ("float", False, 0.95),
+        },
+        reps=1,
+        help="running maximum of an exponential sum along an arithmetic progression",
+    ),
+    "divergence": Kind(
+        _run_divergence,
+        {
+            "coeffs": ("list_float", True, (1.0, 0.8, 0.6, 0.4)),
+            "lambdas": ("list_float", True, (2**0.5, 3**0.5, 5**0.5, 7**0.5)),
+            "a": ("float", False, 1.0),
+            "ladder": ("list_int", False, (1000, 10000)),
+            "growth": ("float", False, 0.1),
+        },
+        reps=1,
+        help="growth of the normalized absolute-covariance partial sums",
+    ),
+    "lattice-correlation": Kind(
+        _run_lattice_correlation,
+        {
+            "lambdas": ("list_float", True, (2**0.5, 3**0.5)),
+            "coeffs": ("list_float", True, (1.0, 0.8)),
+            "a": ("float", False, 1.0),
+            "omega": ("int", True, 160),
+            "beta": ("float", True, 0.2),
+            "c": ("float", False, 0.6),
+            "scan_hi": ("float", False, 1.0e6),
+            "max_points": ("int", False, 4),
+        },
+        reps=1,
+        help="correlation cap and variance floor of the cosine part on lattice points",
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(sorted(KINDS))
 
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> ResultRecord:
     """Dispatch the config to its kind's runner and wrap the result rows."""
-    if config.kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    run = _kind(config.kind).run
     eff_seed = effective_seed(config, seed)
     start = time.perf_counter()
     try:
-        rows = _RUNNERS[config.kind](config, eff_seed)
+        rows = run(config, eff_seed)
     except (DomainError, CheckError) as exc:
         raise type(exc)(f"[kind={config.kind} hash={config.config_hash()}] {exc}") from exc
     wall = time.perf_counter() - start
@@ -770,125 +867,24 @@ def emit(records, fmt: str, path: str) -> str:
 # ---------------------------------------------------------------------------
 # defaults and calibration
 
-_DEFAULT_PARAMS = {
-    "equicorrelated": {"n": 8, "lam": 0.3, "theta": 2.0},
-    "block": {"blocks": 3, "block_size": 4, "u": 0.5, "lam": 0.1, "theta": 2.0},
-    "szego": {"root_coeffs": (1.0, 0.6, -0.3), "floor": 0.05, "n": 5, "z": 1.5},
-    "moderate-trig": {"coeff_kind": "inv_sqrt", "y": 1, "x": 100, "eta": 0.3, "eps": 1.0, "C": 0.05},
-    "cyclic-transfer": {
-        "coeff_kind": "inv_sqrt",
-        "x": 64,
-        "y": 1,
-        "freq_step": _FREQ_GOLDEN,
-        "ts_kind": "pow2",
-        "U": 8.0,
-        "H": 1.0,
-        "C": 1.0,
-        "grid_per_unit": 128,
-    },
-    "decoupling": {"n": 3, "lam": 0.2, "rho": 0.5, "beta": 2.0, "ou_n": 200},
-    "kronecker-search": {
-        "lambdas": (2**0.5, 3**0.5),
-        "betas": (0.25, 0.75),
-        "omega": 10,
-        "h": 1.0,
-        "t_lo": 1.0,
-        "t_hi": 1.0e6,
-        "c_o": 0.125,
-        "C": 1.0,
-    },
-    "limsup": {
-        "alphas": (1.0, 1.0, 1.0),
-        "lambdas": (2**0.5, 3**0.5, 5**0.5),
-        "max_terms": 100000,
-        "start": 1,
-        "step": 1,
-        "convention": "2pi",
-        "target_frac": 0.95,
-    },
-    "divergence": {
-        "coeffs": (1.0, 0.8, 0.6, 0.4),
-        "lambdas": (2**0.5, 3**0.5, 5**0.5, 7**0.5),
-        "a": 1.0,
-        "ladder": (1000, 10000),
-        "growth": 0.1,
-    },
-    "lattice-correlation": {
-        "lambdas": (2**0.5, 3**0.5),
-        "coeffs": (1.0, 0.8),
-        "a": 1.0,
-        "omega": 160,
-        "beta": 0.2,
-        "c": 0.6,
-        "scan_hi": 1.0e6,
-        "max_points": 4,
-    },
-}
-
-_DEFAULT_REPS = {
-    "equicorrelated": 100000,
-    "block": 100000,
-    "szego": 60000,
-    "moderate-trig": 10000,
-    "cyclic-transfer": 2000,
-    "decoupling": 60000,
-    "kronecker-search": 1,
-    "limsup": 1,
-    "divergence": 1,
-    "lattice-correlation": 1,
-}
-
 
 def default_config(kind: str, seed: Optional[int] = None, workers: int = 1) -> ExperimentConfig:
-    if kind not in _SCHEMAS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; known: {EXPERIMENT_KINDS}")
+    entry = _kind(kind)
     return ExperimentConfig(
         kind=kind,
-        params=dict(_DEFAULT_PARAMS[kind]),
+        params={name: default for name, (_, _, default) in entry.params.items()},
         seed=seed,
-        reps=_DEFAULT_REPS[kind],
+        reps=entry.reps,
         workers=workers,
     )
 
 
 def calibrate(config: ExperimentConfig, seed: Optional[int] = None) -> dict:
-    """Fit the free constant of the configured experiment and report it.
-
-    cyclic-transfer: the largest C for which the transfer comparison still
-    passes (the error term decays in C, so admissible C form an interval
-    (0, C_max]).  kronecker-search: the largest C for which both count
-    lower bounds stay below the observed count.  Nothing is persisted.
-    """
+    """Fit the free constant of the configured experiment and report it;
+    the kinds with a ``calibrate`` entry in ``KINDS`` have one.  Nothing is
+    persisted."""
     eff_seed = effective_seed(config, seed)
-    if config.kind == "cyclic-transfer":
-        tb, est_x, est_perp, theta, h = _transfer_pieces(config.params, config.reps, eff_seed, config.workers)
-        cushion = 3.0 * (est_x.half_width + est_perp.half_width)
-        deficit = est_x.estimate - est_perp.estimate - cushion
-        d = tb.delta_report.delta
-        if d == 0.0 or deficit <= 0.0:
-            c_max = math.inf
-        else:
-            q = h * h / (d * d * tb.log_kappa_guarded)
-            c_max = math.log(2.0 / deficit) / q if deficit < 2.0 else 0.0
-        return {"kind": config.kind, "c_max": c_max, "passes_at_C_1": bool(c_max >= 1.0)}
-    if config.kind == "kronecker-search":
-        p = config.params
-        problem = LatticeProblem(
-            lambdas=tuple(p["lambdas"]),
-            betas=tuple(p["betas"]),
-            omega=p["omega"],
-            h=p["h"],
-            interval=(p["t_lo"], p["t_hi"]),
-            c_o=p["c_o"],
-        )
-        search = lattice_search(problem, arm_threshold=False)
-        base = solution_count(problem, C=1.0, search=search)
-        count = base.count
-        if count == 0:
-            return {"kind": config.kind, "c_max": 0.0}
-        # lower_ii scales like C^N, lower_iii like C^{N/2}
-        n = problem.n_freq
-        c_ii = (count / base.lower_ii) ** (1.0 / n) if base.lower_ii > 0 else math.inf
-        c_iii = (count / base.lower_iii) ** (2.0 / n) if math.isfinite(base.lower_iii) and base.lower_iii > 0 else math.inf
-        return {"kind": config.kind, "c_max": min(c_ii, c_iii), "count": count}
-    raise ConfigError(f"no free constant to calibrate for kind {config.kind!r}")
+    fit = _kind(config.kind).calibrate
+    if fit is None:
+        raise ConfigError(f"no free constant to calibrate for kind {config.kind!r}")
+    return fit(config, eff_seed)

@@ -10,10 +10,13 @@ from supdev.errors import ConfigError
 from supdev.harness import (
     CSV_HEADER,
     EXPERIMENT_KINDS,
+    KINDS,
+    ExperimentConfig,
     calibrate,
     default_config,
     effective_seed,
     emit,
+    load_config,
     load_records_json,
     parse_config,
     records_to_csv,
@@ -22,6 +25,8 @@ from supdev.harness import (
     run_experiment,
     SEED_ENV_VAR,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 EQUI_INI = """
 [experiment]
@@ -108,6 +113,29 @@ C = 0.5
             cfg = default_config(kind)
             assert cfg.kind == kind
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_omitted_optional_params_take_default_config_values(self, kind):
+        def ini_value(v):
+            if isinstance(v, tuple):
+                return " ".join(map(repr, v))
+            return repr(v) if isinstance(v, float) else str(v)
+
+        required = [(name, default) for name, (_, req, default) in KINDS[kind].params.items() if req]
+        text = f"[experiment]\nkind = {kind}\n\n[params]\n" + "".join(
+            f"{name} = {ini_value(default)}\n" for name, default in required
+        )
+        assert parse_config(text).params == default_config(kind).params
+
+    def test_shipped_configs_parse_one_per_kind(self):
+        kinds = [load_config(str(path)).kind for path in sorted(CONFIGS.glob("*.ini"))]
+        assert sorted(kinds) == list(EXPERIMENT_KINDS)
+
+    def test_unknown_kind_named_by_every_entry_point(self):
+        cfg = ExperimentConfig(kind="nonsense", params={})
+        for call in (lambda: default_config("nonsense"), lambda: run_experiment(cfg), lambda: calibrate(cfg)):
+            with pytest.raises(ConfigError, match="unknown experiment kind 'nonsense'; known"):
+                call()
+
 
 class TestSeedPrecedence:
     def test_config_seed_used(self, monkeypatch):
@@ -184,8 +212,7 @@ class TestAllKinds:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for kind in EXPERIMENT_KINDS:
-            assert kind in out
-        assert "running maximum" in out  # behavior text, not bare names
+            assert f"{kind}: {KINDS[kind].help}" in out  # behavior text, not bare names
 
 
 class TestEmission:
@@ -255,21 +282,12 @@ class TestCli:
         assert code == 0
         assert "PASS" in out
 
-    def test_bound_and_simulate_modes(self, capsys, tmp_path):
-        cfg = tmp_path / "equi.ini"
-        cfg.write_text(EQUI_INI)
-        assert cli_main(["bound", "equicorrelated", "-c", str(cfg)]) == 0
-        assert cli_main(["simulate", "equicorrelated", "-c", str(cfg)]) == 0
-
-    @pytest.mark.parametrize("mode", ["bound", "simulate"])
-    @pytest.mark.parametrize("kind", ["equicorrelated", "lattice-correlation"])
-    def test_one_sided_modes_print_no_verdict(self, capsys, mode, kind):
-        # the verdict compares both sides, one of which these modes hide;
-        # lattice-correlation fails its variance floor under verify
-        assert cli_main([mode, kind]) == 0
-        out = capsys.readouterr().out
-        assert ("bound=" if mode == "bound" else "mc=") in out
-        assert "PASS" not in out and "FAIL" not in out and "margin=" not in out
+    def test_one_sided_subcommands_removed(self, capsys):
+        for argv in (["bound", "equicorrelated"], ["simulate", "szego"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_alias_subcommands(self, capsys):
         assert cli_main(["decouple", "--reps", "4000"]) == 0
@@ -300,6 +318,12 @@ class TestCli:
         assert code == 0
         assert csv_path.read_text().startswith(CSV_HEADER.split(",")[0])
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_calibrate_choices_are_the_calibrating_kinds(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["calibrate", kind, "--help"])
+        assert exc.value.code == (0 if KINDS[kind].calibrate else 2)
+
     def test_calibrate_command(self, capsys):
         code = cli_main(["calibrate", "cyclic-transfer", "--reps", "500"])
         out = capsys.readouterr().out
@@ -317,6 +341,22 @@ class TestCli:
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
         assert cli_main(["verify", "equicorrelated"]) == 2
         assert SEED_ENV_VAR in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config_dir", "config_not_utf8", "csv_dir"])
+    def test_unreadable_path_exit_two(self, capsys, tmp_path, case):
+        argv = ["verify", "limsup"]
+        if case == "config_dir":
+            argv += ["-c", str(tmp_path)]
+        elif case == "config_not_utf8":
+            cfg = tmp_path / "bytes.ini"
+            cfg.write_bytes(b"\xff\xfe\x00")
+            argv += ["-c", str(cfg)]
+        else:
+            argv += ["--csv", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_seed_echoed(self, capsys):
         cli_main(["verify", "limsup", "--seed", "99"])
