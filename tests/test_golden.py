@@ -17,9 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc
+from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
 from supdev.harness import default_config, records_to_csv, run_experiment
-from supdev.mc import CovarianceSpec, mc_expected_sup_vector, mc_vector_sup_prob
+from supdev.mc import (
+    CovarianceSpec,
+    GridSpec,
+    mc_expected_sup_diff,
+    mc_expected_sup_path,
+    mc_expected_sup_vector,
+    mc_vector_sup_prob,
+)
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = (
@@ -58,7 +66,22 @@ STATIONARY40 = CovarianceSpec.stationary([0.8**k for k in range(40)])
 EQUI6 = CovarianceSpec.equicorrelated(6, 0.15)
 BOXES6 = [(-0.5, math.inf), (-math.inf, 1.0), (-1.0, 1.5), (-math.inf, math.inf), (0.0, 2.0), (-2.0, math.inf)]
 
-# name: (estimator, repr(estimate), repr(half_width)); 20000 reps span 3-4 chunks.
+
+def real_spec(step):
+    return PolynomialSpec(
+        coeffs=CoefficientSeq(kind="ones"),
+        freqs=FrequencySeq(kind="real", rule=lambda k: step * k),
+        y=1,
+        x=32,
+        convention="raw",
+    )
+
+
+PATH32, OTHER32 = real_spec(0.7), real_spec(0.71)
+GRID600 = GridSpec.uniform(0.0, 10.0, 600)  # 3000 reps on 600 nodes span 7 chunks
+
+# name: (estimator, repr(estimate), repr(half_width)); 20000 reps of a
+# vector span 3-4 chunks, 40000 Gebelein pairs span 5.
 DIRECT = {
     "sup_vector_n5": (
         lambda: mc_expected_sup_vector(EQUI5, 20000, seed=3),
@@ -91,6 +114,26 @@ DIRECT = {
         ).lhs,
         "0.22085",
         "0.005748698230050934",
+    ),
+    "sup_path_600": (
+        lambda: mc_expected_sup_path(PATH32, GRID600, 3000, seed=8),
+        "14.830731477486225",
+        "0.09080949548313456",
+    ),
+    "sup_path_abs_600": (
+        lambda: mc_expected_sup_path(PATH32, GRID600, 3000, seed=8, absolute=True),
+        "16.15077164002427",
+        "0.08746981028355222",
+    ),
+    "sup_diff_600": (
+        lambda: mc_expected_sup_diff(PATH32, OTHER32, GRID600, 3000, seed=9),
+        "18.635579377891812",
+        "0.13404699745666623",
+    ),
+    "gebelein_identity": (
+        lambda: verify_gebelein_nelson(-0.7, "identity", 40000, seed=10).lhs,
+        "-0.7022867911552757",
+        "0.011854649053364226",
     ),
 }
 
