@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 when every assertion row passes, 1 when any assertion fails,
-2 for usage or config errors.  The seed resolves as CLI flag > SUPDEV_SEED
-environment variable > config file > 0 and is echoed in every output row.
+2 for usage or config errors and out-of-domain inputs.  The seed resolves
+as CLI flag > SUPDEV_SEED environment variable > config file > 0 and is
+echoed in every output row.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SupdevError, ConfigError
+from .errors import ConfigError, DomainError, SupdevError
 from .harness import (
     EXPERIMENT_KINDS,
     KINDS,
@@ -22,18 +23,28 @@ from .harness import (
     run_experiment,
 )
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors end in one stderr line and exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sub):
     sub.add_argument("-c", "--config", help="INI config file (defaults per kind otherwise)")
     sub.add_argument("--seed", type=int, default=None, help=f"seed override (beats {SEED_ENV_VAR} and config)")
     sub.add_argument("--reps", type=int, default=None, help="replication override")
     sub.add_argument("--workers", type=int, default=None, help="worker threads (results do not depend on this)")
+
+
+def _add_outputs(sub):
     sub.add_argument("--csv", help="write rows as CSV to this path")
     sub.add_argument("--json", help="write the record as JSON to this path")
     sub.add_argument("--plotdata", help="write (x, mc, mc_lo, mc_hi, bound) rows to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supdev",
         description="Deviation bounds for Gaussian suprema: evaluate bounds, run seeded "
         "Monte Carlo estimates, and verify every implemented inequality.",
@@ -49,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("kind", choices=EXPERIMENT_KINDS)
     _add_common(p_verify)
+    _add_outputs(p_verify)
 
     for alias, kind in (("decouple", "decoupling"), ("cyclic", "cyclic-transfer"), ("kronecker", "kronecker-search")):
         p_alias = subs.add_parser(alias, help=f"alias for 'verify {kind}'")
         _add_common(p_alias)
+        _add_outputs(p_alias)
         p_alias.set_defaults(alias_kind=kind)
 
     p_cal = subs.add_parser("calibrate", help="fit free constants and report them (never persisted)")
@@ -131,6 +144,9 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except SupdevError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -20,16 +20,7 @@ from scipy.special import ndtr
 
 from .bounds import BoundReport
 from .errors import CheckError, DomainError
-from .mc import (
-    CovarianceSpec,
-    McEstimate,
-    normal_draws,
-    _chunk_bounds,
-    _map_chunks,
-    _map_projected,
-    _mean_estimate,
-    _prob_estimate,
-)
+from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate
 from .quadrature import adaptive_simpson
 from .spectrum import PolynomialSpec, power_sum
 
@@ -256,12 +247,8 @@ def verify_decoupling_mc(
     )
     rhs = mult * float(np.prod([m ** (1.0 / p) for m in masses]))
 
-    los = [b[0] for b in boxes]
-    his = [b[1] for b in boxes]
-    counts = _map_projected(
-        cov.factor().T, seed, reps, workers, lambda x: int(np.count_nonzero(_in_box(x, los, his)))
-    )
-    lhs = _prob_estimate(sum(counts), reps, seed)
+    in_box = partial(_in_box, los=[b[0] for b in boxes], his=[b[1] for b in boxes])
+    lhs = _prob_estimate(_map_projected(cov.factor().T, seed, reps, workers, in_box), reps, seed)
     if lhs.estimate > rhs + 3.0 * lhs.half_width:
         raise CheckError(
             f"decoupling inequality violated: lhs {lhs.estimate:.6g} > rhs {rhs:.6g} "
@@ -326,16 +313,11 @@ def verify_gebelein_nelson(
 
     root = math.sqrt(max(0.0, 1.0 - rho * rho))
 
-    def run(chunk):
-        s, e = chunk
-        z = normal_draws(seed, s, e - s, 2)
-        u = z[:, 0]
-        v = rho * z[:, 0] + root * z[:, 1]
-        prod = f(u) * f(v)
-        return float(prod.sum()), float((prod * prod).sum())
+    def product(z):
+        return f(z[:, 0]) * f(rho * z[:, 0] + root * z[:, 1])
 
-    parts = _map_chunks(run, _chunk_bounds(reps, 2), workers)
-    lhs = _mean_estimate(sum(x[0] for x in parts), sum(x[1] for x in parts), reps, seed)
+    # Draws are never 0, so the identity projection returns them bit for bit.
+    lhs = _mean_estimate(_map_projected(np.eye(2), seed, reps, workers, product), reps, seed)
     for name, rhs in (("gebelein", gebelein_rhs), ("nelson", nelson_rhs)):
         if abs(lhs.estimate) > rhs + 3.0 * lhs.half_width:
             raise CheckError(

@@ -14,9 +14,13 @@ the output width (at most 2^18 output values per chunk), never on the
 worker count; workers take whole chunks and counts/sums merge in chunk
 order, which makes results bit-identical for any worker count.
 
-Path and vector estimators share one projected-chunk map: a vector X = F z
-is the path case with the matrix F^T in place of the design matrix.  Thread
-pools are kept per worker count and reused across calls.
+Every estimator runs through one per-replication map, ``_map_projected``: a
+chunk's draws are projected through one matrix (the design matrix for a
+path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
+identity for the Gebelein pair), and a statistic turns the projected block
+into one value per replication (a maximum, a flag, a product).  Estimates
+count flags, or add chunk sums in chunk order.  Thread pools are kept per
+worker count and reused across calls.
 """
 
 from __future__ import annotations
@@ -286,22 +290,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _map_chunks(fn: Callable, chunks: list, workers: int) -> list:
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    return list(_executor(workers).map(fn, chunks))
-
-
-def _map_projected(matrix: np.ndarray, seed: int, reps: int, workers: int, reduce: Callable) -> list:
-    """``reduce(draws @ matrix)`` for every chunk of replications, in chunk
-    order.  ``reduce`` owns its argument and may overwrite it."""
+def _map_projected(matrix: np.ndarray, seed: int, reps: int, workers: int, stat: Callable) -> list:
+    """``stat(draws @ matrix)`` for every chunk of replications, in chunk
+    order.  ``stat`` maps a chunk's (rows, outputs) block to one value per
+    replication; it owns its argument and may overwrite it."""
     width, outputs = matrix.shape
 
     def run(chunk):
         s, e = chunk
-        return reduce(normal_draws(seed, s, e - s, width) @ matrix)
+        return stat(normal_draws(seed, s, e - s, width) @ matrix)
 
-    return _map_chunks(run, _chunk_bounds(reps, outputs), workers)
+    chunks = _chunk_bounds(reps, outputs)
+    if workers <= 1 or len(chunks) <= 1:
+        return [run(c) for c in chunks]
+    return list(_executor(workers).map(run, chunks))
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -315,6 +317,11 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
+def _abs_row_max(x: np.ndarray) -> np.ndarray:
+    """``_row_max(|x|)``, taking the absolute value in place."""
+    return _row_max(np.abs(x, out=x))
+
+
 def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, rep_start: int = 0) -> np.ndarray:
     """Sample paths on the grid, shape (reps, n_nodes).
 
@@ -325,7 +332,9 @@ def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, 
     return normal_draws(seed, rep_start, reps, 2 * spec.n_terms) @ _design_matrix(spec, grid.nodes())
 
 
-def _prob_estimate(count: int, reps: int, seed: int) -> McEstimate:
+def _prob_estimate(parts: list, reps: int, seed: int) -> McEstimate:
+    """Share of replications whose flag is set, over per-chunk flag arrays."""
+    count = sum(int(np.count_nonzero(flags)) for flags in parts)
     return McEstimate(
         estimate=count / reps,
         reps=reps,
@@ -335,7 +344,10 @@ def _prob_estimate(count: int, reps: int, seed: int) -> McEstimate:
     )
 
 
-def _mean_estimate(total: float, total_sq: float, reps: int, seed: int) -> McEstimate:
+def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
+    """Mean of per-replication values; chunk sums are added in chunk order."""
+    total = sum(float(values.sum()) for values in parts)
+    total_sq = sum(float((values * values).sum()) for values in parts)
     mean = total / reps
     var = max(0.0, (total_sq - total * total / reps) / max(reps - 1, 1))
     return McEstimate(
@@ -345,24 +357,6 @@ def _mean_estimate(total: float, total_sq: float, reps: int, seed: int) -> McEst
         seed=seed,
         kind="mean",
     )
-
-
-def _sup_prob(
-    matrix: np.ndarray, theta: float, reps: int, seed: int, workers: int, absolute: bool
-) -> McEstimate:
-    def count(x) -> int:
-        return int(np.count_nonzero(_row_max(np.abs(x, out=x) if absolute else x) <= theta))
-
-    return _prob_estimate(sum(_map_projected(matrix, seed, reps, workers, count)), reps, seed)
-
-
-def _expected_sup(matrix: np.ndarray, reps: int, seed: int, workers: int, absolute: bool) -> McEstimate:
-    def moments(x):
-        sups = _row_max(np.abs(x, out=x) if absolute else x)
-        return float(sups.sum()), float((sups * sups).sum())
-
-    parts = _map_projected(matrix, seed, reps, workers, moments)
-    return _mean_estimate(sum(p[0] for p in parts), sum(p[1] for p in parts), reps, seed)
 
 
 def mc_sup_prob(
@@ -376,7 +370,9 @@ def mc_sup_prob(
     """P{max over grid nodes <= theta} with a Wilson interval."""
     if reps < 1:
         raise DomainError("mc_sup_prob needs reps >= 1")
-    return _sup_prob(_design_matrix(spec, grid.nodes()), theta, reps, seed, workers, absolute=False)
+    matrix = _design_matrix(spec, grid.nodes())
+    flags = _map_projected(matrix, seed, reps, workers, lambda x: _row_max(x) <= theta)
+    return _prob_estimate(flags, reps, seed)
 
 
 def mc_vector_sup_prob(
@@ -390,7 +386,9 @@ def mc_vector_sup_prob(
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
     if reps < 1:
         raise DomainError("mc_vector_sup_prob needs reps >= 1")
-    return _sup_prob(cov.factor().T, theta, reps, seed, workers, absolute)
+    sup = _abs_row_max if absolute else _row_max
+    flags = _map_projected(cov.factor().T, seed, reps, workers, lambda x: sup(x) <= theta)
+    return _prob_estimate(flags, reps, seed)
 
 
 def mc_expected_sup_path(
@@ -404,7 +402,9 @@ def mc_expected_sup_path(
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
     if reps < 1:
         raise DomainError("mc_expected_sup_path needs reps >= 1")
-    return _expected_sup(_design_matrix(spec, grid.nodes()), reps, seed, workers, absolute)
+    matrix = _design_matrix(spec, grid.nodes())
+    sups = _map_projected(matrix, seed, reps, workers, _abs_row_max if absolute else _row_max)
+    return _mean_estimate(sups, reps, seed)
 
 
 def sup_diff_samples(
@@ -425,7 +425,7 @@ def sup_diff_samples(
         raise DomainError("coupled specs must share the index range [y, x]")
     nodes = grid.nodes()
     dmat = _design_matrix(spec_a, nodes) - _design_matrix(spec_b, nodes)
-    parts = _map_projected(dmat, seed, reps, workers, lambda d: _row_max(np.abs(d, out=d)))
+    parts = _map_projected(dmat, seed, reps, workers, _abs_row_max)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -440,8 +440,7 @@ def mc_expected_sup_diff(
     """Mean of sup |X_a - X_b| over the grid for the coupled pair."""
     if reps < 1:
         raise DomainError("mc_expected_sup_diff needs reps >= 1")
-    sups = sup_diff_samples(spec_a, spec_b, grid, reps, seed, workers)
-    return _mean_estimate(float(sups.sum()), float((sups * sups).sum()), reps, seed)
+    return _mean_estimate([sup_diff_samples(spec_a, spec_b, grid, reps, seed, workers)], reps, seed)
 
 
 def mc_expected_sup_vector(
@@ -454,4 +453,5 @@ def mc_expected_sup_vector(
     """Mean of max_i X_i (or max |X_i|) for the Gaussian vector X = F z."""
     if reps < 1:
         raise DomainError("mc_expected_sup_vector needs reps >= 1")
-    return _expected_sup(cov.factor().T, reps, seed, workers, absolute)
+    sups = _map_projected(cov.factor().T, seed, reps, workers, _abs_row_max if absolute else _row_max)
+    return _mean_estimate(sups, reps, seed)

@@ -16,7 +16,7 @@ from supdev.decoupling import (
     _in_box,
 )
 from supdev.errors import DomainError
-from supdev.mc import CHUNK_REPS, CovarianceSpec, GridSpec, mc_sup_prob
+from supdev.mc import CHUNK_REPS, CovarianceSpec, GridSpec, mc_sup_prob, normal_draws, _chunk_bounds
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
 
@@ -249,6 +249,19 @@ class TestGebeleinNelson:
     def test_rho_domain(self):
         with pytest.raises(DomainError):
             verify_gebelein_nelson(1.5, "identity", 100, seed=1)
+
+    @pytest.mark.parametrize("f_kind", ["identity", "quadratic"])
+    def test_worker_count_identical(self, f_kind):
+        reps = 40000  # 5 chunks
+        assert len(_chunk_bounds(reps, 2)) == 5
+        ref = verify_gebelein_nelson(-0.6, f_kind, reps, seed=12, workers=1)
+        for workers in (2, 3, 2):
+            assert verify_gebelein_nelson(-0.6, f_kind, reps, seed=12, workers=workers) == ref
+
+    def test_identity_projection_returns_draws_exactly(self):
+        z = normal_draws(seed=12, rep_start=0, n_reps=CHUNK_REPS, draws_per_rep=2)
+        assert np.all(z != 0.0)
+        assert np.array_equal((z @ np.eye(2)).view(np.uint64), z.view(np.uint64))
 
 
 class TestCyclicDeviationBound:

@@ -7,9 +7,12 @@ reproduce these bytes.  The MC kinds report count estimators (or means of
 vector maxima), so a projection that moves a path value by an ulp leaves
 their rows unchanged.
 
-The harness never calls ``mc_expected_sup_vector`` and never reaches a
-vector width of 32 or more, so the direct vector estimators are pinned as
-well, by the ``repr`` of their estimate and half-width.
+Every Monte Carlo estimator runs through one per-replication chunk map,
+Gebelein's included.  The harness never calls the expected-supremum
+estimators, runs ``verify_gebelein_nelson`` only on its quadratic default
+and never reaches a vector width of 32 or more, so those estimators are
+pinned directly as well, by the ``repr`` of their estimate and half-width
+over several chunks.
 """
 
 import math

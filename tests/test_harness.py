@@ -330,6 +330,26 @@ class TestCli:
         assert code == 0
         assert "c_max=" in out and "never stored" in out
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json", "--plotdata"])
+    def test_calibrate_rejects_output_flags(self, capsys, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["calibrate", "cyclic-transfer", "--reps", "200", flag, "out"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"unrecognized arguments: {flag} out" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_domain_error_exit_two_without_traceback(self, capsys, tmp_path):
+        cfg = tmp_path / "equi.ini"
+        cfg.write_text(EQUI_INI.replace("lam = 0.25", "lam = 2.0"))
+        assert cli_main(["verify", "equicorrelated", "-c", str(cfg), "--csv", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "lam=2.0" in err and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["equi.ini"]
+
     @pytest.mark.parametrize(
         "override", [["--reps", "0"], ["--workers", "0"], ["--seed", "-1"], ["--seed", str(2**64)]]
     )

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import multiprocessing
@@ -5,11 +6,13 @@ import os
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+import supdev
 from supdev.errors import DomainError, FactorizationError
 from supdev.mc import (
     CHUNK_REPS,
@@ -462,3 +465,21 @@ class TestGridSpec:
         nodes = grid.nodes()
         assert nodes[0] == 1.0 and nodes[-1] == 3.0
         assert nodes.size == 33
+
+
+def test_chunking_stays_in_mc():
+    """Only ``mc`` splits replications into chunks, draws and runs the pool;
+    every other module goes through its per-replication map."""
+    private = {"normal_draws", "_chunk_bounds", "_executor", "_map_chunks"}
+    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
+        if path.name == "mc.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert not names & private, (path.name, sorted(names & private))
