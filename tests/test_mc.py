@@ -471,9 +471,9 @@ def test_chunking_stays_in_mc():
     """Only ``mc`` splits replications into chunks, draws and runs the pool;
     every other module goes through its per-replication map."""
     private = {"normal_draws", "_chunk_bounds", "_executor", "_map_chunks"}
-    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
-        if path.name == "mc.py":
-            continue
+    others = [path for path in Path(supdev.__file__).parent.glob("*.py") if path.name != "mc.py"]
+    assert "decoupling.py" in {path.name for path in others}
+    for path in sorted(others):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
