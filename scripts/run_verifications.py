@@ -40,9 +40,9 @@ def main() -> int:
         emit([record], "csv", stem + ".csv")
         emit([record], "json", stem + ".json")
         emit([record], "plotdata", stem + "_plot.csv")
+        all_ok &= record.all_passed()
         for row in record.checks:
             verdict = "----" if row.passed is None else ("PASS" if row.passed else "FAIL")
-            all_ok &= row.passed is not False
             detail = []
             if row.mc is not None:
                 detail.append(f"mc={row.mc:.6g}")

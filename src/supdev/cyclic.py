@@ -259,6 +259,11 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
     )
 
 
+def _guarded_log(kappa: int) -> float:
+    """max(log kappa, 1), read as 1 when no block fits (kappa = 0)."""
+    return max(math.log(kappa), 1.0) if kappa >= 1 else 1.0
+
+
 class SupDiffBound(NamedTuple):
     e_value: float  # the branch's displayed amplitude (without sqrt(log kappa))
     bound: float  # C * e_value * sqrt(max(log kappa, 1))
@@ -275,14 +280,8 @@ def sup_diff_bound(spec: PolynomialSpec, ts: TestSequence, U: float, C: float = 
     max(log kappa, 1) while the raw kappa is still reported.
     """
     rep = delta_term(spec, ts, U)
-    if rep.branch == "y<=U":
-        e_value = rep.delta
-        kappa = rep.kappa_yU
-    else:
-        e_value = rep.delta
-        kappa = rep.kappa_1U
-    log_term = max(math.log(kappa), 1.0) if kappa >= 1 else 1.0
-    return SupDiffBound(e_value, C * e_value * math.sqrt(log_term), kappa, rep.branch)
+    kappa = rep.kappa_yU if rep.branch == "y<=U" else rep.kappa_1U
+    return SupDiffBound(rep.delta, C * rep.delta * math.sqrt(_guarded_log(kappa)), kappa, rep.branch)
 
 
 class TransferBound(NamedTuple):
@@ -312,7 +311,7 @@ def transfer_bound(
         raise DomainError(f"U={U} must be at least 1")
     rep = delta_term(spec, ts, U)
     kappa = rep.kappa_1U
-    log_term = max(math.log(kappa), 1.0) if kappa >= 1 else 1.0
+    log_term = _guarded_log(kappa)
     if rep.delta == 0.0:
         return TransferBound(0.0, rep, kappa, log_term)
     error = 2.0 * math.exp(-C * h * h / (rep.delta**2 * log_term))

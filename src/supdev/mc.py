@@ -19,8 +19,9 @@ chunk's draws are projected through one matrix (the design matrix for a
 path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
 identity for the Gebelein pair), and a statistic turns the projected block
 into one value per replication (a maximum, a flag, a product).  Estimates
-count flags, or add chunk sums in chunk order.  Thread pools are kept per
-worker count and reused across calls.
+count flags, or add chunk sums in chunk order; both reducers reject
+reps < 1, and ``normal_draws`` rejects seeds outside [0, 2^64).  Thread
+pools are kept per worker count and reused across calls.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> 
     Shape (n_reps, draws_per_rep).  The draw table depends only on the seed,
     so any partition of the replication range reproduces the same values.
     """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed {seed} outside [0, 2**64)")
     if draws_per_rep == 0 or n_reps == 0:
         return np.zeros((n_reps, draws_per_rep))
     pad = 4 * ((draws_per_rep + 3) // 4)
@@ -334,6 +337,8 @@ def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, 
 
 def _prob_estimate(parts: list, reps: int, seed: int) -> McEstimate:
     """Share of replications whose flag is set, over per-chunk flag arrays."""
+    if reps < 1:
+        raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
     count = sum(int(np.count_nonzero(flags)) for flags in parts)
     return McEstimate(
         estimate=count / reps,
@@ -346,6 +351,8 @@ def _prob_estimate(parts: list, reps: int, seed: int) -> McEstimate:
 
 def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
     """Mean of per-replication values; chunk sums are added in chunk order."""
+    if reps < 1:
+        raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
     total = sum(float(values.sum()) for values in parts)
     total_sq = sum(float((values * values).sum()) for values in parts)
     mean = total / reps
@@ -368,8 +375,6 @@ def mc_sup_prob(
     workers: int = 1,
 ) -> McEstimate:
     """P{max over grid nodes <= theta} with a Wilson interval."""
-    if reps < 1:
-        raise DomainError("mc_sup_prob needs reps >= 1")
     matrix = _design_matrix(spec, grid.nodes())
     flags = _map_projected(matrix, seed, reps, workers, lambda x: _row_max(x) <= theta)
     return _prob_estimate(flags, reps, seed)
@@ -384,8 +389,6 @@ def mc_vector_sup_prob(
     absolute: bool = False,
 ) -> McEstimate:
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
-    if reps < 1:
-        raise DomainError("mc_vector_sup_prob needs reps >= 1")
     sup = _abs_row_max if absolute else _row_max
     flags = _map_projected(cov.factor().T, seed, reps, workers, lambda x: sup(x) <= theta)
     return _prob_estimate(flags, reps, seed)
@@ -400,8 +403,6 @@ def mc_expected_sup_path(
     absolute: bool = False,
 ) -> McEstimate:
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
-    if reps < 1:
-        raise DomainError("mc_expected_sup_path needs reps >= 1")
     matrix = _design_matrix(spec, grid.nodes())
     sups = _map_projected(matrix, seed, reps, workers, _abs_row_max if absolute else _row_max)
     return _mean_estimate(sups, reps, seed)
@@ -438,8 +439,6 @@ def mc_expected_sup_diff(
     workers: int = 1,
 ) -> McEstimate:
     """Mean of sup |X_a - X_b| over the grid for the coupled pair."""
-    if reps < 1:
-        raise DomainError("mc_expected_sup_diff needs reps >= 1")
     return _mean_estimate([sup_diff_samples(spec_a, spec_b, grid, reps, seed, workers)], reps, seed)
 
 
@@ -451,7 +450,5 @@ def mc_expected_sup_vector(
     absolute: bool = False,
 ) -> McEstimate:
     """Mean of max_i X_i (or max |X_i|) for the Gaussian vector X = F z."""
-    if reps < 1:
-        raise DomainError("mc_expected_sup_vector needs reps >= 1")
     sups = _map_projected(cov.factor().T, seed, reps, workers, _abs_row_max if absolute else _row_max)
     return _mean_estimate(sups, reps, seed)

@@ -102,11 +102,13 @@ class CoefficientSeq:
 
     def values(self, y: int, x: int) -> np.ndarray:
         """Materialized a_y..a_x (empty array when x < y)."""
-        return _coeff_values(self, y, x).copy()
+        return _materialize(self, y, x).copy()
 
 
-@lru_cache(maxsize=4096)
-def _coeff_values(seq: CoefficientSeq, y: int, x: int) -> np.ndarray:
+@lru_cache(maxsize=8192)
+def _materialize(seq, y: int, x: int) -> np.ndarray:
+    """Read-only ``seq.value(k)`` for k = y..x, shared by coefficient and
+    frequency sequences (empty when x < y)."""
     if x < y:
         out = np.empty(0)
     else:
@@ -165,20 +167,10 @@ class FrequencySeq:
         return self.explicit[k - 1]
 
     def values(self, y: int, x: int) -> np.ndarray:
-        out = _freq_values(self, y, x)
+        out = _materialize(self, y, x)
         if self.kind in ("integer", "real") and out.size > 1 and not np.all(np.diff(out) > 0):
             raise DomainError(f"{self.kind} frequencies must be strictly increasing on [{y}, {x}]")
         return out.copy()
-
-
-@lru_cache(maxsize=4096)
-def _freq_values(seq: FrequencySeq, y: int, x: int) -> np.ndarray:
-    if x < y:
-        out = np.empty(0)
-    else:
-        out = np.array([seq.value(k) for k in range(y, x + 1)], dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

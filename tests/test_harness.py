@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -178,8 +179,6 @@ class TestRunExperiment:
         assert [vars(r) for r in a.checks] == [vars(r) for r in b.checks]
 
     def test_worker_count_invisible(self):
-        from dataclasses import replace
-
         cfg = parse_config(EQUI_INI)
         a = run_experiment(cfg)
         b = run_experiment(replace(cfg, workers=8))
@@ -193,8 +192,6 @@ class TestRunExperiment:
 
 class TestAllKinds:
     def test_every_kind_runs_and_serializes(self):
-        from dataclasses import replace
-
         for kind in EXPERIMENT_KINDS:
             cfg = default_config(kind, seed=13)
             if cfg.reps > 5000:
@@ -213,6 +210,27 @@ class TestAllKinds:
         out = capsys.readouterr().out
         for kind in EXPERIMENT_KINDS:
             assert f"{kind}: {KINDS[kind].help}" in out  # behavior text, not bare names
+
+
+# every default config, then configs whose rows fail with a negative margin at seed 0
+VERDICT_CASES = [pytest.param(kind, {}, id=kind) for kind in EXPERIMENT_KINDS] + [
+    pytest.param("divergence", {"growth": 5.0}, id="divergence-growth-5"),
+    pytest.param("kronecker-search", {"t_hi": 5.0}, id="kronecker-search-short-interval"),
+    pytest.param("limsup", {"max_terms": 10, "target_frac": 0.99}, id="limsup-few-terms"),
+]
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("kind,params", VERDICT_CASES)
+    def test_row_passes_iff_margin_nonnegative(self, kind, params):
+        cfg = default_config(kind)
+        cfg = replace(cfg, params={**cfg.params, **params})
+        rows = [row for row in run_experiment(cfg, seed=0).checks if row.passed is not None and row.margin is not None]
+        assert rows
+        for row in rows:
+            assert row.passed == (row.margin >= 0), row.name
+        if params:
+            assert any(row.margin < 0 and row.passed is False for row in rows)
 
 
 class TestEmission:
@@ -330,6 +348,16 @@ class TestCli:
         assert code == 0
         assert "c_max=" in out and "never stored" in out
 
+    def test_calibrate_rejects_output_section(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "ct.ini"
+        cfg.write_text((CONFIGS / "cyclic_transfer.ini").read_text() + "\n[output]\ncsv = cal.csv\n")
+        assert cli_main(["calibrate", "cyclic-transfer", "-c", str(cfg), "--reps", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: ") and "[output]" in captured.err
+        assert [path.name for path in tmp_path.iterdir()] == ["ct.ini"]
+
     @pytest.mark.parametrize("flag", ["--csv", "--json", "--plotdata"])
     def test_calibrate_rejects_output_flags(self, capsys, tmp_path, monkeypatch, flag):
         monkeypatch.chdir(tmp_path)
@@ -400,3 +428,14 @@ class TestVerificationScript:
         assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert proc.stdout == "" and not any(tmp_path.iterdir())
+
+    def test_failing_kind_exit_one(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--kinds", "lattice-correlation", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "overall: FAIL" in proc.stdout and proc.stderr == ""
+        assert any("variance_floor" in line and "FAIL" in line for line in proc.stdout.splitlines())

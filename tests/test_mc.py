@@ -13,6 +13,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 import supdev
+from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
 from supdev.errors import DomainError, FactorizationError
 from supdev.mc import (
     CHUNK_REPS,
@@ -483,3 +484,41 @@ def test_chunking_stays_in_mc():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         assert not names & private, (path.name, sorted(names & private))
+
+
+_EQUI3 = CovarianceSpec.equicorrelated(3, 0.2)
+_GRID = GridSpec.uniform(0.0, 1.0, 5)
+ENTRY_POINTS = {
+    "mc_sup_prob": lambda reps, seed: mc_sup_prob(unit_spec(4), _GRID, 1.0, reps, seed),
+    "mc_vector_sup_prob": lambda reps, seed: mc_vector_sup_prob(_EQUI3, 1.0, reps, seed),
+    "mc_expected_sup_path": lambda reps, seed: mc_expected_sup_path(unit_spec(4), _GRID, reps, seed),
+    "mc_expected_sup_diff": lambda reps, seed: mc_expected_sup_diff(
+        unit_spec(4), unit_spec(4, freq_rule=lambda k: 0.71 * k), _GRID, reps, seed
+    ),
+    "mc_expected_sup_vector": lambda reps, seed: mc_expected_sup_vector(_EQUI3, reps, seed),
+    "verify_decoupling_mc": lambda reps, seed: verify_decoupling_mc(
+        _EQUI3, 2.0 * decoupling_coeff_vector(_EQUI3).p_value, 2.0, [(0.0, math.inf)] * 3, reps, seed
+    ),
+    "verify_gebelein_nelson": lambda reps, seed: verify_gebelein_nelson(0.3, "identity", reps, seed),
+}
+
+
+@pytest.mark.parametrize("reps,seed", [(0, 1), (-3, 1), (100, -1), (100, 2**64)])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_bad_reps_and_seeds(entry, reps, seed):
+    """Replication counts below 1 and seeds outside [0, 2^64) are domain
+    errors at every Monte Carlo entry point, not ZeroDivision or Overflow."""
+    with pytest.raises(DomainError):
+        ENTRY_POINTS[entry](reps, seed)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_accept_extreme_seeds(entry):
+    """The valid neighbours of the cases above run, so those fail on reps or seed alone."""
+    for seed in (0, 2**64 - 1):
+        ENTRY_POINTS[entry](100, seed)
+
+
+def test_bad_seed_raised_from_a_worker_thread():
+    with pytest.raises(DomainError, match="seed"):
+        mc_vector_sup_prob(_EQUI3, 1.0, 3 * CHUNK_REPS, -1, workers=2)
