@@ -2,11 +2,12 @@
 """Run every experiment kind's default verification and persist the records.
 
 Writes results/<kind>.csv, results/<kind>.json and results/<kind>_plot.csv,
-prints one verdict line per check, and exits 0 only if every assertion row
-passed, and exits 2 with one "config error" line when the seed, the worker
-count or a kind is invalid.  Seed and worker count come from the command
-line; reruns with the same seed reproduce the same rows byte-for-byte
-(timing columns aside).
+prints one verdict line per check and a closing summary line
+("overall: PASS|FAIL - P passed, F failed: kind/row, ..."), exits 0 only if
+every assertion row passed, and exits 2 with one "config error" line when
+the seed, the worker count or a kind is invalid.  Seed and worker count
+come from the command line; reruns with the same seed reproduce the same
+rows byte-for-byte (timing columns aside).
 """
 
 import argparse
@@ -34,6 +35,7 @@ def main() -> int:
         return 2
 
     all_ok = True
+    passed, failed = 0, []
     for kind, cfg in zip(args.kinds, configs):
         record = run_experiment(cfg)
         stem = str(Path(args.out) / kind.replace("-", "_"))
@@ -43,13 +45,18 @@ def main() -> int:
         all_ok &= record.all_passed()
         for row in record.checks:
             verdict = "----" if row.passed is None else ("PASS" if row.passed else "FAIL")
+            if row.passed:
+                passed += 1
+            elif row.passed is not None:
+                failed.append(f"{kind}/{row.name}")
             detail = []
             if row.mc is not None:
                 detail.append(f"mc={row.mc:.6g}")
             if row.bound is not None:
                 detail.append(f"bound={row.bound:.6g}")
             print(f"{kind:22s} {row.name:32s} {verdict}  {' '.join(detail)}")
-    print("overall:", "PASS" if all_ok else "FAIL (see rows above)")
+    names = ": " + ", ".join(failed) if failed else ""
+    print(f"overall: {'PASS' if all_ok else 'FAIL'} - {passed} passed, {len(failed)} failed{names}")
     return 0 if all_ok else 1
 
 

@@ -227,13 +227,15 @@ def verify_decoupling_mc(
     reps: int,
     seed: int,
     workers: int = 1,
+    check: bool = True,
 ) -> DecouplingCheck:
     """MC check of |E prod 1_{X_i in box_i}| <= multiplier prod ||1_box||_p.
 
     For interval indicators the p-norm is mass^{1/p} with the mass computed
-    in closed form from the normal CDF, which removes one MC layer.  Raises
-    CheckError when the estimate exceeds the right side by more than three
-    half-widths.
+    in closed form from the normal CDF, which removes one MC layer.  With
+    check=True a CheckError is raised when the estimate exceeds the right
+    side by more than three half-widths; with check=False the estimate and
+    the right side are returned either way, for the caller to judge.
     """
     n = cov.n
     if n > 6:
@@ -249,7 +251,7 @@ def verify_decoupling_mc(
 
     in_box = partial(_in_box, los=[b[0] for b in boxes], his=[b[1] for b in boxes])
     lhs = _prob_estimate(_map_projected(cov.factor().T, seed, reps, workers, in_box), reps, seed)
-    if lhs.estimate > rhs + 3.0 * lhs.half_width:
+    if check and lhs.estimate > rhs + 3.0 * lhs.half_width:
         raise CheckError(
             f"decoupling inequality violated: lhs {lhs.estimate:.6g} > rhs {rhs:.6g} "
             f"+ 3 * {lhs.half_width:.6g}"
@@ -286,6 +288,7 @@ def verify_gebelein_nelson(
     reps: int,
     seed: int,
     workers: int = 1,
+    check: bool = True,
 ) -> GebeleinNelson:
     """MC check of the two correlation inequalities for a Gaussian pair.
 
@@ -293,7 +296,9 @@ def verify_gebelein_nelson(
     "identity" (f(x) = x) or "quadratic" (f(x) = x^2 - 1).  The first
     inequality bounds |E f(U) h(V)| by |rho| ||f||_2 ||h||_2; the second by
     ||f||_p ||h||_q with p = q = 1 + |rho|, the p-norms computed by
-    Gauss-Hermite quadrature.
+    Gauss-Hermite quadrature.  With check=True a CheckError is raised when
+    |estimate| exceeds either right side by more than three half-widths;
+    with check=False both right sides are returned either way.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [-1, 1]")
@@ -319,7 +324,7 @@ def verify_gebelein_nelson(
     # Draws are never 0, so the identity projection returns them bit for bit.
     lhs = _mean_estimate(_map_projected(np.eye(2), seed, reps, workers, product), reps, seed)
     for name, rhs in (("gebelein", gebelein_rhs), ("nelson", nelson_rhs)):
-        if abs(lhs.estimate) > rhs + 3.0 * lhs.half_width:
+        if check and abs(lhs.estimate) > rhs + 3.0 * lhs.half_width:
             raise CheckError(
                 f"{name} inequality violated: |{lhs.estimate:.6g}| > {rhs:.6g} "
                 f"+ 3 * {lhs.half_width:.6g}"

@@ -22,6 +22,7 @@ from scipy.special import ndtr
 
 from .bounds import BoundReport
 from .errors import BudgetError, CheckError, DomainError
+from .mc import ordered_map
 from .spectrum import PolynomialSpec, power_sum
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
 
 ENUM_BUDGET = 10**8  # hard cap on enumeration sizes (desk scale)
 _SCAN_CHUNK = 1 << 14  # lattice points per lattice_search chunk: a few arrays stay cache-resident
+_GEMV_VALUES = 1 << 11  # values per BLAS matrix-vector product, below OpenBLAS's threading size
+_ROW_ALIGN = 64  # product blocks hold a whole multiple of this many rows
+_PIECE_BLOCKS = 16  # product blocks per scan piece, the task a worker takes
 
 
 def nearest_int_dist(u) -> np.ndarray:
@@ -137,6 +141,10 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
 
     Ties break to the lexicographically smallest vector (scan order).  A
     zero minimum is reported with the degenerate flag rather than raised.
+
+    Past the inner sums, the ring and the exact rows share two buffers of
+    the inner-sum size, written through ``out=`` with the same operations
+    as the plain expressions, so a call makes no further large allocation.
     """
     m = problem.radius() if radius is None else int(radius)
     if m < 1:
@@ -156,7 +164,11 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
         combos = np.stack([g.ravel() for g in grids], axis=1)
         inner = combos @ lam[1:]
 
-    ring = np.sort(_frac(problem.h * inner))
+    # the ring and its floors, then each exact row's distances and sums
+    ring = np.multiply(problem.h, inner)
+    spare = np.floor(ring)
+    ring -= spare
+    ring.sort()
     shift = _frac(-problem.h * (side * lam[0]))
     pos = np.searchsorted(ring, shift)
     gap = np.minimum(nearest_int_dist(shift - ring[pos - 1]), nearest_int_dist(shift - ring[pos % ring.size]))
@@ -166,12 +178,15 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
 
     best = math.inf
     best_vec = None
+    sums, dists = spare, ring
     for nu1 in side[rows]:
-        sums = problem.h * (nu1 * lam[0] + inner)
-        dists = nearest_int_dist(sums)
+        np.add(nu1 * lam[0], inner, out=sums)
+        sums *= problem.h
+        np.round(sums, out=dists)
+        np.subtract(sums, dists, out=dists)
+        np.abs(dists, out=dists)
         if nu1 == 0:
-            nonzero = np.any(combos != 0, axis=1) if n > 1 else np.zeros(1, dtype=bool)
-            dists = np.where(nonzero, dists, math.inf)
+            dists[inner.size // 2] = math.inf  # the zero vector: the middle row of the symmetric grid
         i = int(np.argmin(dists))
         if dists[i] < best:
             best = float(dists[i])
@@ -216,7 +231,10 @@ def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> Latti
     distance, or doubling when no point is within it) until it brackets the
     chunk minimum.  Distances use the same floating-point expressions as a
     full scan, and ties still go to the smallest m, so the result equals a
-    full scan's exactly.
+    full scan's exactly.  The full-chunk arrays (m, t, the first-frequency
+    distance and its rounding) live in four buffers that every chunk reuses
+    through ``out=``, so the cost of a chunk does not depend on how the
+    allocator was left by earlier work.
     """
     m_lo, m_hi = _lattice_range(problem)
     count = m_hi - m_lo + 1
@@ -230,10 +248,16 @@ def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> Latti
     best_m = m_lo
     hit_chunks = []
     chunk = max(1, min(count, _SCAN_CHUNK))
+    offsets = np.arange(chunk)
+    ms_buf, ts_buf, first_buf, round_buf = np.empty_like(offsets), np.empty(chunk), np.empty(chunk), np.empty(chunk)
     for start in range(m_lo, m_hi + 1, chunk):
-        ms = np.arange(start, min(start + chunk, m_hi + 1))
-        ts = problem.h * ms
-        first = nearest_int_dist(ts * lam[0] - bet[0])
+        size = min(chunk, m_hi + 1 - start)
+        ms = np.add(offsets[:size], start, out=ms_buf[:size])
+        ts = np.multiply(problem.h, ms, out=ts_buf[:size])
+        first = np.multiply(ts, lam[0], out=first_buf[:size])
+        first -= bet[0]
+        first -= np.round(first, out=round_buf[:size])
+        np.abs(first, out=first)
         thr = target if best == math.inf else max(target, best)
         while True:
             cand = np.flatnonzero(first <= thr)
@@ -325,6 +349,47 @@ def solution_count(
     return SolutionCount(count, lower_ii, lower_iii, k)
 
 
+def _cuts(start: int, stop: int, size: int) -> list:
+    """[start, stop) cut every ``size`` rows from ``start``; a one-row tail
+    joins the cut before it."""
+    edges = [*range(start, stop, size), stop]
+    if len(edges) > 2 and stop - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _block_rows(n_freq: int) -> int:
+    """Rows per matrix-vector product of a scan with n_freq frequencies."""
+    return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
+
+
+def _scan_pieces(units: list, n_freq: int) -> list:
+    """Cut each (start, stop) unit of a scan into pieces of _PIECE_BLOCKS
+    product blocks, counted from the unit's start.
+
+    A piece computes its ``matrix @ vector`` rows one block at a time
+    (``_matvec``), small enough that OpenBLAS runs each product on the
+    worker's own thread.  The row values must equal those of one product
+    over the whole unit.  numpy sends a one-row product to a dot kernel,
+    which rounds differently from gemv, so a one-row tail joins the block
+    before it.  Every block but a unit's last holds a whole multiple of
+    _ROW_ALIGN rows and starts a whole number of blocks into the unit, so
+    a gemv kernel that handles leftover rows separately meets them at the
+    unit's end, as in one product.  (OpenBLAS's Haswell kernels give equal
+    rows for any block size above one.)  The cuts depend only on the units
+    and the number of frequencies, never on workers.
+    """
+    size = _PIECE_BLOCKS * _block_rows(n_freq)
+    return [piece for start, stop in units for piece in _cuts(start, stop, size)]
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` into ``out``, one product per block of a piece."""
+    for lo, hi in _cuts(0, out.size, _block_rows(vector.size)):
+        np.matmul(matrix[lo:hi], vector, out=out[lo:hi])
+    return out
+
+
 def limsup_exponential_sum(
     alphas: Sequence[float],
     lambdas: Sequence[float],
@@ -332,6 +397,7 @@ def limsup_exponential_sum(
     step: int,
     M: int,
     convention: str = "2pi",
+    workers: int = 1,
 ) -> tuple:
     """Running maximum of |sum_k alpha_k e^{i c nu lambda_k}| over the
     arithmetic progression nu = start + step*m, m = 0..M-1.
@@ -341,6 +407,13 @@ def limsup_exponential_sum(
     and only differ by a relabeling of the frequencies.  Returns
     (running_max, final_max); the running maximum is non-decreasing and
     bounded by sum(alpha_k).
+
+    The progression is cut into units of 2^21/N terms and each unit into
+    pieces (``_scan_pieces``) whose size depends only on N.  ``workers``
+    threads of the shared pool (``mc.ordered_map``) write each piece's own
+    running maximum into the output; the pieces are then merged against
+    the best value so far in piece order.  A maximum is exact, so the
+    result is bit-identical for any worker count.
     """
     a = np.asarray(alphas, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
@@ -360,18 +433,25 @@ def limsup_exponential_sum(
         raise BudgetError(f"progression scan size {M * a.size} exceeds {ENUM_BUDGET}")
 
     running = np.empty(M)
+
+    def scan(piece):
+        s, e = piece
+        nu = (start + step * np.arange(s, e)).astype(float)
+        sums = _matvec(np.exp(1j * c * np.outer(nu, lam)), a, np.empty(e - s, dtype=complex))
+        np.maximum.accumulate(np.abs(sums), out=running[s:e])
+
+    unit = max(1, (1 << 21) // max(a.size, 1))
+    pieces = _scan_pieces([(u, min(u + unit, M)) for u in range(0, M, unit)], a.size)
+    ordered_map(scan, pieces, workers)
     best = 0.0
-    chunk = max(1, (1 << 21) // max(a.size, 1))
-    for s in range(0, M, chunk):
-        nu = (start + step * np.arange(s, min(s + chunk, M))).astype(float)
-        vals = np.abs(np.exp(1j * c * np.outer(nu, lam)) @ a)
-        seg = np.maximum.accumulate(vals)
-        running[s : s + nu.size] = np.maximum(seg, best)
-        best = float(running[s + nu.size - 1])
+    for s, e in pieces:
+        seg = running[s:e]
+        np.maximum(seg, best, out=seg)
+        best = float(seg[-1])
     return running, best
 
 
-def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -> list:
+def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], workers: int = 1) -> list:
     """Partial sums S_J = (1/A) sum_{j=0}^{J} |sum_k a_k^2 cos(lambda_k j a)|
     for each requested J (ascending).
 
@@ -379,6 +459,14 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
     required); linear independence of the frequencies is the caller's
     assertion.  S_J is non-decreasing in J and scale-invariant in the
     coefficients.
+
+    The terms j = 0..J are added in summation units: each ladder rung,
+    cut every 2^22/N rows.  ``workers`` threads of the shared pool
+    (``mc.ordered_map``) fill a unit's |cos(...) @ a^2| values in pieces
+    (``_scan_pieces``) into one reused buffer; each unit is then summed with
+    one ``np.sum`` over its values, and the unit sums are added in order.
+    Neither the units nor the pieces depend on the worker count, so S_J is
+    bit-identical for any worker count.
     """
     if a <= 0.0:
         raise DomainError(f"step a={a} must be positive")
@@ -392,15 +480,24 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
         raise DomainError("A(x) must be positive")
     aa = spec.coeff_values() ** 2
     lam = spec.angular_freqs()
+    chunk = max(1, (1 << 22) // max(lam.size, 1))
+    values = np.empty(min(chunk, ladder[-1] + 1))
     sums = []
     running = 0.0
-    chunk = max(1, (1 << 22) // max(lam.size, 1))
     cursor = 0
     for j_stop in ladder:
         while cursor <= j_stop:
             hi = min(cursor + chunk - 1, j_stop)
-            jj = np.arange(cursor, hi + 1, dtype=float)
-            running += float(np.sum(np.abs(np.cos(np.outer(jj * a, lam)) @ aa)))
+            unit = values[: hi + 1 - cursor]
+
+            def fill(piece, base=cursor, unit=unit):
+                s, e = piece
+                jj = np.arange(s, e, dtype=float)
+                rows = _matvec(np.cos(np.outer(jj * a, lam)), aa, unit[s - base : e - base])
+                np.abs(rows, out=rows)
+
+            ordered_map(fill, _scan_pieces([(cursor, hi + 1)], lam.size), workers)
+            running += float(np.sum(unit))
             cursor = hi + 1
         sums.append(running / a2)
     return sums

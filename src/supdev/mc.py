@@ -20,8 +20,15 @@ path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
 identity for the Gebelein pair), and a statistic turns the projected block
 into one value per replication (a maximum, a flag, a product).  Estimates
 count flags, or add chunk sums in chunk order; both reducers reject
-reps < 1, and ``normal_draws`` rejects seeds outside [0, 2^64).  Thread
-pools are kept per worker count and reused across calls.
+reps < 1, and ``normal_draws`` rejects seeds outside [0, 2^64).
+
+Thread pools are kept per worker count and reused across calls, and this
+module is the only one that builds them.  ``ordered_map`` runs a function
+over a list of tasks on the cached pool and returns the results in task
+order; ``_map_projected`` uses it for chunks of replications, and the
+exponential-sum scans in ``kronecker`` use it for their pieces.  Callers
+cut their tasks without regard to the worker count and merge results in
+task order, which keeps every result bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "mc_sup_prob",
     "mc_vector_sup_prob",
     "normal_draws",
+    "ordered_map",
     "sample_path",
     "sup_diff_samples",
     "wilson_half_width",
@@ -303,10 +311,17 @@ def _map_projected(matrix: np.ndarray, seed: int, reps: int, workers: int, stat:
         s, e = chunk
         return stat(normal_draws(seed, s, e - s, width) @ matrix)
 
-    chunks = _chunk_bounds(reps, outputs)
-    if workers <= 1 or len(chunks) <= 1:
-        return [run(c) for c in chunks]
-    return list(_executor(workers).map(run, chunks))
+    return ordered_map(run, _chunk_bounds(reps, outputs), workers)
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``, on the cached pool when there are
+    several workers and several items.  Results come back in item order
+    whatever order the workers finish in, so a caller that merges them in
+    that order gets the same answer for any worker count."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    return list(_executor(workers).map(fn, items))
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:

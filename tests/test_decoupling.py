@@ -15,7 +15,8 @@ from supdev.decoupling import (
     verify_gebelein_nelson,
     _in_box,
 )
-from supdev.errors import DomainError
+from supdev import decoupling
+from supdev.errors import CheckError, DomainError
 from supdev.mc import CHUNK_REPS, CovarianceSpec, GridSpec, mc_sup_prob, normal_draws, _chunk_bounds
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
@@ -225,6 +226,28 @@ class TestVerifyDecouplingMc:
         cov = CovarianceSpec.equicorrelated(7, 0.1)
         with pytest.raises(DomainError):
             verify_decoupling_mc(cov, 10.0, 2.0, [(0, 1)] * 7, 100, seed=1)
+
+
+class TestUncheckedViolations:
+    """With check=False a violated inequality comes back as numbers; the
+    default check=True still raises on exactly that condition."""
+
+    def test_decoupling_mc(self, monkeypatch):
+        cov = CovarianceSpec.equicorrelated(3, 0.2)
+        p = 2.0 * decoupling_coeff_vector(cov).p_value
+        boxes = [(0.0, math.inf)] * 3
+        monkeypatch.setattr(decoupling, "decoupling_multiplier", lambda *args: 1e-3)
+        chk = verify_decoupling_mc(cov, p, 2.0, boxes, 20000, seed=6, check=False)
+        assert chk.lhs.estimate > chk.rhs + 3.0 * chk.lhs.half_width
+        with pytest.raises(CheckError, match="decoupling inequality violated"):
+            verify_decoupling_mc(cov, p, 2.0, boxes, 20000, seed=6)
+
+    def test_gebelein_nelson(self, monkeypatch):
+        monkeypatch.setattr(decoupling, "_hermite_abs_moment", lambda *args: 1e-6)
+        res = verify_gebelein_nelson(0.5, "quadratic", 20000, seed=7, check=False)
+        assert abs(res.lhs.estimate) > res.nelson_rhs + 3.0 * res.lhs.half_width
+        with pytest.raises(CheckError, match="nelson inequality violated"):
+            verify_gebelein_nelson(0.5, "quadratic", 20000, seed=7)
 
 
 class TestGebeleinNelson:

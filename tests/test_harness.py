@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from supdev import harness
 from supdev.cli import main as cli_main
 from supdev.errors import ConfigError
 from supdev.harness import (
@@ -183,6 +184,37 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(replace(cfg, workers=8))
         assert [vars(r) for r in a.checks] == [vars(r) for r in b.checks]
+
+    @pytest.mark.parametrize("kind", ["limsup", "divergence"])
+    def test_scan_records_identical_at_one_and_eight_workers(self, kind):
+        # the exponential-sum scans run in pieces on the worker pool
+        cfg = default_config(kind, seed=3)
+        texts = {strip_timing(records_to_csv([run_experiment(replace(cfg, workers=w))])) for w in (1, 8)}
+        assert len(texts) == 1
+
+    def test_decoupling_violations_keep_their_numbers(self, monkeypatch):
+        # verifiers patched to return right sides below their estimates
+        real_mc, real_gn = harness.verify_decoupling_mc, harness.verify_gebelein_nelson
+
+        def low_mc(*args, **kwargs):
+            assert kwargs["check"] is False
+            chk = real_mc(*args, **kwargs)
+            return chk._replace(rhs=chk.lhs.estimate - 0.1)
+
+        def low_gn(*args, **kwargs):
+            assert kwargs["check"] is False
+            res = real_gn(*args, **kwargs)
+            return res._replace(gebelein_rhs=0.0, nelson_rhs=0.0)
+
+        monkeypatch.setattr(harness, "verify_decoupling_mc", low_mc)
+        monkeypatch.setattr(harness, "verify_gebelein_nelson", low_gn)
+        cfg = replace(default_config("decoupling"), reps=5000)
+        rows = {row.name: row for row in run_experiment(cfg, seed=0).checks}
+        for name in ("product_indicator_le_pnorm_bound", "correlation_l2_bound", "hypercontractive_bound"):
+            row = rows[name]
+            assert row.passed is False and row.mc is not None and row.bound is not None, name
+            assert row.mc_lo <= row.mc <= row.mc_hi and row.margin < 0.0, name
+        assert "correlation_bounds" not in rows
 
     def test_error_annotated_with_context(self):
         cfg = parse_config(EQUI_INI.replace("lam = 0.25", "lam = 1.5"))
@@ -439,3 +471,16 @@ class TestVerificationScript:
         assert proc.returncode == 1
         assert "overall: FAIL" in proc.stdout and proc.stderr == ""
         assert any("variance_floor" in line and "FAIL" in line for line in proc.stdout.splitlines())
+
+    def test_summary_names_every_failed_row(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--kinds", "lattice-correlation", "limsup", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        passed = sum(" PASS " in line for line in lines)
+        assert passed > 0
+        assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"

@@ -21,7 +21,7 @@ from supdev.kronecker import (
     solution_k,
     xi,
 )
-from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, power_sum
 
 
 def lat_problem(lambdas, betas, omega=10, h=1.0, interval=(1.0, 1000.0), c_o=0.125):
@@ -273,6 +273,125 @@ class TestSolutionCount:
         assert res.lower_ii > res.count
         with pytest.raises(CheckError):
             solution_count(prob, C=1e6, assert_lower_bounds=True)
+
+
+def single_thread_limsup(alphas, lambdas, start, step, M, c=2.0 * math.pi):
+    """Reference: the one-thread loop over 2^21/N-row chunks that the pieced
+    scan replaces, kept here verbatim."""
+    a = np.asarray(alphas, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+    running = np.empty(M)
+    best = 0.0
+    chunk = max(1, (1 << 21) // max(a.size, 1))
+    for s in range(0, M, chunk):
+        nu = (start + step * np.arange(s, min(s + chunk, M))).astype(float)
+        vals = np.abs(np.exp(1j * c * np.outer(nu, lam)) @ a)
+        seg = np.maximum.accumulate(vals)
+        running[s : s + nu.size] = np.maximum(seg, best)
+        best = float(running[s + nu.size - 1])
+    return running, best
+
+
+def single_thread_divergence(spec, a, js):
+    """Reference: the one-thread loop over ladder rungs cut at 2^22/N rows
+    that the pieced scan replaces, kept here verbatim."""
+    a2 = power_sum(spec, 2)
+    aa = spec.coeff_values() ** 2
+    lam = spec.angular_freqs()
+    sums = []
+    running = 0.0
+    chunk = max(1, (1 << 22) // max(lam.size, 1))
+    cursor = 0
+    for j_stop in js:
+        while cursor <= j_stop:
+            hi = min(cursor + chunk - 1, j_stop)
+            jj = np.arange(cursor, hi + 1, dtype=float)
+            running += float(np.sum(np.abs(np.cos(np.outer(jj * a, lam)) @ aa)))
+            cursor = hi + 1
+        sums.append(running / a2)
+    return sums
+
+
+_ROOTS = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+def _pieces(rows, n_freq):
+    return len(kronecker._scan_pieces([(0, rows)], n_freq))
+
+
+class TestScanPieces:
+    """The pieced scans equal the one-thread loops byte for byte at every
+    worker count.  With N = 3 (limsup) a piece is 10240 rows and a unit
+    699050; with N = 4 (divergence) a piece is 8192 rows and a unit 2^20."""
+
+    @pytest.mark.parametrize(
+        "start,step,M",
+        [
+            (0, 1, 4 * 10240 + 1),  # one-row tail after four whole pieces
+            (1, 3, 45_001),  # not a multiple of the piece size, step > 1
+            (0, 2, 699_050 + 20_481),  # two units, the second ending in a one-row piece
+        ],
+    )
+    def test_limsup_matches_single_thread_loop(self, start, step, M):
+        alphas, lambdas = [1.0, 0.6, 1.3], _ROOTS[:3]
+        assert _pieces(M, 3) >= 4
+        running, final = single_thread_limsup(alphas, lambdas, start, step, M)
+        for workers in (1, 2, 3):
+            got_running, got_final = limsup_exponential_sum(alphas, lambdas, start, step, M, workers=workers)
+            assert got_running.tobytes() == running.tobytes(), workers
+            assert repr(got_final) == repr(final), workers
+
+    @pytest.mark.parametrize(
+        "coeffs,ladder",
+        [
+            ([1.0, 0.8, 0.6, 0.4], [0, 0, 5, 5, 8198, 40_000, 40_000]),  # J = 0, repeats, an 8193-row rung
+            ([1.0, 0.8, 0.6, 0.4], [1000, 2000, 10_000, 20_000, 100_000, 200_000]),
+            ([1.0] * 64, [3, 70_000]),  # 64 frequencies: the second rung exceeds 2^22/64 rows
+        ],
+    )
+    def test_divergence_matches_single_thread_loop(self, coeffs, ladder):
+        lambdas = [k + r for k in range(len(coeffs) // len(_ROOTS) + 1) for r in _ROOTS][: len(coeffs)]
+        spec = raw_spec(coeffs, sorted(lambdas))
+        assert ladder[-1] + 1 > 4 * kronecker._block_rows(len(coeffs)) * kronecker._PIECE_BLOCKS
+        sums = single_thread_divergence(spec, 0.9, ladder)
+        for workers in (1, 2, 3):
+            got = divergence_partial_sums(spec, 0.9, ladder, workers=workers)
+            assert [repr(v) for v in got] == [repr(v) for v in sums], workers
+
+    @pytest.mark.parametrize("n_freq", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pieced_products_equal_one_product(self, n_freq, dtype):
+        # the scans' outputs (a running maximum, long sums) can hide a last-bit
+        # change in one row, so compare the row values themselves
+        rng = np.random.default_rng(n_freq)
+        block = kronecker._block_rows(n_freq)
+        piece = block * kronecker._PIECE_BLOCKS
+        for rows in (1, 2, block + 1, piece + 1, 4 * piece + block + 1, 4 * piece + 3):
+            matrix = rng.standard_normal((rows, n_freq)).astype(dtype)
+            vector = rng.uniform(0.2, 1.5, n_freq)
+            out = np.empty(rows, dtype=dtype)
+            for s, e in kronecker._scan_pieces([(0, rows)], n_freq):
+                kronecker._matvec(matrix[s:e], vector, out[s:e])
+            assert out.tobytes() == (matrix @ vector).tobytes(), rows
+
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 5),
+        st.integers(1, 4),
+        st.integers(1, 3000),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_pieces_match(self, n, start, step, M, ladder):
+        # one 64-row block per piece: many pieces, many one-row tails
+        with mock.patch.object(kronecker, "_PIECE_BLOCKS", 1), mock.patch.object(kronecker, "_GEMV_VALUES", 64):
+            ref_running, ref_final = single_thread_limsup([0.9] * n, _ROOTS[:n], start, step, M)
+            spec = raw_spec([0.9] * n, _ROOTS[:n])
+            ref_sums = single_thread_divergence(spec, 1.1, sorted(ladder))
+            for workers in (1, 3):
+                running, final = limsup_exponential_sum([0.9] * n, _ROOTS[:n], start, step, M, workers=workers)
+                assert running.tobytes() == ref_running.tobytes() and final == ref_final
+                assert divergence_partial_sums(spec, 1.1, sorted(ladder), workers=workers) == ref_sums
 
 
 class TestLimsup:

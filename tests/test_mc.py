@@ -486,6 +486,22 @@ def test_chunking_stays_in_mc():
         assert not names & private, (path.name, sorted(names & private))
 
 
+def test_one_thread_pool():
+    """Only ``mc`` builds a pool: the scans and estimators elsewhere share its
+    cached executors through ``ordered_map``."""
+    pools = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert bool(names & pools) == (path.name == "mc.py"), path.name
+
+
 _EQUI3 = CovarianceSpec.equicorrelated(3, 0.2)
 _GRID = GridSpec.uniform(0.0, 1.0, 5)
 ENTRY_POINTS = {
