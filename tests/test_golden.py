@@ -13,13 +13,23 @@ estimators, runs ``verify_gebelein_nelson`` only on its quadratic default
 and never reaches a vector width of 32 or more, so those estimators are
 pinned directly as well, by the ``repr`` of their estimate and half-width
 over several chunks.
+
+Count estimators hide an ulp move in a path, so the path values are pinned
+too: the sha256 of the design-matrix and sample-path bytes (shape included)
+for an integer-frequency spec on its cyclic-rule grid, a real-frequency
+transfer spec and its rational companion on [1, U], and an empty range;
+and the ``repr`` of ``mc_sup_prob`` for a transfer spec and its companion
+over several chunks.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from supdev.cyclic import TestSequence, perp_process
 from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
 from supdev.harness import default_config, records_to_csv, run_experiment
 from supdev.mc import (
@@ -28,7 +38,11 @@ from supdev.mc import (
     mc_expected_sup_diff,
     mc_expected_sup_path,
     mc_expected_sup_vector,
+    mc_sup_prob,
     mc_vector_sup_prob,
+    sample_path,
+    _chunk_bounds,
+    _design_matrix,
 )
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
@@ -144,5 +158,107 @@ DIRECT = {
 @pytest.mark.parametrize("name", sorted(DIRECT))
 def test_direct_vector_estimates(name):
     run, estimate, half_width = DIRECT[name]
+    est = run()
+    assert (repr(est.estimate), repr(est.half_width)) == (estimate, half_width)
+
+
+def integer_spec(x):
+    return PolynomialSpec(
+        coeffs=CoefficientSeq(kind="inv_sqrt"),
+        freqs=FrequencySeq(kind="integer", rule=lambda k: k),
+        y=1,
+        x=x,
+        convention="2pi",
+    )
+
+
+def transfer_spec(x, step):
+    return PolynomialSpec(
+        coeffs=CoefficientSeq(kind="inv_sqrt"),
+        freqs=FrequencySeq(kind="real", rule=lambda k: step * k),
+        y=1,
+        x=x,
+        convention="raw",
+    )
+
+
+INT60 = integer_spec(60)
+CYCLIC60 = GridSpec.cyclic_rule(INT60, 1.0)
+TRANSFER48 = transfer_spec(48, 0.61)
+PERP48 = perp_process(TRANSFER48, TestSequence(kind="pow2"))
+GRID_U12 = GridSpec.uniform(1.0, 12.0, 705)  # 64 nodes per unit on [1, 12]
+EMPTY = transfer_spec(0, 0.61)
+
+
+def digest(array) -> str:
+    array = np.asarray(array)
+    return hashlib.sha256(repr(array.shape).encode() + np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# name: (array builder, sha256 of its shape and bytes)
+PATH_BYTES = {
+    "design_integer_cyclic": (
+        lambda: _design_matrix(INT60, CYCLIC60.nodes()),
+        "7e1ced04976b0c15887733f1f9c5b38cd10a41dcee94f3818e0c9ea3ff330d65",
+    ),
+    "design_transfer": (
+        lambda: _design_matrix(TRANSFER48, GRID_U12.nodes()),
+        "e020c8e69fb8af9a6ee73336bac4f696c65b2d81e5a34374547f6cef1643b8d2",
+    ),
+    "design_perp": (
+        lambda: _design_matrix(PERP48, GRID_U12.nodes()),
+        "99e8d02e0cd71efb081c95cd6d347da1c3f01bd46fb3fe0c95b7f1cf0101e98d",
+    ),
+    "design_empty": (
+        lambda: _design_matrix(EMPTY, GRID_U12.nodes()),
+        "4dac5b347486af66cb93ec5aebbbae0e8c517c439579e9dd4dac73271e848f38",
+    ),
+    "path_integer_cyclic": (
+        lambda: sample_path(INT60, CYCLIC60, seed=11, reps=40, rep_start=3),
+        "9f9f9249e20237a701a434f53fb064826b8cf34967f9c6de39226fb8fda00756",
+    ),
+    "path_transfer": (
+        lambda: sample_path(TRANSFER48, GRID_U12, seed=12, reps=40),
+        "4ea0687d54d528ed31fcec44bb2d7eaa2de7062b3263be4b65c2afaff2e4e3c8",
+    ),
+    "path_perp": (
+        lambda: sample_path(PERP48, GRID_U12, seed=12, reps=40),
+        "260f63c6bef9d6bc92920b8bd8bac4296cc789c96abb5492daf9e7ec97c3cd8b",
+    ),
+    "path_empty": (
+        lambda: sample_path(EMPTY, GRID_U12, seed=12, reps=3),
+        "075d3b15110c98eb23b1917023e6973ea586ec5e4fac8f595e0553cf406ccd2c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_BYTES))
+def test_path_bytes(name):
+    build, expected = PATH_BYTES[name]
+    assert digest(build()) == expected
+
+
+# 2000 reps on 705 nodes span 6 chunks; the same seed couples X and its companion
+PATH_PROBS = {
+    "sup_prob_transfer": (
+        lambda: mc_sup_prob(TRANSFER48, GRID_U12, 5.0, 2000, seed=13),
+        "0.3995",
+        "0.021446125119455487",
+    ),
+    "sup_prob_perp": (
+        lambda: mc_sup_prob(PERP48, GRID_U12, 5.5, 2000, seed=13),
+        "0.596",
+        "0.02148553425020876",
+    ),
+}
+
+
+def test_path_prob_pins_span_chunks():
+    assert len(_chunk_bounds(2000, GRID_U12.n)) >= 4
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PROBS))
+def test_path_prob_estimates(name):
+    run, estimate, half_width = PATH_PROBS[name]
     est = run()
     assert (repr(est.estimate), repr(est.half_width)) == (estimate, half_width)
