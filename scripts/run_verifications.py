@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from supdev.errors import ConfigError
-from supdev.harness import EXPERIMENT_KINDS, default_config, emit, run_experiment
+from supdev.harness import EXPERIMENT_KINDS, default_config, emit, run_experiment, run_summary
 
 
 def main() -> int:
@@ -34,30 +34,24 @@ def main() -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    all_ok = True
-    passed, failed = 0, []
+    records = []
     for kind, cfg in zip(args.kinds, configs):
         record = run_experiment(cfg)
         stem = str(Path(args.out) / kind.replace("-", "_"))
         emit([record], "csv", stem + ".csv")
         emit([record], "json", stem + ".json")
         emit([record], "plotdata", stem + "_plot.csv")
-        all_ok &= record.all_passed()
+        records.append(record)
         for row in record.checks:
             verdict = "----" if row.passed is None else ("PASS" if row.passed else "FAIL")
-            if row.passed:
-                passed += 1
-            elif row.passed is not None:
-                failed.append(f"{kind}/{row.name}")
             detail = []
             if row.mc is not None:
                 detail.append(f"mc={row.mc:.6g}")
             if row.bound is not None:
                 detail.append(f"bound={row.bound:.6g}")
             print(f"{kind:22s} {row.name:32s} {verdict}  {' '.join(detail)}")
-    names = ": " + ", ".join(failed) if failed else ""
-    print(f"overall: {'PASS' if all_ok else 'FAIL'} - {passed} passed, {len(failed)} failed{names}")
-    return 0 if all_ok else 1
+    print(run_summary(records))
+    return 0 if all(record.all_passed() for record in records) else 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .mc import (
     mc_expected_sup_path,
     mc_expected_sup_vector,
     mc_sup_prob,
+    mc_sup_probs,
     mc_vector_sup_prob,
     sample_path,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "mc_expected_sup_path",
     "mc_expected_sup_vector",
     "mc_sup_prob",
+    "mc_sup_probs",
     "mc_vector_sup_prob",
     "sample_path",
     "__version__",

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 when every assertion row passes, 1 when any assertion fails,
-2 for usage or config errors and out-of-domain inputs.  The seed resolves
-as CLI flag > SUPDEV_SEED environment variable > config file > 0 and is
-echoed in every output row.
+A verify run ends with the line ``overall: PASS|FAIL - P passed, F failed:
+kind/row, ...``.  Exit codes: 0 when every assertion row passes, 1 when any
+assertion fails, 2 for usage or config errors and out-of-domain inputs.
+The seed resolves as CLI flag > SUPDEV_SEED environment variable > config
+file > 0 and is echoed in every output row.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .harness import (
     emit,
     load_config,
     run_experiment,
+    run_summary,
 )
 
 
@@ -137,6 +139,7 @@ def main(argv=None) -> int:
         record = run_experiment(cfg, seed=args.seed)
         _print_record(record)
         _write_outputs(record, cfg, args)
+        print(run_summary([record]))
         return 0 if record.all_passed() else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

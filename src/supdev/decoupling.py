@@ -250,7 +250,8 @@ def verify_decoupling_mc(
     rhs = mult * float(np.prod([m ** (1.0 / p) for m in masses]))
 
     in_box = partial(_in_box, los=[b[0] for b in boxes], his=[b[1] for b in boxes])
-    lhs = _prob_estimate(_map_projected(cov.factor().T, seed, reps, workers, in_box), reps, seed)
+    [flags] = _map_projected([(cov.factor().T, in_box)], seed, reps, workers)
+    lhs = _prob_estimate(flags, reps, seed)
     if check and lhs.estimate > rhs + 3.0 * lhs.half_width:
         raise CheckError(
             f"decoupling inequality violated: lhs {lhs.estimate:.6g} > rhs {rhs:.6g} "
@@ -322,7 +323,8 @@ def verify_gebelein_nelson(
         return f(z[:, 0]) * f(rho * z[:, 0] + root * z[:, 1])
 
     # Draws are never 0, so the identity projection returns them bit for bit.
-    lhs = _mean_estimate(_map_projected(np.eye(2), seed, reps, workers, product), reps, seed)
+    [products] = _map_projected([(np.eye(2), product)], seed, reps, workers)
+    lhs = _mean_estimate(products, reps, seed)
     for name, rhs in (("gebelein", gebelein_rhs), ("nelson", nelson_rhs)):
         if check and abs(lhs.estimate) > rhs + 3.0 * lhs.half_width:
             raise CheckError(

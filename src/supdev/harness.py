@@ -47,7 +47,7 @@ from .kronecker import (
     solution_count,
     xi,
 )
-from .mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_vector_sup_prob
+from .mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_sup_probs, mc_vector_sup_prob
 from .quadrature import autocovariance
 from .spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, SpectralDensity, power_sum
 
@@ -68,6 +68,7 @@ __all__ = [
     "records_to_json",
     "records_to_plotdata",
     "run_experiment",
+    "run_summary",
     "SEED_ENV_VAR",
 ]
 
@@ -359,8 +360,8 @@ def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
     tb = transfer_bound(spec, ts, p["U"], theta, h, C=p["C"])
     n_nodes = int(math.ceil((p["U"] - 1.0) * p["grid_per_unit"])) + 1
     grid = GridSpec.uniform(1.0, p["U"], n_nodes)
-    est_x = mc_sup_prob(spec, grid, theta - h, reps, seed, workers=workers)
-    est_perp = mc_sup_prob(perp, grid, theta, reps, seed, workers=workers)
+    # X and its companion X-perp are built from the same (g_k, g'_k): one draw table
+    est_x, est_perp = mc_sup_probs([spec, perp], grid, [theta - h, theta], reps, seed, workers=workers)
     return tb, est_x, est_perp, theta, h
 
 
@@ -772,6 +773,20 @@ def records_to_plotdata(records) -> str:
             lines.append(",".join(_fmt(v) for v in (x, row.mc, row.mc_lo, row.mc_hi, row.bound)))
             idx += 1
     return "\n".join(lines) + "\n"
+
+
+def run_summary(records) -> str:
+    """The closing line of a run, ``overall: PASS|FAIL - P passed, F failed:
+    kind/row, ...``; rows without a verdict count in neither total."""
+    passed, failed = 0, []
+    for record in records:
+        for row in record.checks:
+            if row.passed:
+                passed += 1
+            elif row.passed is not None:
+                failed.append(f"{record.experiment}/{row.name}")
+    names = ": " + ", ".join(failed) if failed else ""
+    return f"overall: {'FAIL' if failed else 'PASS'} - {passed} passed, {len(failed)} failed{names}"
 
 
 def emit(records, fmt: str, path: str) -> str:

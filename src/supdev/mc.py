@@ -18,15 +18,24 @@ Every estimator runs through one per-replication map, ``_map_projected``: a
 chunk's draws are projected through one matrix (the design matrix for a
 path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
 identity for the Gebelein pair), and a statistic turns the projected block
-into one value per replication (a maximum, a flag, a product).  Estimates
+into one value per replication (a maximum, a flag, a product).  Several
+matrices of one shape can share a chunk's draws, one GEMM each (a single
+GEMM against the concatenated matrices would round differently):
+``mc_sup_probs`` estimates a process and its rational-frequency companion
+on one draw table, and ``mc_sup_prob`` is its one-spec case.  Estimates
 count flags, or add chunk sums in chunk order; both reducers reject
 reps < 1, and ``normal_draws`` rejects seeds outside [0, 2^64).
+
+Design matrices are filled on the worker pool too, in blocks of whole
+terms of a fixed number of values; each element is computed on its own, so
+the matrix bytes depend on neither the blocks nor the worker count.
 
 Thread pools are kept per worker count and reused across calls, and this
 module is the only one that builds them.  ``ordered_map`` runs a function
 over a list of tasks on the cached pool and returns the results in task
-order; ``_map_projected`` uses it for chunks of replications, and the
-exponential-sum scans in ``kronecker`` use it for their pieces.  Callers
+order; ``_map_projected`` uses it for chunks of replications,
+``_design_matrix`` for blocks of terms, and the exponential-sum scans in
+``kronecker`` for their pieces.  Callers
 cut their tasks without regard to the worker count and merge results in
 task order, which keeps every result bit-identical for any worker count.
 """
@@ -57,6 +66,7 @@ __all__ = [
     "mc_expected_sup_path",
     "mc_expected_sup_vector",
     "mc_sup_prob",
+    "mc_sup_probs",
     "mc_vector_sup_prob",
     "normal_draws",
     "ordered_map",
@@ -67,6 +77,7 @@ __all__ = [
 
 Z95 = 1.959963984540054  # ndtri(0.975)
 CHUNK_REPS = 8192  # fixed chunk size: chunk boundaries never depend on workers
+_DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, never the worker count
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
 _SUBSTREAM_RULE = "philox4x64(key=seed) raw draws [rep*pad, rep*pad + d), pad = 4*ceil(d/4)"
 
@@ -263,15 +274,47 @@ class GridSpec:
         return self.start + self.step * np.arange(self.count)
 
 
-def _design_matrix(spec: PolynomialSpec, nodes: np.ndarray) -> np.ndarray:
+def _design_matrix(
+    spec: PolynomialSpec, nodes: np.ndarray, workers: int = 1, minus: Optional[PolynomialSpec] = None
+) -> np.ndarray:
     """(2m, nodes) matrix with rows 2k, 2k+1 = a_k cos(w_k u), a_k sin(w_k u).
 
     The row order matches the draw order of ``normal_draws(seed, s, n, 2m)``,
-    so ``draws @ matrix`` gives the paths in one GEMM.
+    so ``draws @ matrix`` gives the paths in one GEMM.  With ``minus`` (a
+    spec with the same term count) the matrix is the difference D_spec -
+    D_minus, subtracted block by block.
+
+    The matrix is filled as one (m, 2, nodes) array in blocks of whole terms
+    of about _DESIGN_BLOCK values, on the worker pool; each block writes its
+    cosines and sines straight into its interleaved rows and scales them by
+    a_k in place.  Every element is the same expression as a_k * cos(w_k u)
+    evaluated on its own, so the bytes depend on neither the block size nor
+    the worker count.
     """
-    a = spec.coeff_values()[:, None]
-    phase = np.outer(spec.angular_freqs(), nodes)
-    return np.stack([a * np.cos(phase), a * np.sin(phase)], axis=1).reshape(-1, nodes.size)
+    m = spec.n_terms
+    out = np.empty((m, 2, nodes.size))
+    rows = max(1, _DESIGN_BLOCK // (2 * max(nodes.size, 1)))
+    a, w = spec.coeff_values(), spec.angular_freqs()
+    if minus is not None:
+        a_minus, w_minus = minus.coeff_values(), minus.angular_freqs()
+
+    def terms(a, w, sl, dst):
+        """dst[k] = (a_k cos(w_k u), a_k sin(w_k u)) for the terms in sl."""
+        phase = np.multiply.outer(w[sl], nodes)
+        np.cos(phase, out=dst[:, 0])
+        np.sin(phase, out=dst[:, 1])
+        dst *= a[sl, None, None]
+
+    def fill(start):
+        sl = slice(start, min(start + rows, m))
+        terms(a, w, sl, out[sl])
+        if minus is not None:
+            other = np.empty_like(out[sl])
+            terms(a_minus, w_minus, sl, other)
+            out[sl] -= other
+
+    ordered_map(fill, range(0, m, rows), workers)
+    return out.reshape(2 * m, nodes.size)
 
 
 def _chunk_bounds(reps: int, nodes: int) -> list:
@@ -301,17 +344,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _map_projected(matrix: np.ndarray, seed: int, reps: int, workers: int, stat: Callable) -> list:
-    """``stat(draws @ matrix)`` for every chunk of replications, in chunk
-    order.  ``stat`` maps a chunk's (rows, outputs) block to one value per
-    replication; it owns its argument and may overwrite it."""
-    width, outputs = matrix.shape
+def _map_projected(projections: Sequence, seed: int, reps: int, workers: int) -> list:
+    """For each ``(matrix, stat)`` pair, ``stat(draws @ matrix)`` for every
+    chunk of replications, in chunk order: one list per pair.
+
+    Each chunk's draws are generated once and projected through every
+    matrix in turn, one GEMM per matrix, so coupled estimates read the same
+    draws; the matrices must share their shape.  ``stat`` maps a chunk's
+    (rows, outputs) block to one value per replication; it owns its
+    argument and may overwrite it.
+    """
+    width, outputs = projections[0][0].shape
+    if any(matrix.shape != (width, outputs) for matrix, _ in projections):
+        raise DomainError("projected matrices must share their shape")
 
     def run(chunk):
         s, e = chunk
-        return stat(normal_draws(seed, s, e - s, width) @ matrix)
+        draws = normal_draws(seed, s, e - s, width)
+        return [stat(draws @ matrix) for matrix, stat in projections]
 
-    return ordered_map(run, _chunk_bounds(reps, outputs), workers)
+    chunks = ordered_map(run, _chunk_bounds(reps, outputs), workers)
+    return [[parts[i] for parts in chunks] for i in range(len(projections))]
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -381,6 +434,36 @@ def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
     )
 
 
+def mc_sup_probs(
+    specs: Sequence[PolynomialSpec],
+    grid: GridSpec,
+    thetas: Sequence[float],
+    reps: int,
+    seed: int,
+    workers: int = 1,
+) -> list:
+    """P{max over grid nodes <= theta} for each (spec, theta) pair, on one
+    draw table.
+
+    The specs must share their term count.  Each chunk's draws are made once
+    and projected through every spec's design matrix, so X and a companion
+    built from the same (g_k, g'_k) are estimated on the same paths, and each
+    estimate equals the one ``mc_sup_prob`` gives for its spec alone.
+    """
+    if not specs or len(specs) != len(thetas):
+        raise DomainError(f"need one threshold per spec, got {len(specs)} specs and {len(thetas)} thresholds")
+    if len({spec.n_terms for spec in specs}) > 1:
+        raise DomainError("specs on one draw table must share their term count")
+    nodes = grid.nodes()
+    projections = [(_design_matrix(spec, nodes, workers), _at_most(theta)) for spec, theta in zip(specs, thetas)]
+    return [_prob_estimate(flags, reps, seed) for flags in _map_projected(projections, seed, reps, workers)]
+
+
+def _at_most(theta: float) -> Callable:
+    """Statistic flagging the replications whose grid maximum is <= theta."""
+    return lambda x: _row_max(x) <= theta
+
+
 def mc_sup_prob(
     spec: PolynomialSpec,
     grid: GridSpec,
@@ -390,9 +473,7 @@ def mc_sup_prob(
     workers: int = 1,
 ) -> McEstimate:
     """P{max over grid nodes <= theta} with a Wilson interval."""
-    matrix = _design_matrix(spec, grid.nodes())
-    flags = _map_projected(matrix, seed, reps, workers, lambda x: _row_max(x) <= theta)
-    return _prob_estimate(flags, reps, seed)
+    return mc_sup_probs([spec], grid, [theta], reps, seed, workers)[0]
 
 
 def mc_vector_sup_prob(
@@ -405,7 +486,7 @@ def mc_vector_sup_prob(
 ) -> McEstimate:
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
     sup = _abs_row_max if absolute else _row_max
-    flags = _map_projected(cov.factor().T, seed, reps, workers, lambda x: sup(x) <= theta)
+    [flags] = _map_projected([(cov.factor().T, lambda x: sup(x) <= theta)], seed, reps, workers)
     return _prob_estimate(flags, reps, seed)
 
 
@@ -418,8 +499,8 @@ def mc_expected_sup_path(
     absolute: bool = False,
 ) -> McEstimate:
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
-    matrix = _design_matrix(spec, grid.nodes())
-    sups = _map_projected(matrix, seed, reps, workers, _abs_row_max if absolute else _row_max)
+    matrix = _design_matrix(spec, grid.nodes(), workers)
+    [sups] = _map_projected([(matrix, _abs_row_max if absolute else _row_max)], seed, reps, workers)
     return _mean_estimate(sups, reps, seed)
 
 
@@ -434,14 +515,13 @@ def sup_diff_samples(
     """Per-replication sup |X_a - X_b| over the grid, coupled through the seed.
 
     Both specs must share the index range; the coupled difference is
-    evaluated through the differenced design matrices so identical specs
-    give exact zeros.
+    evaluated through the differenced design matrix D_a - D_b, formed block
+    by block while it is filled, so identical specs give exact zeros.
     """
     if (spec_a.y, spec_a.x) != (spec_b.y, spec_b.x):
         raise DomainError("coupled specs must share the index range [y, x]")
-    nodes = grid.nodes()
-    dmat = _design_matrix(spec_a, nodes) - _design_matrix(spec_b, nodes)
-    parts = _map_projected(dmat, seed, reps, workers, _abs_row_max)
+    dmat = _design_matrix(spec_a, grid.nodes(), workers, minus=spec_b)
+    [parts] = _map_projected([(dmat, _abs_row_max)], seed, reps, workers)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -465,5 +545,5 @@ def mc_expected_sup_vector(
     absolute: bool = False,
 ) -> McEstimate:
     """Mean of max_i X_i (or max |X_i|) for the Gaussian vector X = F z."""
-    sups = _map_projected(cov.factor().T, seed, reps, workers, _abs_row_max if absolute else _row_max)
+    [sups] = _map_projected([(cov.factor().T, _abs_row_max if absolute else _row_max)], seed, reps, workers)
     return _mean_estimate(sups, reps, seed)

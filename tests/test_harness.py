@@ -362,6 +362,19 @@ class TestCli:
         assert code == 1
         assert "variance_floor" in out and "FAIL" in out
 
+    def test_verify_ends_with_run_summary(self, capsys):
+        code = cli_main(["verify", "lattice-correlation"])
+        lines = capsys.readouterr().out.splitlines()
+        passed = sum(line.endswith(" PASS") for line in lines)
+        assert code == 1 and passed > 0
+        assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"
+
+    def test_passing_run_summary(self, capsys):
+        assert cli_main(["verify", "limsup"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        passed = sum(line.endswith(" PASS") for line in lines)
+        assert passed > 0 and lines[-1] == f"overall: PASS - {passed} passed, 0 failed"
+
     def test_outputs_written(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         code = cli_main(["verify", "limsup", "--csv", str(csv_path)])

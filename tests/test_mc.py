@@ -24,12 +24,15 @@ from supdev.mc import (
     mc_expected_sup_path,
     mc_expected_sup_vector,
     mc_sup_prob,
+    mc_sup_probs,
     mc_vector_sup_prob,
     normal_draws,
     sample_path,
     sup_diff_samples,
     wilson_half_width,
+    _DESIGN_BLOCK,
     _chunk_bounds,
+    _design_matrix,
     _executor,
     _row_max,
 )
@@ -204,6 +207,124 @@ class TestSamplePath:
         a = spec.coeff_values()[:, None]
         ref = np.hstack([g[:, 0::2], g[:, 1::2]]) @ np.vstack([a * np.cos(phase), a * np.sin(phase)])
         assert np.max(np.abs(paths - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def stacked_design(spec, nodes):
+    """The design matrix as one ``np.stack`` of two full-size temporaries."""
+    a = spec.coeff_values()[:, None]
+    phase = np.outer(spec.angular_freqs(), nodes)
+    return np.stack([a * np.cos(phase), a * np.sin(phase)], axis=1).reshape(-1, nodes.size)
+
+
+def integer_spec(x, y=1):
+    return PolynomialSpec(
+        coeffs=CoefficientSeq(kind="inv_sqrt"),
+        freqs=FrequencySeq(kind="integer", rule=lambda k: k),
+        y=y,
+        x=x,
+        convention="2pi",
+    )
+
+
+# (terms, nodes): one node, one term, no term, and term counts on either
+# side of a fill-block boundary (2^14 values hold 128 terms of 64 nodes, one
+# term of 8192 nodes, two of 4096)
+DESIGN_SIZES = [(5, 1), (1, 700), (0, 300), (127, 64), (128, 64), (129, 64), (257, 64), (3, 8192), (3, 9000), (3, 4096)]
+
+
+class TestPooledDesign:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("terms,n_nodes", DESIGN_SIZES)
+    def test_matches_stacked_expression(self, terms, n_nodes, workers):
+        nodes = np.linspace(0.0, 9.0, n_nodes)
+        for spec in (unit_spec(terms, coeffs="inv_sqrt"), integer_spec(terms)):
+            got = _design_matrix(spec, nodes, workers)
+            want = stacked_design(spec, nodes)
+            assert got.shape == want.shape == (2 * terms, n_nodes)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("terms,n_nodes", DESIGN_SIZES)
+    def test_difference_matches_full_size_subtraction(self, terms, n_nodes, workers):
+        nodes = np.linspace(1.0, 12.0, n_nodes)
+        spec, other = unit_spec(terms, coeffs="inv_sqrt"), unit_spec(terms, freq_rule=lambda k: 0.71 * k)
+        got = _design_matrix(spec, nodes, workers, minus=other)
+        assert got.tobytes() == (stacked_design(spec, nodes) - stacked_design(other, nodes)).tobytes()
+
+    def test_many_workers_fill_disjoint_blocks(self):
+        # more workers than cores and a short switch interval: every block
+        # of a 20-block fill lands in its own rows, for the plain and the
+        # differenced matrix alike
+        nodes = np.linspace(0.0, 5.0, 4096)
+        spec, other = unit_spec(40, coeffs="inv_sqrt"), unit_spec(40, freq_rule=lambda k: 0.71 * k)
+        want = stacked_design(spec, nodes)
+        want_diff = want - stacked_design(other, nodes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert _design_matrix(spec, nodes, 8).tobytes() == want.tobytes()
+                assert _design_matrix(spec, nodes, 8, minus=other).tobytes() == want_diff.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sizes_cross_block_boundaries(self):
+        # the sizes above assume 128 terms of 64 nodes per block, 2 of 4096 and 1 of 8192
+        assert _DESIGN_BLOCK // (2 * 64) == 128
+        assert _DESIGN_BLOCK // (2 * 4096) == 2
+        assert _DESIGN_BLOCK // (2 * 8192) == 1
+
+
+class TestSharedDraws:
+    """Several specs projected from one draw table."""
+
+    SPEC = unit_spec(48, coeffs="inv_sqrt")
+    GRID = GridSpec.uniform(1.0, 12.0, 705)  # 2000 reps span 6 chunks
+
+    def companion(self):
+        from supdev.cyclic import TestSequence, perp_process
+
+        return perp_process(self.SPEC, TestSequence(kind="pow2"))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_separate_calls(self, workers):
+        specs = [self.SPEC, self.companion(), unit_spec(48, freq_rule=lambda k: 0.31 * k)]
+        thetas = [4.5, 5.5, 6.0]
+        together = mc_sup_probs(specs, self.GRID, thetas, 2000, seed=21, workers=workers)
+        assert len(_chunk_bounds(2000, self.GRID.n)) >= 4
+        for spec, theta, est in zip(specs, thetas, together):
+            alone = mc_sup_prob(spec, self.GRID, theta, 2000, seed=21, workers=1)
+            assert (repr(est.estimate), repr(est.half_width)) == (repr(alone.estimate), repr(alone.half_width))
+            assert est == alone
+
+    def test_rejects_mismatched_inputs(self):
+        with pytest.raises(DomainError, match="term count"):
+            mc_sup_probs([self.SPEC, unit_spec(47)], self.GRID, [1.0, 1.0], 100, seed=1)
+        with pytest.raises(DomainError, match="threshold"):
+            mc_sup_probs([self.SPEC], self.GRID, [1.0, 2.0], 100, seed=1)
+        with pytest.raises(DomainError, match="threshold"):
+            mc_sup_probs([], self.GRID, [], 100, seed=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transfer_pair_draws_once_per_chunk(self, monkeypatch, workers):
+        from supdev import harness, mc
+
+        cfg = harness.default_config("cyclic-transfer")
+        p = cfg.params
+        n_nodes = int(math.ceil((p["U"] - 1.0) * p["grid_per_unit"])) + 1
+        chunks = _chunk_bounds(2000, n_nodes)
+        assert len(chunks) >= 4
+        calls = []
+        lock = threading.Lock()
+
+        def counting(seed, rep_start, n_reps, draws_per_rep):
+            with lock:
+                calls.append((rep_start, rep_start + n_reps))
+            return normal_draws(seed, rep_start, n_reps, draws_per_rep)
+
+        monkeypatch.setattr(mc, "normal_draws", counting)
+        harness._transfer_pieces(p, 2000, 5, workers)
+        assert sorted(calls) == chunks
 
 
 class TestWideGrid:
