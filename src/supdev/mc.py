@@ -462,7 +462,7 @@ def mc_sup_probs(
     estimate equals the one ``mc_sup_prob`` gives for its spec alone.
     """
     if not specs or len(specs) != len(thetas):
-        raise DomainError(f"need one threshold per spec, got {len(specs)} specs and {len(thetas)} thresholds")
+        raise DomainError(f"need specs and one threshold per spec, got {len(specs)} specs, {len(thetas)} thresholds")
     if len({spec.n_terms for spec in specs}) > 1:
         raise DomainError("specs on one draw table must share their term count")
     nodes = grid.nodes()

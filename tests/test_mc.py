@@ -295,7 +295,6 @@ class TestSharedDraws:
         for spec, theta, est in zip(specs, thetas, together):
             alone = mc_sup_prob(spec, self.GRID, theta, 2000, seed=21, workers=1)
             assert (repr(est.estimate), repr(est.half_width)) == (repr(alone.estimate), repr(alone.half_width))
-            assert est == alone
 
     def test_rejects_mismatched_inputs(self):
         with pytest.raises(DomainError, match="term count"):
