@@ -6,7 +6,8 @@ reports, per configuration and overall, the largest constant C for which
 the coupled comparison still passes (the admissible set is an interval
 (0, C_max]).  For the lattice search it reports the largest C keeping both
 count lower bounds below the observed count.  Constants are printed only;
-defaults in the package never change.
+defaults in the package never change.  An invalid seed or replication
+count ends in one "config error" line and exit code 2.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from supdev.errors import ConfigError
 from supdev.harness import calibrate, default_config
 
 
@@ -26,16 +28,24 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=1500)
     args = parser.parse_args()
 
+    try:
+        transfer = []
+        for U, x in ((4.0, 200), (16.0, 100), (64.0, 50)):
+            cfg = default_config("cyclic-transfer", seed=args.seed)
+            transfer.append((U, x, replace(cfg, params=dict(cfg.params, U=U, x=x), reps=args.reps)))
+        lattice = default_config("kronecker-search", seed=args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
     overall = math.inf
-    for U, x in ((4.0, 200), (16.0, 100), (64.0, 50)):
-        cfg = default_config("cyclic-transfer", seed=args.seed)
-        params = dict(cfg.params, U=U, x=x)
-        out = calibrate(replace(cfg, params=params, reps=args.reps))
+    for U, x, cfg in transfer:
+        out = calibrate(cfg)
         overall = min(overall, out["c_max"])
         print(f"transfer U={U:<5} x={x:<4} largest admissible C = {out['c_max']:.4g}")
     print(f"transfer overall: every C in (0, {overall:.4g}] passes; C = 1 is comfortably inside")
 
-    out = calibrate(default_config("kronecker-search", seed=args.seed))
+    out = calibrate(lattice)
     print(f"lattice-count: largest C keeping lower bounds below count = {out['c_max']:.4g} "
           f"(count = {out['count']})")
     print("note: reported only, never persisted as defaults")

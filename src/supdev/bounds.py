@@ -1,11 +1,10 @@
 """Closed-form deviation bounds for Gaussian vectors and trigonometric sums.
 
 Every operation returns a BoundReport carrying the bound value, the
-threshold it applies to (when the statement fixes one), the named
-intermediate quantities, and the free constants actually used.  Absolute
-constants that the statements only assert to exist (C, C_eta, C'_eta, K)
-are explicit parameters defaulting to 1 and are always echoed; dominance
-experiments check decay shape, not sharp constants.
+threshold it applies to (when the statement fixes one) and the named
+intermediate quantities.  Absolute constants that the statements only
+assert to exist (C, C_eta, C'_eta, K) are explicit parameters defaulting
+to 1; dominance experiments check decay shape, not sharp constants.
 
 The normal CDF goes through the complementary error function
 (scipy.special.ndtr), accurate to ~1e-15 relative, because several bounds
@@ -57,13 +56,14 @@ class BoundReport:
     value: float
     threshold: Optional[float] = None
     intermediates: dict = field(default_factory=dict)
-    free_constants: dict = field(default_factory=dict)
-    vacuous: bool = False
 
     def __post_init__(self):
         if not self.value >= 0.0:
             raise DomainError(f"bound value {self.value} is not nonnegative")
-        self.vacuous = bool(self.value > 1.0)
+
+    @property
+    def vacuous(self) -> bool:
+        return bool(self.value > 1.0)
 
 
 def bound_equicorrelated(n: int, lam: float, theta: float) -> BoundReport:
@@ -111,7 +111,6 @@ def bound_gumbel(n: int, lam: float, x_arg: float, eps: float) -> BoundReport:
         value=value,
         threshold=threshold,
         intermediates={"b_n": b_n, "multiplier": multiplier},
-        free_constants={"eps": eps},
     )
 
 
@@ -265,7 +264,6 @@ def bound_moderate_trig(
         value=math.exp(-exponent),
         threshold=threshold,
         intermediates=inter,
-        free_constants={"C": C},
     )
 
 
@@ -290,5 +288,4 @@ def bound_loglog(x: float, eta: float, B: float, C: float = 1.0) -> BoundReport:
         value=math.exp(-exponent),
         threshold=threshold,
         intermediates={"loglog_x": llx, "logloglog_x": lllx, "exponent": exponent},
-        free_constants={"C": C, "B": B},
     )

@@ -117,33 +117,41 @@ class KappaBlocks(NamedTuple):
     degenerate: int  # repeated-N blocks [N, N) counted through vacuous containment
 
 
+def _walk(ts: TestSequence, hi: float) -> list:
+    """N_1, N_2, ... up to the first N_k > hi, or to the end of an explicit
+    sequence; every block index kappa with N_{kappa-1} <= hi is a pair of
+    neighbours in this list."""
+    if not math.isfinite(hi):
+        raise DomainError(f"interval end {hi} is not finite")
+    cap = ts.max_index()
+    walk = [ts.value(1)]
+    while walk[-1] <= hi and (cap is None or len(walk) < cap):
+        walk.append(ts.value(len(walk) + 1))
+    return walk
+
+
+def _blocks(walk: list, lo: float, hi: float) -> KappaBlocks:
+    count = degenerate = 0
+    for prev, cur in zip(walk, walk[1:]):
+        if cur == prev:
+            count += 1
+            degenerate += 1
+        elif prev >= lo and cur <= hi:
+            count += 1
+    return KappaBlocks(count, degenerate)
+
+
 def kappa_blocks(ts: TestSequence, lo: float, hi: float) -> KappaBlocks:
     """Count block indices kappa >= 2 with [N_{kappa-1}, N_kappa) inside [lo, hi].
 
     Degenerate blocks N_{kappa-1} = N_kappa are empty half-open intervals
     and count as contained wherever they occur in the scanned range (the
     scan walks kappa while N_{kappa-1} <= hi); the degenerate tally is
-    reported so repeated-N sequences are visible.
+    reported so repeated-N sequences are visible.  A non-finite hi raises.
     """
     if hi < lo:
         raise DomainError(f"interval [{lo}, {hi}] reversed")
-    count = 0
-    degenerate = 0
-    cap = ts.max_index()
-    kappa = 2
-    prev = ts.value(1)
-    while prev <= hi:
-        if cap is not None and kappa > cap:
-            break
-        cur = ts.value(kappa)
-        if cur == prev:
-            count += 1
-            degenerate += 1
-        elif prev >= lo and cur <= hi:
-            count += 1
-        prev = cur
-        kappa += 1
-    return KappaBlocks(count, degenerate)
+    return _blocks(_walk(ts, hi), lo, hi)
 
 
 def kappa_count(ts: TestSequence, lo: float, hi: float) -> int:
@@ -194,7 +202,9 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
           N_kappa sqrt(sum_{k>=kappa} 1/N_k^2) sqrt(sum_{k>=kappa} a_k^2).
     Branch U <= y:
         U sqrt(sum 1/N_k^2) sqrt(sum a_k^2).
-    Empty sums and sups contribute 0.
+    Empty sums and sups contribute 0.  N_1, N_2, ... are read once, up to
+    the first N_k > U, for kappa([1, U]), kappa([y, U]), kappa* and the
+    sup; a non-finite U raises.
     """
     if U < 1.0:
         raise DomainError(f"U={U} must be at least 1")
@@ -204,8 +214,9 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
     inv2 = float(np.sum(inv_sq)) if inv_sq.size else 0.0
     a2 = float(np.sum(a**2)) if a.size else 0.0
     base = math.sqrt(inv2) * math.sqrt(a2)
-    blocks_1U = kappa_blocks(ts, 1.0, U)
-    blocks_yU = kappa_blocks(ts, float(y), U) if y <= U else KappaBlocks(0, 0)
+    walk = _walk(ts, U)
+    blocks_1U = _blocks(walk, 1.0, U)
+    blocks_yU = _blocks(walk, float(y), U) if y <= U else KappaBlocks(0, 0)
 
     if U <= y:
         delta = U * base
@@ -220,17 +231,8 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
 
     first = y * base
 
-    # largest kappa with N_kappa <= U; bounded scan because N_kappa >= kappa
-    kappa_star = 0
-    cap = ts.max_index()
-    k = 1
-    while True:
-        if cap is not None and k > cap:
-            break
-        if ts.value(k) > U:
-            break
-        kappa_star = k
-        k += 1
+    # largest kappa with N_kappa <= U: the walk ends at the first N_k > U
+    kappa_star = len(walk) - (walk[-1] > U)
     if kappa_star >= 2 and kappa_star > y:
         hi = min(kappa_star - 1, x)
         second = float(np.sum(np.abs(a[: hi - y + 1]))) if hi >= y else 0.0
@@ -240,12 +242,9 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
     third = 0.0
     tail_inv2 = np.concatenate([np.cumsum(inv_sq[::-1])[::-1], [0.0]]) if inv_sq.size else np.zeros(1)
     tail_a2 = np.concatenate([np.cumsum((a**2)[::-1])[::-1], [0.0]]) if a.size else np.zeros(1)
-    for kappa in range(1, kappa_star + 1):
-        n_kappa = ts.value(kappa)
-        if not y <= n_kappa <= U:
-            continue
-        if kappa > x:
-            continue  # empty tail sums contribute 0 to the sup
+    for kappa, n_kappa in enumerate(walk[:kappa_star], start=1):
+        if n_kappa < y or kappa > x:
+            continue  # outside [y, U], or empty tail sums that contribute 0 to the sup
         idx = max(kappa, y) - y
         third = max(third, n_kappa * math.sqrt(tail_inv2[idx]) * math.sqrt(tail_a2[idx]))
 

@@ -156,6 +156,8 @@ def _validate_params(kind: str, raw: dict) -> dict:
                 params[name] = _TYPES[tname](raw[name]) if isinstance(raw[name], str) else raw[name]
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"param {name!r} of kind {kind!r} must parse as {tname}: {exc}") from exc
+            if tname in ("float", "list_float") and not np.all(np.isfinite(params[name])):
+                raise ConfigError(f"param {name!r} of kind {kind!r} must be finite, got {raw[name]!r}")
         elif required:
             raise ConfigError(f"kind {kind!r} requires param {name!r}")
         else:

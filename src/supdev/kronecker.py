@@ -77,6 +77,8 @@ class LatticeProblem:
         if self.h <= 0.0:
             raise DomainError(f"h={self.h} must be positive")
         lo, hi = self.interval
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"interval [{lo}, {hi}] must be finite")
         if hi - lo <= self.h:
             raise DomainError(f"interval length {hi - lo} must exceed h={self.h}")
         if not 0.0 < self.c_o < 0.25:
@@ -419,6 +421,8 @@ def limsup_exponential_sum(
     lam = np.asarray(lambdas, dtype=float)
     if a.size != lam.size:
         raise DomainError(f"{a.size} amplitudes for {lam.size} frequencies")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(lam))):
+        raise DomainError("amplitudes and frequencies must be finite")
     if np.any(a < 0.0):
         raise DomainError("amplitudes must be nonnegative")
     if M < 1 or step < 1:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -79,7 +79,6 @@ Z95 = 1.959963984540054  # ndtri(0.975)
 CHUNK_REPS = 8192  # fixed chunk size: chunk boundaries never depend on workers
 _DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, never the worker count
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
-_SUBSTREAM_RULE = "philox4x64(key=seed) raw draws [rep*pad, rep*pad + d), pad = 4*ceil(d/4)"
 
 
 def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> np.ndarray:
@@ -113,14 +112,13 @@ def wilson_half_width(successes: int, reps: int, z: float = Z95) -> float:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Point estimate with replication count, 95% half-width and provenance."""
+    """Point estimate with replication count, 95% half-width and seed."""
 
     estimate: float
     reps: int
     half_width: float
     seed: int
     kind: str  # "probability" (Wilson interval) | "mean" (CLT interval)
-    substream: str = _SUBSTREAM_RULE
 
     def __post_init__(self):
         if self.half_width < 0.0:
@@ -129,21 +127,20 @@ class McEstimate:
             raise DomainError(f"probability estimate {self.estimate} outside [0, 1]")
 
 
-@dataclass
 class CovarianceSpec:
-    """Covariance for a finite Gaussian vector, explicit or structured.
+    """Covariance matrix of a finite Gaussian vector.
 
-    Structured generators: equicorrelated(n, lam), block(N, k, u, lam)
-    (N diagonal k x k blocks with off-diagonal u, value lam elsewhere) and
-    stationary(gamma(0..n-1)).  Positive semi-definiteness is verified by
+    Each constructor builds its matrix once: explicit(matrix),
+    block(N, k, u, lam) (N diagonal k x k blocks with off-diagonal u, value
+    lam elsewhere), equicorrelated(n, lam) = block(1, n, lam, lam) and
+    stationary(gamma(0..n-1)) (the Toeplitz matrix).  The Cholesky factor
+    is computed on first use; positive semi-definiteness is verified by that
     factorization with a single jitter retry.
     """
 
-    structure: str
-    n: int
-    params: dict = field(default_factory=dict)
-    _matrix: Optional[np.ndarray] = None
-    _factor: Optional[np.ndarray] = None
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = matrix
+        self._factor: Optional[np.ndarray] = None
 
     @classmethod
     def explicit(cls, matrix) -> "CovarianceSpec":
@@ -152,7 +149,7 @@ class CovarianceSpec:
             raise DomainError("explicit covariance must be a square matrix")
         if not np.allclose(m, m.T, atol=1e-12):
             raise DomainError("explicit covariance must be symmetric")
-        return cls(structure="explicit", n=m.shape[0], params={}, _matrix=m)
+        return cls(m)
 
     @classmethod
     def equicorrelated(cls, n: int, lam: float) -> "CovarianceSpec":
@@ -160,13 +157,18 @@ class CovarianceSpec:
             raise DomainError(f"dimension n={n} < 1")
         if n > 1 and not -1.0 / (n - 1) < lam < 1.0:
             raise DomainError(f"equicorrelated lam={lam} outside (-1/(n-1), 1) for n={n}")
-        return cls(structure="equicorrelated", n=n, params={"lam": float(lam)})
+        return cls.block(1, n, lam, lam)
 
     @classmethod
     def block(cls, N: int, k: int, u: float, lam: float) -> "CovarianceSpec":
         if N < 1 or k < 1:
             raise DomainError(f"block covariance needs N >= 1 and k >= 1, got N={N}, k={k}")
-        return cls(structure="block", n=N * k, params={"N": N, "k": k, "u": float(u), "lam": float(lam)})
+        m = np.full((N * k, N * k), float(lam))
+        for j in range(N):
+            sl = slice(j * k, (j + 1) * k)
+            m[sl, sl] = float(u)
+        np.fill_diagonal(m, 1.0)
+        return cls(m)
 
     @classmethod
     def stationary(cls, gammas: Sequence[float]) -> "CovarianceSpec":
@@ -175,26 +177,13 @@ class CovarianceSpec:
             raise DomainError("stationary covariance needs gamma(0..n-1)")
         if g[0] <= 0.0:
             raise DomainError("stationary covariance needs gamma(0) > 0")
-        return cls(structure="stationary", n=g.size, params={"gammas": tuple(g.tolist())})
+        return cls(toeplitz(g))
+
+    @property
+    def n(self) -> int:
+        return self._matrix.shape[0]
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.structure == "equicorrelated":
-                lam = self.params["lam"]
-                m = np.full((self.n, self.n), lam)
-                np.fill_diagonal(m, 1.0)
-            elif self.structure == "block":
-                N, k, u, lam = (self.params[key] for key in ("N", "k", "u", "lam"))
-                m = np.full((self.n, self.n), lam)
-                for j in range(N):
-                    sl = slice(j * k, (j + 1) * k)
-                    m[sl, sl] = u
-                np.fill_diagonal(m, 1.0)
-            elif self.structure == "stationary":
-                m = toeplitz(np.asarray(self.params["gammas"]))
-            else:
-                raise DomainError(f"unknown covariance structure {self.structure!r}")
-            self._matrix = m
         return self._matrix
 
     def factor(self) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Coefficient and frequency sequences, index ranges, and scalar aggregates.
 
-Everything downstream (bounds, Monte Carlo, rational-frequency
-approximation) consumes the same materialized sequence values, so sequences
-are evaluated through a small cache keyed on the immutable sequence object
-and the requested range.  Empty ranges follow the convention sum() == 0.
+A PolynomialSpec evaluates its coefficients a_y..a_x and frequencies
+L_y..L_x once, when it is built, and everything downstream (bounds, Monte
+Carlo, rational-frequency approximation) reads those read-only arrays.
+Empty ranges follow the convention sum() == 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,12 +42,9 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-@lru_cache(maxsize=4096)
-def _prime_mask(n: int) -> np.ndarray:
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[primes_up_to(n)] = True
-    mask.setflags(write=False)
-    return mask
+def _is_prime(k: int) -> bool:
+    """Trial division by 2..isqrt(k)."""
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class CoefficientSeq:
         elif self.kind == "inv_sqrt":
             v = k**-0.5
         elif self.kind == "prime_inv_sqrt":
-            v = k**-0.5 if bool(_prime_mask(max(k, 2))[k]) else 0.0
+            v = k**-0.5 if _is_prime(k) else 0.0
         else:
             v = float(self.rule(k))
         if self.nonvanishing and v == 0.0:
@@ -101,20 +97,8 @@ class CoefficientSeq:
         return float(v)
 
     def values(self, y: int, x: int) -> np.ndarray:
-        """Materialized a_y..a_x (empty array when x < y)."""
-        return _materialize(self, y, x).copy()
-
-
-@lru_cache(maxsize=8192)
-def _materialize(seq, y: int, x: int) -> np.ndarray:
-    """Read-only ``seq.value(k)`` for k = y..x, shared by coefficient and
-    frequency sequences (empty when x < y)."""
-    if x < y:
-        out = np.empty(0)
-    else:
-        out = np.array([seq.value(k) for k in range(y, x + 1)], dtype=float)
-    out.setflags(write=False)
-    return out
+        """a_y..a_x (empty array when x < y)."""
+        return np.array([self.value(k) for k in range(y, x + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -167,10 +151,11 @@ class FrequencySeq:
         return self.explicit[k - 1]
 
     def values(self, y: int, x: int) -> np.ndarray:
-        out = _materialize(self, y, x)
+        """Frequencies y..x as floats (empty array when x < y)."""
+        out = np.array([self.value(k) for k in range(y, x + 1)], dtype=float)
         if self.kind in ("integer", "real") and out.size > 1 and not np.all(np.diff(out) > 0):
             raise DomainError(f"{self.kind} frequencies must be strictly increasing on [{y}, {x}]")
-        return out.copy()
+        return out
 
 
 @dataclass(frozen=True)
@@ -185,6 +170,8 @@ class PolynomialSpec:
       rational) L_k.
 
     The empty range x = y - 1 is legal and yields the zero process.
+    Coefficients and frequencies on [y, x] are evaluated once, here, and
+    kept as read-only arrays; an explicit sequence shorter than x raises.
     """
 
     coeffs: CoefficientSeq
@@ -192,6 +179,8 @@ class PolynomialSpec:
     y: int
     x: int
     convention: str = "raw"
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
+    _L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.y < 1:
@@ -200,18 +189,20 @@ class PolynomialSpec:
             raise DomainError(f"unknown angular convention {self.convention!r}")
         if self.convention == "2pi" and self.freqs.kind != "integer":
             raise DomainError("the 2pi-scaled convention requires integer frequencies")
-        if self.x >= self.y:
-            self.freqs.values(self.y, self.x)  # validates monotonicity eagerly
+        for name, seq in (("_a", self.coeffs), ("_L", self.freqs)):
+            vals = seq.values(self.y, self.x)
+            vals.setflags(write=False)
+            object.__setattr__(self, name, vals)
 
     @property
     def n_terms(self) -> int:
         return max(0, self.x - self.y + 1)
 
     def coeff_values(self) -> np.ndarray:
-        return self.coeffs.values(self.y, self.x)
+        return self._a
 
     def freq_values(self) -> np.ndarray:
-        return self.freqs.values(self.y, self.x)
+        return self._L
 
     def angular_freqs(self) -> np.ndarray:
         """Frequencies in radians per unit of the evaluation variable."""
@@ -255,15 +246,10 @@ def check_moderate_condition(spec: PolynomialSpec, eta: float) -> ModerateCondit
 
 @dataclass
 class SpectralDensity:
-    """Nonnegative density on [-pi, pi], used only through real evaluations.
-
-    ``log_integrable`` is unknown (None) until a geometric-mean computation
-    records the numerical verdict.
-    """
+    """Nonnegative density on [-pi, pi], used only through real evaluations."""
 
     f: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    log_integrable: Optional[bool] = None
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(np.asarray(t, dtype=float)), dtype=float)
@@ -310,10 +296,8 @@ def spectral_geometric_mean(
         n *= 2
         cur = log_mean(n)
         if cur < diverge_cutoff and prev < diverge_cutoff:
-            density.log_integrable = False
             return GeometricMean(0.0, cur, n, False)
         if abs(cur - prev) < tol:
-            density.log_integrable = True
             return GeometricMean(math.exp(cur), cur, n, True)
         prev = cur
     raise QuadratureError(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supdev.cyclic import (
+    DeltaReport,
+    KappaBlocks,
     TestSequence,
     delta_term,
     kappa_blocks,
@@ -266,3 +269,149 @@ class TestCouplingIdentity:
         sups = sup_diff_samples(spec, perp, GridSpec.uniform(1.0, 4.0, 512), 200, seed=4)
         bound = sup_diff_bound(spec, ts, U=4.0, C=1.0)
         assert sups.mean() <= 8.0 * bound.bound  # loose sanity: same scale
+
+
+def _old_kappa_blocks(ts, lo, hi):
+    """The block count as it walked N_k before delta_term shared one walk."""
+    if hi < lo:
+        raise DomainError(f"interval [{lo}, {hi}] reversed")
+    count = 0
+    degenerate = 0
+    cap = ts.max_index()
+    kappa = 2
+    prev = ts.value(1)
+    while prev <= hi:
+        if cap is not None and kappa > cap:
+            break
+        cur = ts.value(kappa)
+        if cur == prev:
+            count += 1
+            degenerate += 1
+        elif prev >= lo and cur <= hi:
+            count += 1
+        prev = cur
+        kappa += 1
+    return KappaBlocks(count, degenerate)
+
+
+def _old_delta_term(spec, ts, U):
+    """Delta as it was computed with four separate walks of N_k."""
+    if U < 1.0:
+        raise DomainError(f"U={U} must be at least 1")
+    y, x = spec.y, spec.x
+    a = spec.coeff_values()
+    inv_sq = ts.inverse_squares(y, x)
+    inv2 = float(np.sum(inv_sq)) if inv_sq.size else 0.0
+    a2 = float(np.sum(a**2)) if a.size else 0.0
+    base = math.sqrt(inv2) * math.sqrt(a2)
+    blocks_1U = _old_kappa_blocks(ts, 1.0, U)
+    blocks_yU = _old_kappa_blocks(ts, float(y), U) if y <= U else KappaBlocks(0, 0)
+    if U <= y:
+        delta = U * base
+        return DeltaReport(delta, "U<=y", (delta,), blocks_1U.count, blocks_yU.count, blocks_1U.degenerate)
+    first = y * base
+    kappa_star = 0
+    cap = ts.max_index()
+    k = 1
+    while True:
+        if cap is not None and k > cap:
+            break
+        if ts.value(k) > U:
+            break
+        kappa_star = k
+        k += 1
+    if kappa_star >= 2 and kappa_star > y:
+        hi = min(kappa_star - 1, x)
+        second = float(np.sum(np.abs(a[: hi - y + 1]))) if hi >= y else 0.0
+    else:
+        second = 0.0
+    third = 0.0
+    tail_inv2 = np.concatenate([np.cumsum(inv_sq[::-1])[::-1], [0.0]]) if inv_sq.size else np.zeros(1)
+    tail_a2 = np.concatenate([np.cumsum((a**2)[::-1])[::-1], [0.0]]) if a.size else np.zeros(1)
+    for kappa in range(1, kappa_star + 1):
+        n_kappa = ts.value(kappa)
+        if not y <= n_kappa <= U:
+            continue
+        if kappa > x:
+            continue
+        idx = max(kappa, y) - y
+        third = max(third, n_kappa * math.sqrt(tail_inv2[idx]) * math.sqrt(tail_a2[idx]))
+    return DeltaReport(first + second + third, "y<=U", (first, second, third), blocks_1U.count,
+                       blocks_yU.count, blocks_1U.degenerate)
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+# pow2, identity, floor, rule and explicit kinds; repeated N values (floor,
+# the explicit tuple, the "round up to even" rule); explicit tuples shorter
+# than the walk to U; N_1 > U (floor 9, rule 10k, explicit starting at 12)
+WALK_SEQUENCES = [
+    TestSequence(kind="pow2"),
+    TestSequence(kind="identity"),
+    TestSequence(kind="floor", floor_value=4),
+    TestSequence(kind="floor", floor_value=9),
+    TestSequence(kind="rule", rule=lambda k: 3 * k),
+    TestSequence(kind="rule", rule=lambda k: k + k % 2),
+    TestSequence(kind="rule", rule=lambda k: 10 * k),
+    TestSequence(kind="explicit", explicit=(1, 2, 4, 4, 8, 9, 30, 30, 31, 64, 100, 200)),
+    TestSequence(kind="explicit", explicit=(2, 3, 3)),
+    TestSequence(kind="explicit", explicit=(12, 13, 14, 15, 16, 17, 18, 19, 20)),
+]
+
+
+class TestOneWalk:
+    """kappa_blocks and delta_term give what the separate walks gave."""
+
+    @pytest.mark.parametrize("ts", WALK_SEQUENCES, ids=range(len(WALK_SEQUENCES)))
+    def test_kappa_blocks_matches_old_walk(self, ts):
+        for lo, hi in itertools.product((1.0, 2.0, 3.5, 8.0, 16.0), (1.0, 3.0, 4.0, 8.0, 33.3, 100.0, 250.0)):
+            if hi >= lo:
+                assert kappa_blocks(ts, lo, hi) == _old_kappa_blocks(ts, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("ts", WALK_SEQUENCES, ids=range(len(WALK_SEQUENCES)))
+    def test_delta_term_matches_old_walks(self, ts):
+        for (y, x), U in itertools.product(
+            ((1, 1), (1, 3), (1, 9), (2, 6), (3, 12), (5, 9), (12, 16), (20, 24)),
+            (1.0, 2.5, 4.0, 7.9, 16.0, 30.0, 100.0),
+        ):
+            for coeff_kind in ("ones", "inv_sqrt"):
+                spec = real_spec(x, y=y, coeff_kind=coeff_kind)
+                new, old = _outcome(delta_term, spec, ts, U), _outcome(_old_delta_term, spec, ts, U)
+                assert new == old, (y, x, U, coeff_kind)
+
+    def test_cases_cover_every_branch(self):
+        """The grid above reaches both branches, a nonzero head sum and sup,
+        degenerate blocks, and explicit sequences too short for [y, x]."""
+        seen = set()
+        for ts, (y, x), U in itertools.product(WALK_SEQUENCES, ((1, 9), (2, 6), (12, 16)), (4.0, 16.0, 100.0)):
+            rep = _outcome(delta_term, real_spec(x, y=y), ts, U)
+            if rep is DomainError:
+                seen.add("short")
+                continue
+            seen.add(rep.branch)
+            if rep.branch == "y<=U":
+                seen.update(name for name, v in zip(("first", "second", "third"), rep.summands) if v > 0.0)
+            if rep.degenerate_blocks:
+                seen.add("degenerate")
+        assert seen == {"U<=y", "y<=U", "first", "second", "third", "degenerate", "short"}
+
+
+class TestNonFiniteWindow:
+    @pytest.mark.parametrize("U", [math.nan, math.inf])
+    def test_delta_and_transfer_raise(self, U, deadline):
+        for ts in (TestSequence(kind="identity"), TestSequence(kind="pow2")):
+            with pytest.raises(DomainError, match="not finite"):
+                delta_term(real_spec(8), ts, U)
+            with pytest.raises(DomainError, match="not finite"):
+                transfer_bound(real_spec(8), ts, U, theta=2.0, h=1.0)
+
+    @pytest.mark.parametrize("hi", [math.nan, math.inf])
+    def test_kappa_count_raises(self, hi, deadline):
+        with pytest.raises(DomainError, match="not finite"):
+            kappa_count(TestSequence(kind="identity"), 1.0, hi)

@@ -497,3 +497,53 @@ class TestVerificationScript:
         passed = sum(" PASS " in line for line in lines)
         assert passed > 0
         assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"
+
+
+class TestNonFiniteParams:
+    """inf and nan in float and float-list params are config errors with
+    exit 2; the cases cover the cyclic-transfer window U, the lattice scan
+    ends t_hi and scan_hi, and the limsup amplitudes."""
+
+    CASES = [
+        ("cyclic-transfer", "U", "inf"),
+        ("cyclic-transfer", "U", "nan"),
+        ("kronecker-search", "t_hi", "inf"),
+        ("kronecker-search", "t_hi", "nan"),
+        ("lattice-correlation", "scan_hi", "inf"),
+        ("limsup", "alphas", "1 1 nan"),
+    ]
+
+    @staticmethod
+    def ini(kind, key, value):
+        lines = ["[experiment]", f"kind = {kind}", "[params]"]
+        for name, default in default_config(kind).params.items():
+            text = " ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            lines.append(f"{name} = {value if name == key else text}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind, key, value", CASES)
+    def test_parse_rejects(self, kind, key, value):
+        with pytest.raises(ConfigError, match=f"param {key!r} .* must be finite"):
+            parse_config(self.ini(kind, key, value))
+
+    @pytest.mark.parametrize("kind, key, value", CASES)
+    def test_cli_exit_two_one_line(self, kind, key, value, capsys, tmp_path, deadline):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.ini(kind, key, value))
+        assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "must be finite" in err and "Traceback" not in err
+
+
+class TestCalibrateScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_constants.py"
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--reps", "0"]])
+    def test_bad_input_exit_two_without_traceback(self, args):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), *args], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""

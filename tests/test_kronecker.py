@@ -175,6 +175,11 @@ class TestXi:
 
 
 class TestLatticeSearch:
+    @pytest.mark.parametrize("interval", [(1.0, math.inf), (1.0, math.nan), (-math.inf, 10.0)])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(DomainError, match="finite"):
+            lat_problem([math.sqrt(2.0)], [0.25], interval=interval)
+
     def test_homogeneous_targets_hit_zero(self):
         prob = lat_problem([math.sqrt(2.0), math.sqrt(3.0)], [0.0, 0.0], interval=(0.0, 50.0))
         res = lattice_search(prob)
@@ -423,6 +428,11 @@ class TestLimsup:
         run_all, _ = limsup_exponential_sum([1.0], [0.3], 0, 1, 10)
         run_odd, _ = limsup_exponential_sum([1.0], [0.3], 1, 2, 5)
         assert run_odd.size == 5 and run_all.size == 10
+
+    @pytest.mark.parametrize("alphas, lambdas", [([1.0, math.nan], [1.4, 1.7]), ([1.0, 1.0], [1.4, math.inf])])
+    def test_non_finite_inputs_rejected(self, alphas, lambdas):
+        with pytest.raises(DomainError, match="finite"):
+            limsup_exponential_sum(alphas, lambdas, 1, 1, 100)
 
 
 class TestDivergence:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
 
 import supdev
@@ -144,6 +145,74 @@ class TestCovarianceSpec:
         bad = CovarianceSpec.explicit([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(FactorizationError, match="eigenvalue"):
             bad.factor()
+
+
+def _old_matrix(structure, n, params):
+    """The matrix as the structure-string dispatch built it."""
+    if structure == "equicorrelated":
+        m = np.full((n, n), params["lam"])
+        np.fill_diagonal(m, 1.0)
+    elif structure == "block":
+        N, k, u, lam = (params[key] for key in ("N", "k", "u", "lam"))
+        m = np.full((n, n), lam)
+        for j in range(N):
+            sl = slice(j * k, (j + 1) * k)
+            m[sl, sl] = u
+        np.fill_diagonal(m, 1.0)
+    else:
+        m = toeplitz(np.asarray(params["gammas"]))
+    return m
+
+
+def _old_factor(m):
+    """The Cholesky factor with its one jitter retry, as computed before."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * np.trace(m) / m.shape[0]
+        try:
+            return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            return FactorizationError
+
+
+# (constructor, old structure, old n, old params): n = 1, N = 1 and k = 1
+# included, an integer lam, a singular case that takes the jitter retry and
+# a non-PSD one
+OLD_STRUCTURES = [
+    (lambda: CovarianceSpec.equicorrelated(1, 0.3), "equicorrelated", 1, {"lam": 0.3}),
+    (lambda: CovarianceSpec.equicorrelated(5, 0.3), "equicorrelated", 5, {"lam": 0.3}),
+    (lambda: CovarianceSpec.equicorrelated(4, -0.2), "equicorrelated", 4, {"lam": -0.2}),
+    (lambda: CovarianceSpec.equicorrelated(3, 0), "equicorrelated", 3, {"lam": 0.0}),
+    (lambda: CovarianceSpec.equicorrelated(4, 1.0 - 1e-15), "equicorrelated", 4, {"lam": 1.0 - 1e-15}),
+    (lambda: CovarianceSpec.block(1, 4, 0.5, 0.1), "block", 4, {"N": 1, "k": 4, "u": 0.5, "lam": 0.1}),
+    (lambda: CovarianceSpec.block(3, 1, 0.5, 0.1), "block", 3, {"N": 3, "k": 1, "u": 0.5, "lam": 0.1}),
+    (lambda: CovarianceSpec.block(3, 4, 0.5, 0.1), "block", 12, {"N": 3, "k": 4, "u": 0.5, "lam": 0.1}),
+    (lambda: CovarianceSpec.block(2, 3, 0.4, -0.05), "block", 6, {"N": 2, "k": 3, "u": 0.4, "lam": -0.05}),
+    (lambda: CovarianceSpec.block(2, 2, 0.1, 0.9), "block", 4, {"N": 2, "k": 2, "u": 0.1, "lam": 0.9}),
+    (lambda: CovarianceSpec.stationary([1.0]), "stationary", 1, {"gammas": (1.0,)}),
+    (lambda: CovarianceSpec.stationary([1.0, 1.0, 1.0]), "stationary", 3, {"gammas": (1.0, 1.0, 1.0)}),
+    (lambda: CovarianceSpec.stationary([1.0, 0.5, 0.25]), "stationary", 3, {"gammas": (1.0, 0.5, 0.25)}),
+    (lambda: CovarianceSpec.stationary([2.0, 0.3, -0.1, 0.05]), "stationary", 4,
+     {"gammas": (2.0, 0.3, -0.1, 0.05)}),
+]
+
+
+@pytest.mark.parametrize("make, structure, n, params", OLD_STRUCTURES, ids=range(len(OLD_STRUCTURES)))
+def test_constructors_match_structure_dispatch(make, structure, n, params):
+    """Each constructor builds the bytes the structure-string switch built,
+    and the factor (or its failure) is unchanged."""
+    cov = make()
+    old = _old_matrix(structure, n, params)
+    assert cov.n == n
+    assert cov.matrix().dtype == old.dtype and cov.matrix().shape == old.shape
+    assert cov.matrix().tobytes() == old.tobytes()
+    expect = _old_factor(old)
+    if expect is FactorizationError:
+        with pytest.raises(FactorizationError):
+            cov.factor()
+    else:
+        assert cov.factor().tobytes() == expect.tobytes()
 
 
 class TestSamplePath:
@@ -620,6 +689,30 @@ def test_one_thread_pool():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         assert bool(names & pools) == (path.name == "mc.py"), path.name
+
+
+def test_lru_cache_only_where_allowed():
+    """Each object computes its values where it lives: the only memoized
+    functions are the per-worker-count thread pool and the Gauss-Hermite
+    rule, and no call wraps a function in a cache."""
+    cached = set()
+    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = {
+            id(node)
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "lru_cache")
+            or (isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits = {id(sub) for dec in node.decorator_list for sub in ast.walk(dec)} & uses
+                if hits:
+                    cached.add(f"{path.stem}.{node.name}")
+                    uses -= hits
+        if uses:
+            cached.add(f"{path.stem}.<call>")
+    assert cached == {"mc._executor", "decoupling._hermegauss"}
 
 
 _EQUI3 = CovarianceSpec.equicorrelated(3, 0.2)

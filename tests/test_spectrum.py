@@ -91,6 +91,28 @@ class TestCoefficientSequences:
             seq.value(3)
 
 
+class TestSpecValues:
+    def test_prime_coefficients_match_sieve(self):
+        mask = np.zeros(5001, dtype=bool)
+        mask[primes_up_to(5000)] = True
+        expect = np.array([k**-0.5 if mask[k] else 0.0 for k in range(1, 5001)])
+        got = CoefficientSeq(kind="prime_inv_sqrt").values(1, 5000)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_values_are_read_only_and_not_copied(self):
+        spec = make_spec("inv_sqrt", 3, 10)
+        for read in (spec.coeff_values, spec.freq_values):
+            vals = read()
+            assert vals is read() and not vals.flags.writeable
+            with pytest.raises(ValueError):
+                vals[0] = 0.0
+        assert spec.coeff_values().tobytes() == CoefficientSeq(kind="inv_sqrt").values(3, 10).tobytes()
+
+    def test_short_explicit_sequence_raises_at_construction(self):
+        with pytest.raises(DomainError, match="beyond explicit length"):
+            make_spec("explicit", 1, 3, coeffs=[1.0, 2.0])
+
+
 class TestFrequencies:
     def test_strictly_increasing_enforced(self):
         bad = FrequencySeq.integers([1, 3, 3])
@@ -150,7 +172,6 @@ class TestGeometricMean:
         res = spectral_geometric_mean(dens)
         assert res.value == 0.0
         assert not res.log_integrable
-        assert dens.log_integrable is False
 
     def test_negative_density_rejected(self):
         with pytest.raises(DomainError):
