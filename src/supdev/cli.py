@@ -2,7 +2,8 @@
 
 A verify run ends with the line ``overall: PASS|FAIL - P passed, F failed:
 kind/row, ...``.  Exit codes: 0 when every assertion row passes, 1 when any
-assertion fails, 2 for usage or config errors and out-of-domain inputs.
+assertion fails, 2 for usage or config errors, out-of-domain inputs and
+inputs whose work would exceed a hard budget.
 The seed resolves as CLI flag > SUPDEV_SEED environment variable > config
 file > 0 and is echoed in every output row.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DomainError, SupdevError
+from .errors import BudgetError, ConfigError, DomainError, SupdevError
 from .harness import (
     EXPERIMENT_KINDS,
     KINDS,
@@ -146,6 +147,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
         return 2
     except SupdevError as exc:
         print(f"error: {exc}", file=sys.stderr)

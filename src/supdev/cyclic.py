@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .spectrum import FrequencySeq, PolynomialSpec
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "sup_diff_bound",
     "transfer_bound",
 ]
+
+WALK_BUDGET = 10**6  # hard cap on the N_k one walk keeps (a few tens of MB of ints)
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,14 @@ class KappaBlocks(NamedTuple):
 def _walk(ts: TestSequence, hi: float) -> list:
     """N_1, N_2, ... up to the first N_k > hi, or to the end of an explicit
     sequence; every block index kappa with N_{kappa-1} <= hi is a pair of
-    neighbours in this list."""
+    neighbours in this list.  A walk longer than WALK_BUDGET raises."""
     if not math.isfinite(hi):
         raise DomainError(f"interval end {hi} is not finite")
     cap = ts.max_index()
     walk = [ts.value(1)]
     while walk[-1] <= hi and (cap is None or len(walk) < cap):
+        if len(walk) == WALK_BUDGET:
+            raise BudgetError(f"test sequence walk to {hi:g} exceeds {WALK_BUDGET} terms")
         walk.append(ts.value(len(walk) + 1))
     return walk
 

@@ -18,7 +18,7 @@ class FactorizationError(SupdevError, ArithmeticError):
 
 
 class BudgetError(SupdevError, ValueError):
-    """An enumeration would exceed the hard desk-scale budget."""
+    """An enumeration, walk or grid would exceed its hard desk-scale budget."""
 
 
 class CheckError(SupdevError, AssertionError):

@@ -267,9 +267,10 @@ def _row(name, margin=None, est=None, mc=None, bound=None, x=None) -> CheckRow:
     return CheckRow(name, passed, mc, lo, hi, bound, margin, x)
 
 
-def _row_from_estimate(name, est, bound, cushion=None, x=None, direction="le"):
-    """Assertion row for mc <= bound + cushion (or >= bound - cushion)."""
-    cushion = 3.0 * est.half_width if cushion is None else cushion
+def _row_from_estimate(name, est, bound, x=None, direction="le"):
+    """Assertion row for mc <= bound + cushion (or >= bound - cushion), with
+    a cushion of three half-widths."""
+    cushion = 3.0 * est.half_width
     if direction == "le":
         margin = bound + cushion - est.estimate
     else:
@@ -388,9 +389,9 @@ def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     beta_bar = max(p["beta"], 1.0 + 1e-9)
     p_norm = beta_bar * p_x
     boxes = [(0.0, math.inf)] * p["n"]
-    chk = verify_decoupling_mc(cov, p_norm, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers, check=False)
+    chk = verify_decoupling_mc(cov, p_norm, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers)
     rows.append(_row_from_estimate("product_indicator_le_pnorm_bound", chk.lhs, chk.rhs))
-    gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, seed, workers=cfg.workers, check=False)
+    gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, seed, workers=cfg.workers)
     hw = gn.lhs.half_width
     for name, rhs in (("correlation_l2_bound", gn.gebelein_rhs), ("hypercontractive_bound", gn.nelson_rhs)):
         rows.append(_row(name, rhs + 3.0 * hw - abs(gn.lhs.estimate), est=gn.lhs, bound=rhs))
@@ -503,7 +504,7 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
             break
     if not ts:
         return [CheckRow(name="lattice_points_found", passed=False)]
-    res = lattice_correlation(spec, p["a"], omega, beta, p["c"], ts, check=False)
+    res = lattice_correlation(spec, p["a"], omega, beta, p["c"], ts)
     finite = math.isfinite(res.max_offdiag_corr)
     return [
         CheckRow(name="lattice_points_found", passed=True, bound=float(len(res.accepted_ts))),

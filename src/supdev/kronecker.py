@@ -320,7 +320,6 @@ def solution_count(
     problem: LatticeProblem,
     C: float = 1.0,
     search: Optional[LatticeSearch] = None,
-    assert_lower_bounds: bool = False,
     xi_rep: Optional[XiReport] = None,
 ) -> SolutionCount:
     """Count the 1/omega approximants on the lattice and evaluate the two
@@ -328,10 +327,10 @@ def solution_count(
 
     A caller that already holds the lattice search or the Xi report of
     ``problem`` passes them in (``search``, ``xi_rep``) so neither scan is
-    repeated; missing ones are computed here.  The bounds are reported for
-    comparison; they are asserted only in calibration mode
-    (assert_lower_bounds=True) because their constant is not pinned by the
-    statement.
+    repeated; missing ones are computed here.  The count and both bounds
+    are returned as they are; the caller compares them (calibration fits
+    the largest C keeping both bounds below the count), because their
+    constant is not pinned by the statement.
     """
     if search is None:
         search = lattice_search(problem, arm_threshold=False)
@@ -342,13 +341,7 @@ def solution_count(
     k = solution_k(ratio)
     lower_ii = (C / (problem.omega * math.sqrt(k))) ** n * search.lattice_size
     lower_iii = C ** (n / 2.0) / (problem.h * xi_rep.xi) if xi_rep.xi > 0.0 else math.inf
-    count = int(search.hits.size)
-    if assert_lower_bounds:
-        if count < lower_ii:
-            raise CheckError(f"count {count} below lower bound (ii) {lower_ii:.6g} at C={C}")
-        if count < lower_iii:
-            raise CheckError(f"count {count} below lower bound (iii) {lower_iii:.6g} at C={C}")
-    return SolutionCount(count, lower_ii, lower_iii, k)
+    return SolutionCount(int(search.hits.size), lower_ii, lower_iii, k)
 
 
 def _cuts(start: int, stop: int, size: int) -> list:
@@ -523,7 +516,6 @@ def lattice_correlation(
     beta: float,
     c: float,
     sample_ts: Sequence[float],
-    check: bool = True,
 ) -> LatticeCorrelation:
     """Exact correlations of the cosine half-process across lattice sample
     points, against the cap eta = 1 - 2/omega and the variance floor eta*A.
@@ -534,11 +526,13 @@ def lattice_correlation(
     search on frequencies a*lambda_k/pi with target beta/pi and precision
     omega' >= pi*omega pass it); failing points are rejected.
 
-    With check=True a violated cap or floor raises CheckError.  Note the
-    floor is structurally tight: the admissibility constraints force
-    beta^2 > 6/omega while the floor needs sin(beta)^2 <= 2/omega, so for
-    admissible inputs the computed variance ratio sits near cos(beta)^2
-    below eta; the check reports exactly that.
+    The largest off-diagonal correlation and the smallest variance ratio
+    are returned with eta and the two flags cap_ok and floor_ok; the caller
+    judges them.  Note the floor is structurally tight: the admissibility
+    constraints force beta^2 > 6/omega while the floor needs
+    sin(beta)^2 <= 2/omega, so for admissible inputs the computed variance
+    ratio sits near cos(beta)^2 below eta, and floor_ok reports exactly
+    that.
     """
     if not 0.0 < c < 2.0 / math.pi:
         raise DomainError(f"c={c} outside (0, 2/pi)")
@@ -575,16 +569,7 @@ def lattice_correlation(
         max_off = -math.inf
     var_ratio_min = float(variances.min() / a2)
     cap_ok = (m <= 1) or (max_off <= eta)
-    floor_ok = var_ratio_min >= eta
-    if check:
-        if not cap_ok:
-            raise CheckError(f"correlation cap violated: max offdiagonal {max_off:.6g} > eta={eta:.6g}")
-        if not floor_ok:
-            raise CheckError(
-                f"variance floor violated: min ratio {var_ratio_min:.6g} < eta={eta:.6g} "
-                f"(expected near cos(beta)^2 = {math.cos(beta) ** 2:.6g})"
-            )
-    return LatticeCorrelation(max_off, eta, var_ratio_min, tuple(accepted), cap_ok, floor_ok)
+    return LatticeCorrelation(max_off, eta, var_ratio_min, tuple(accepted), cap_ok, var_ratio_min >= eta)
 
 
 def bound_cos_lattice(m: int, eta: float, kappa_arg: float, total_a2: Optional[float] = None) -> BoundReport:

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import ndtri
 
-from .errors import DomainError, FactorizationError
+from .errors import BudgetError, DomainError, FactorizationError
 from .spectrum import PolynomialSpec
 
 __all__ = [
@@ -78,6 +78,7 @@ __all__ = [
 Z95 = 1.959963984540054  # ndtri(0.975)
 CHUNK_REPS = 8192  # fixed chunk size: chunk boundaries never depend on workers
 _DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, never the worker count
+GRID_BUDGET = 1 << 25  # hard cap on grid nodes and on design-matrix entries (256 MiB of floats)
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
 
 
@@ -258,6 +259,9 @@ class GridSpec:
         return cls.lattice(step=1.0 / n_eff, count=z + 1, start=0.0)
 
     def nodes(self) -> np.ndarray:
+        size = self.n if self.mode == "uniform" else self.count
+        if size > GRID_BUDGET:
+            raise BudgetError(f"grid of {size} nodes exceeds {GRID_BUDGET}")
         if self.mode == "uniform":
             return np.linspace(self.t0, self.t1, self.n)
         return self.start + self.step * np.arange(self.count)
@@ -281,6 +285,8 @@ def _design_matrix(
     the worker count.
     """
     m = spec.n_terms
+    if 2 * m * nodes.size > GRID_BUDGET:
+        raise BudgetError(f"design matrix 2*{m} x {nodes.size} exceeds {GRID_BUDGET} entries")
     out = np.empty((m, 2, nodes.size))
     rows = max(1, _DESIGN_BLOCK // (2 * max(nodes.size, 1)))
     a, w = spec.coeff_values(), spec.angular_freqs()

@@ -209,9 +209,6 @@ class PolynomialSpec:
         vals = self.freq_values()
         return 2.0 * math.pi * vals if self.convention == "2pi" else vals
 
-    def total_a2(self) -> float:
-        return power_sum(self, 2)
-
 
 def power_sum(spec: PolynomialSpec, p: int) -> float:
     """sum_{y<=k<=x} a_k^p for p in {2, 4}; 0 on the empty range."""

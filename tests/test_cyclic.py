@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supdev.cyclic import (
+    WALK_BUDGET,
     DeltaReport,
     KappaBlocks,
     TestSequence,
@@ -19,7 +20,7 @@ from supdev.cyclic import (
     sup_diff_bound,
     transfer_bound,
 )
-from supdev.errors import DomainError
+from supdev.errors import BudgetError, DomainError
 from supdev.mc import GridSpec, mc_expected_sup_diff, sup_diff_samples
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
@@ -415,3 +416,19 @@ class TestNonFiniteWindow:
     def test_kappa_count_raises(self, hi, deadline):
         with pytest.raises(DomainError, match="not finite"):
             kappa_count(TestSequence(kind="identity"), 1.0, hi)
+
+
+class TestWalkBudget:
+    def test_walk_of_budget_length_runs_and_one_more_raises(self, deadline):
+        # the identity walk to hi keeps N_1..N_k with N_k = floor(hi) + 1 > hi
+        ts = TestSequence(kind="identity")
+        assert kappa_count(ts, 1.0, WALK_BUDGET - 1) == WALK_BUDGET - 2
+        with pytest.raises(BudgetError, match=f"exceeds {WALK_BUDGET} terms"):
+            kappa_count(ts, 1.0, WALK_BUDGET)
+
+    def test_huge_finite_window_raises(self, deadline):
+        ts = TestSequence(kind="identity")
+        with pytest.raises(BudgetError, match="walk to 1e\\+09"):
+            delta_term(real_spec(8), ts, 1e9)
+        with pytest.raises(BudgetError, match="walk to 1e\\+09"):
+            transfer_bound(real_spec(8), ts, 1e9, theta=2.0, h=1.0)

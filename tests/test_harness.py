@@ -1,3 +1,5 @@
+import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from supdev import harness
+from supdev import decoupling, harness
 from supdev.cli import main as cli_main
 from supdev.errors import ConfigError
 from supdev.harness import (
@@ -197,12 +199,10 @@ class TestRunExperiment:
         real_mc, real_gn = harness.verify_decoupling_mc, harness.verify_gebelein_nelson
 
         def low_mc(*args, **kwargs):
-            assert kwargs["check"] is False
             chk = real_mc(*args, **kwargs)
             return chk._replace(rhs=chk.lhs.estimate - 0.1)
 
         def low_gn(*args, **kwargs):
-            assert kwargs["check"] is False
             res = real_gn(*args, **kwargs)
             return res._replace(gebelein_rhs=0.0, nelson_rhs=0.0)
 
@@ -215,6 +215,22 @@ class TestRunExperiment:
             assert row.passed is False and row.mc is not None and row.bound is not None, name
             assert row.mc_lo <= row.mc <= row.mc_hi and row.margin < 0.0, name
         assert "correlation_bounds" not in rows
+
+    @pytest.mark.parametrize(
+        "target, value, failing",
+        [
+            ("decoupling_multiplier", 1e-3, "product_indicator_le_pnorm_bound"),
+            ("_hermite_abs_moment", 1e-6, "hypercontractive_bound"),
+        ],
+    )
+    def test_decoupling_rows_judge_a_violated_inequality(self, monkeypatch, target, value, failing):
+        # the library returns the numbers; the harness row alone decides FAIL
+        monkeypatch.setattr(decoupling, target, lambda *args: value)
+        cfg = replace(default_config("decoupling"), reps=20000)
+        rows = {row.name: row for row in run_experiment(cfg, seed=0).checks}
+        row = rows[failing]
+        assert row.passed is False and row.margin < 0.0
+        assert abs(row.mc) - row.bound > 3.0 * (row.mc_hi - row.mc)
 
     def test_error_annotated_with_context(self):
         cfg = parse_config(EQUI_INI.replace("lam = 0.25", "lam = 1.5"))
@@ -499,6 +515,15 @@ class TestVerificationScript:
         assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"
 
 
+def ini_with(kind, overrides):
+    """The kind's default config as INI text, with some params replaced."""
+    lines = ["[experiment]", f"kind = {kind}", "[params]"]
+    for name, default in default_config(kind).params.items():
+        text = " ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        lines.append(f"{name} = {overrides.get(name, text)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestNonFiniteParams:
     """inf and nan in float and float-list params are config errors with
     exit 2; the cases cover the cyclic-transfer window U, the lattice scan
@@ -513,23 +538,15 @@ class TestNonFiniteParams:
         ("limsup", "alphas", "1 1 nan"),
     ]
 
-    @staticmethod
-    def ini(kind, key, value):
-        lines = ["[experiment]", f"kind = {kind}", "[params]"]
-        for name, default in default_config(kind).params.items():
-            text = " ".join(map(str, default)) if isinstance(default, tuple) else str(default)
-            lines.append(f"{name} = {value if name == key else text}")
-        return "\n".join(lines) + "\n"
-
     @pytest.mark.parametrize("kind, key, value", CASES)
     def test_parse_rejects(self, kind, key, value):
         with pytest.raises(ConfigError, match=f"param {key!r} .* must be finite"):
-            parse_config(self.ini(kind, key, value))
+            parse_config(ini_with(kind, {key: value}))
 
     @pytest.mark.parametrize("kind, key, value", CASES)
     def test_cli_exit_two_one_line(self, kind, key, value, capsys, tmp_path, deadline):
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(self.ini(kind, key, value))
+        cfg.write_text(ini_with(kind, {key: value}))
         assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
@@ -547,3 +564,52 @@ class TestCalibrateScript:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_overall_line_follows_the_fitted_value(self):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--reps", "300"], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        fitted = [float(line.rsplit("= ", 1)[1]) for line in lines if "largest admissible C" in line]
+        [overall] = [line for line in lines if line.startswith("transfer overall")]
+        assert overall == self.summary(min(fitted))
+
+    @staticmethod
+    def summary(c_max):
+        spec = importlib.util.spec_from_file_location("calibrate_constants", TestCalibrateScript.SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.transfer_summary(c_max)
+
+    def test_summary_names_each_outcome(self):
+        assert "no window constrained C" in self.summary(math.inf)
+        assert self.summary(2.5).endswith("(0, 2.5] passes; C = 1 is inside")
+        assert self.summary(0.25).endswith("(0, 0.25] passes; C = 1 is outside and fails")
+
+
+class TestBudgetErrors:
+    """Inputs whose work would exceed a hard budget end in one "budget
+    error" line and exit 2, before the work is allocated."""
+
+    CASES = {
+        "xi_enumeration": (
+            "kronecker-search",
+            {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
+             "omega": "40"},
+            "enumeration size (2*1648+1)^3",
+        ),
+        "walk": ("cyclic-transfer", {"ts_kind": "identity", "U": "1e9"}, "test sequence walk to 1e+09"),
+        "grid": ("cyclic-transfer", {"ts_kind": "pow2", "U": "1e9"}, "grid of 127999999873 nodes"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_exit_two_one_line(self, case, capsys, tmp_path, deadline):
+        kind, overrides, message = self.CASES[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini_with(kind, overrides))
+        assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("budget error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""

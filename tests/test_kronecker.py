@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from supdev import harness, kronecker
 from supdev.bounds import bound_equicorrelated
-from supdev.errors import BudgetError, CheckError, DomainError
+from supdev.errors import BudgetError, DomainError
 from supdev.kronecker import (
     LatticeProblem,
     bound_cos_lattice,
@@ -276,8 +276,6 @@ class TestSolutionCount:
         prob = lat_problem([math.sqrt(2.0)], [0.5], omega=10, interval=(1.0, 200.0))
         res = solution_count(prob, C=1e6)  # absurd constant: bounds exceed count
         assert res.lower_ii > res.count
-        with pytest.raises(CheckError):
-            solution_count(prob, C=1e6, assert_lower_bounds=True)
 
 
 def single_thread_limsup(alphas, lambdas, start, step, M, c=2.0 * math.pi):
@@ -488,37 +486,35 @@ class TestLatticeCorrelation:
         beta, omega, c = 0.3, 100, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=1)
         assert pts
-        res = lattice_correlation(raw_spec([1.0], lam), 1.0, omega, beta, c, pts, check=False)
+        res = lattice_correlation(raw_spec([1.0], lam), 1.0, omega, beta, c, pts)
         assert res.max_offdiag_corr == -math.inf
         assert res.var_ratio_min == pytest.approx(math.cos(lam[0] * pts[0]) ** 2, rel=1e-9)
 
     def test_filter_rejects_far_points(self):
         lam = [math.sqrt(2.0)]
         with pytest.raises(DomainError, match="filter"):
-            lattice_correlation(raw_spec([1.0], lam), 1.0, 100, 0.3, 0.6, [0.123], check=False)
+            lattice_correlation(raw_spec([1.0], lam), 1.0, 100, 0.3, 0.6, [0.123])
 
     def test_variance_floor_structurally_fails(self):
         # admissibility forces beta^2 > 6/omega while the floor needs
         # sin(beta)^2 <= 2/omega, so the computed ratio sits near cos(beta)^2
-        # below eta: the check reports exactly that
+        # below eta: floor_ok reports exactly that
         lam = [math.sqrt(2.0), math.sqrt(3.0)]
         beta, omega, c = 0.35, 60, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
         assert len(pts) == 2
         spec = raw_spec([1.0, 0.8], lam)
-        res = lattice_correlation(spec, 1.0, omega, beta, c, pts, check=False)
+        res = lattice_correlation(spec, 1.0, omega, beta, c, pts)
         eta = 1.0 - 2.0 / omega
         assert res.eta == pytest.approx(eta)
         assert res.var_ratio_min == pytest.approx(math.cos(beta) ** 2, abs=0.05)
         assert not res.floor_ok
-        with pytest.raises(CheckError, match="variance floor"):
-            lattice_correlation(spec, 1.0, omega, beta, c, pts, check=True)
 
     def test_mixed_parity_points_pass_cap(self):
         lam = [math.sqrt(2.0), math.sqrt(3.0)]
         beta, omega, c = 0.35, 60, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
-        res = lattice_correlation(raw_spec([1.0, 0.8], lam), 1.0, omega, beta, c, pts, check=False)
+        res = lattice_correlation(raw_spec([1.0, 0.8], lam), 1.0, omega, beta, c, pts)
         assert res.cap_ok
         assert res.max_offdiag_corr <= res.eta
 

@@ -1,8 +1,11 @@
 import ast
 import gc
+import importlib
+import inspect
 import math
 import multiprocessing
 import os
+import pkgutil
 import sys
 import threading
 import weakref
@@ -14,10 +17,12 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
 
 import supdev
+from supdev import harness
 from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
-from supdev.errors import DomainError, FactorizationError
+from supdev.errors import BudgetError, DomainError, FactorizationError
 from supdev.mc import (
     CHUNK_REPS,
+    GRID_BUDGET,
     CovarianceSpec,
     GridSpec,
     McEstimate,
@@ -713,6 +718,51 @@ def test_lru_cache_only_where_allowed():
         if uses:
             cached.add(f"{path.stem}.<call>")
     assert cached == {"mc._executor", "decoupling._hermegauss"}
+
+
+def test_no_verdict_switches():
+    """Verdicts are decided once, by the harness rows: no public callable in
+    supdev (function, class or public method) takes a switch that turns a
+    comparison into a raise, and the row cushion is not settable."""
+    switches = {"check", "assert_lower_bounds"}
+    found = set()
+    for info in pkgutil.iter_modules(supdev.__path__):
+        module = importlib.import_module(f"supdev.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if isinstance(obj, type):
+                members.update(
+                    (f"{name}.{attr}", member)
+                    for attr, member in inspect.getmembers(obj, callable)
+                    if not attr.startswith("_")
+                )
+            for qual, member in members.items():
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                found.update(f"{module.__name__}.{qual}({p})" for p in params if p in switches)
+    assert found == set()
+    assert "cushion" not in inspect.signature(harness._row_from_estimate).parameters
+
+
+class TestGridBudget:
+    def test_node_count_over_budget_raises_before_allocating(self):
+        with pytest.raises(BudgetError, match=f"grid of {GRID_BUDGET + 1} nodes exceeds"):
+            GridSpec.uniform(1.0, 2.0, GRID_BUDGET + 1).nodes()
+        with pytest.raises(BudgetError, match="nodes exceeds"):
+            GridSpec.lattice(1.0, GRID_BUDGET + 1).nodes()
+
+    def test_design_matrix_over_budget_raises(self):
+        # 2 * 4096 rows: 4096 nodes fill the budget exactly, one more exceeds it
+        spec = unit_spec(4096)
+        assert 2 * 4096 * 4096 == GRID_BUDGET
+        with pytest.raises(BudgetError, match=r"design matrix 2\*4096 x 4097 exceeds"):
+            _design_matrix(spec, np.linspace(0.0, 1.0, 4097))
+        with pytest.raises(BudgetError, match="design matrix"):
+            mc_sup_prob(spec, GridSpec.uniform(0.0, 1.0, 4097), 1.0, 10, seed=0)
 
 
 _EQUI3 = CovarianceSpec.equicorrelated(3, 0.2)
