@@ -7,8 +7,8 @@ assert to exist (C, C_eta, C'_eta, K) are explicit parameters defaulting
 to 1; dominance experiments check decay shape, not sharp constants.
 
 The normal CDF goes through the complementary error function
-(scipy.special.ndtr), accurate to ~1e-15 relative, because several bounds
-raise it to the n-th power.
+(scipy.special.ndtr, imported at its first call), accurate to ~1e-15
+relative, because several bounds raise it to the n-th power.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .errors import CheckError, DomainError
 from .spectrum import (
     PolynomialSpec,

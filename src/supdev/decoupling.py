@@ -16,8 +16,8 @@ from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .bounds import BoundReport
 from .errors import CheckError, DomainError
 from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate

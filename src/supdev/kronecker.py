@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._normal import ndtr
 from .bounds import BoundReport
 from .errors import BudgetError, CheckError, DomainError
 from .mc import ordered_map

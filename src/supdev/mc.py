@@ -5,7 +5,9 @@ out as a fixed table of raw 64-bit draws; replication ``r`` owns the rows
 ``[r * pad, (r + 1) * pad)`` where ``pad`` is the per-replication draw count
 rounded up to the 4-draw Philox block.  Uniforms are ``((raw >> 11) + 0.5) *
 2^-53`` (strictly inside (0, 1)) and normals go through the inverse CDF, so
-every replication consumes a fixed, known number of draws.  Path draws come
+every replication consumes a fixed, known number of draws.  The inverse CDF
+is ``scipy.special.ndtri``, which ``_normal`` imports at the first draw:
+importing this module loads no scipy.  Path draws come
 in the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
 rows interleaved the same way (a_k cos(w_k u), a_k sin(w_k u)), so a chunk of
 paths is one GEMM of its draws against that matrix.  The replication range
@@ -50,9 +52,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .errors import BudgetError, DomainError, FactorizationError
 from .spectrum import PolynomialSpec
 
@@ -134,9 +135,10 @@ class CovarianceSpec:
     Each constructor builds its matrix once: explicit(matrix),
     block(N, k, u, lam) (N diagonal k x k blocks with off-diagonal u, value
     lam elsewhere), equicorrelated(n, lam) = block(1, n, lam, lam) and
-    stationary(gamma(0..n-1)) (the Toeplitz matrix).  The Cholesky factor
-    is computed on first use; positive semi-definiteness is verified by that
-    factorization with a single jitter retry.
+    stationary(gamma(0..n-1)) (the Toeplitz matrix gamma(|i - j|), built by
+    numpy indexing; it holds the values ``scipy.linalg.toeplitz`` copies).
+    The Cholesky factor is computed on first use; positive semi-definiteness
+    is verified by that factorization with a single jitter retry.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -178,7 +180,8 @@ class CovarianceSpec:
             raise DomainError("stationary covariance needs gamma(0..n-1)")
         if g[0] <= 0.0:
             raise DomainError("stationary covariance needs gamma(0) > 0")
-        return cls(toeplitz(g))
+        idx = np.arange(g.size)
+        return cls(g[np.abs(idx[:, None] - idx[None, :])])
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import BudgetError, DomainError, QuadratureError
 
 __all__ = [
     "CoefficientSeq",
@@ -28,6 +28,8 @@ __all__ = [
     "spectral_geometric_mean",
     "primes_up_to",
 ]
+
+TERM_BUDGET = 10**6  # hard cap on the terms one PolynomialSpec evaluates (as cyclic.WALK_BUDGET caps a walk)
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -171,7 +173,8 @@ class PolynomialSpec:
 
     The empty range x = y - 1 is legal and yields the zero process.
     Coefficients and frequencies on [y, x] are evaluated once, here, and
-    kept as read-only arrays; an explicit sequence shorter than x raises.
+    kept as read-only arrays; an explicit sequence shorter than x raises,
+    and so does a range of more than TERM_BUDGET terms, before any is built.
     """
 
     coeffs: CoefficientSeq
@@ -189,6 +192,8 @@ class PolynomialSpec:
             raise DomainError(f"unknown angular convention {self.convention!r}")
         if self.convention == "2pi" and self.freqs.kind != "integer":
             raise DomainError("the 2pi-scaled convention requires integer frequencies")
+        if self.n_terms > TERM_BUDGET:
+            raise BudgetError(f"range [{self.y}, {self.x}] of {self.n_terms} terms exceeds {TERM_BUDGET}")
         for name, seq in (("_a", self.coeffs), ("_L", self.freqs)):
             vals = seq.values(self.y, self.x)
             vals.setflags(write=False)

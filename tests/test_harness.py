@@ -601,6 +601,7 @@ class TestBudgetErrors:
         ),
         "walk": ("cyclic-transfer", {"ts_kind": "identity", "U": "1e9"}, "test sequence walk to 1e+09"),
         "grid": ("cyclic-transfer", {"ts_kind": "pow2", "U": "1e9"}, "grid of 127999999873 nodes"),
+        "terms": ("cyclic-transfer", {"x": "100000000", "U": "2"}, "range [1, 100000000] of 100000000 terms"),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -220,6 +220,20 @@ def test_constructors_match_structure_dispatch(make, structure, n, params):
         assert cov.factor().tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize(
+    "gammas",
+    [[1.0], [1.0, 0.5], [1.0, -0.4], [2.0, -0.0, -0.7], [(-0.9) ** k for k in range(40)]],
+    ids=["n1", "n2", "n2_negative", "negative_and_signed_zero", "n40_alternating"],
+)
+def test_stationary_bytes_match_scipy_toeplitz(gammas):
+    """The numpy-indexed Toeplitz matrix has the bytes, dtype and layout of
+    scipy.linalg.toeplitz, signed zeros and negative covariances included."""
+    m = CovarianceSpec.stationary(gammas).matrix()
+    expect = toeplitz(np.asarray(gammas, dtype=float))
+    assert m.dtype == expect.dtype and m.shape == expect.shape and m.flags.c_contiguous
+    assert m.tobytes() == expect.tobytes()
+
+
 class TestSamplePath:
     def test_empty_range_zero_path(self):
         spec = unit_spec(0, y=1)

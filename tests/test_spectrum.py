@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supdev.errors import DomainError, QuadratureError
+from supdev import spectrum
+from supdev.errors import BudgetError, DomainError, QuadratureError
 from supdev.spectrum import (
     CoefficientSeq,
     FrequencySeq,
@@ -111,6 +112,47 @@ class TestSpecValues:
     def test_short_explicit_sequence_raises_at_construction(self):
         with pytest.raises(DomainError, match="beyond explicit length"):
             make_spec("explicit", 1, 3, coeffs=[1.0, 2.0])
+
+
+class TestTermBudget:
+    """A range of more than TERM_BUDGET terms raises BudgetError before a
+    single coefficient or frequency is evaluated."""
+
+    @staticmethod
+    def build(y, x, calls):
+        """A spec whose coefficient rule records every index it is asked for."""
+
+        def rule(k):
+            calls.append(k)
+            return 1.0
+
+        return PolynomialSpec(
+            coeffs=CoefficientSeq(kind="rule", rule=rule),
+            freqs=FrequencySeq(kind="integer", rule=lambda k: k),
+            y=y,
+            x=x,
+            convention="2pi",
+        )
+
+    def test_budget_matches_walk_budget(self):
+        from supdev.cyclic import WALK_BUDGET
+
+        assert spectrum.TERM_BUDGET == WALK_BUDGET == 10**6
+
+    def test_huge_range_raises_before_building(self, deadline):
+        calls = []
+        with pytest.raises(BudgetError, match="100000000 terms exceeds 1000000"):
+            self.build(1, 10**8, calls)
+        assert calls == []
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "TERM_BUDGET", 5)
+        calls = []
+        assert self.build(3, 7, calls).n_terms == 5 and calls == [3, 4, 5, 6, 7]
+        calls = []
+        with pytest.raises(BudgetError, match="6 terms exceeds 5"):
+            self.build(3, 8, calls)
+        assert calls == []
 
 
 class TestFrequencies:
