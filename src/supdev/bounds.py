@@ -8,14 +8,18 @@ to 1; dominance experiments check decay shape, not sharp constants.
 
 The normal CDF goes through the complementary error function
 (scipy.special.ndtr, imported at its first call), accurate to ~1e-15
-relative, because several bounds raise it to the n-th power.
+relative, because several bounds raise it to the n-th power.  The product
+bounds (equicorrelated, Gumbel, block) are evaluated as displayed wherever
+that gives a positive finite float; where a factor overflows, underflows
+or divides by zero they are evaluated in logs instead, and a bound beyond
+the float range is reported as inf (vacuous).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,6 +70,35 @@ class BoundReport:
         return bool(self.value > 1.0)
 
 
+def _log(v: float) -> float:
+    """log v, -inf at v = 0."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _product(direct: Callable[[], float], log_value: float) -> float:
+    """``direct()`` where it is positive and finite, else exp(``log_value``):
+    0 below the float range, inf above it."""
+    try:
+        value = direct()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if 0.0 < value < math.inf:
+        return value
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
+def _multiplier(n: int, lam: float) -> tuple:
+    """(1 + lam n / (1 - lam))^((n-1)/2), the comparison multiplier of the
+    equicorrelated and Gumbel bounds, and its log; the multiplier reads inf
+    where it overflows a float."""
+    base = 1.0 + lam * n / (1.0 - lam)
+    log_m = (n - 1) / 2.0 * math.log(base)
+    return _product(lambda: base ** ((n - 1) / 2.0), log_m), log_m
+
+
 def bound_equicorrelated(n: int, lam: float, theta: float) -> BoundReport:
     """Product bound for P{max of n unit-variance Gaussians <= theta}
     under pairwise correlation at most lam.
@@ -76,9 +109,10 @@ def bound_equicorrelated(n: int, lam: float, theta: float) -> BoundReport:
         raise DomainError(f"n={n} < 2")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lam={lam} outside (0, 1)")
-    multiplier = (1.0 + lam * n / (1.0 - lam)) ** ((n - 1) / 2.0)
+    multiplier, log_m = _multiplier(n, lam)
     scale = math.sqrt(1.0 + lam * (n - 1))
-    value = multiplier * float(ndtr(theta / scale)) ** n
+    phi = float(ndtr(theta / scale))
+    value = _product(lambda: multiplier * phi**n, log_m + n * _log(phi))
     return BoundReport(
         value=value,
         threshold=theta,
@@ -104,9 +138,10 @@ def bound_gumbel(n: int, lam: float, x_arg: float, eps: float) -> BoundReport:
     b_n = math.sqrt(radicand)
     if x_arg < -b_n * b_n:
         raise DomainError(f"x_arg={x_arg} < -b_n^2 = {-b_n * b_n:.4f}")
-    multiplier = (1.0 + lam * n / (1.0 - lam)) ** ((n - 1) / 2.0)
+    multiplier, log_m = _multiplier(n, lam)
     threshold = (x_arg / b_n + b_n) * math.sqrt(1.0 + lam * (n - 1))
-    value = multiplier * math.exp(-math.exp(-x_arg) * (1.0 - eps))
+    tail = -math.exp(-x_arg) * (1.0 - eps)
+    value = _product(lambda: multiplier * math.exp(tail), log_m + tail)
     return BoundReport(
         value=value,
         threshold=threshold,
@@ -183,8 +218,11 @@ def bound_block(lam: float, u: float, k: int, N: int, theta: float) -> BoundRepo
     """
     beta = beta_block(lam, u, k, N)
     nk = N * k
-    normalizer = math.sqrt((1.0 - u) ** ((k - 1) * N) * (1.0 + u * (k - 1)) ** N)
-    value = float(ndtr(theta * math.sqrt(beta))) ** nk / (beta ** (nk / 2.0) * normalizer)
+    log_norm = 0.5 * ((k - 1) * N * math.log(1.0 - u) + N * math.log(1.0 + u * (k - 1)))
+    normalizer = _product(lambda: math.sqrt((1.0 - u) ** ((k - 1) * N) * (1.0 + u * (k - 1)) ** N), log_norm)
+    phi = float(ndtr(theta * math.sqrt(beta)))
+    log_value = nk * _log(phi) - nk / 2.0 * math.log(beta) - log_norm
+    value = _product(lambda: phi**nk / (beta ** (nk / 2.0) * normalizer), log_value)
     return BoundReport(
         value=value,
         threshold=theta,

@@ -65,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     _add_outputs(p_verify)
 
-    for alias, kind in (("decouple", "decoupling"), ("cyclic", "cyclic-transfer"), ("kronecker", "kronecker-search")):
-        p_alias = subs.add_parser(alias, help=f"alias for 'verify {kind}'")
-        _add_common(p_alias)
-        _add_outputs(p_alias)
-        p_alias.set_defaults(alias_kind=kind)
-
     p_cal = subs.add_parser("calibrate", help="fit free constants and report them (never persisted)")
     p_cal.add_argument("kind", choices=tuple(name for name in EXPERIMENT_KINDS if KINDS[name].calibrate))
     _add_common(p_cal)
@@ -128,9 +122,8 @@ def _write_outputs(record, cfg, args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    kind = getattr(args, "alias_kind", None) or getattr(args, "kind", None)
     try:
-        cfg = _resolve_config(args, kind)
+        cfg = _resolve_config(args, args.kind)
         if args.command == "calibrate":
             result = calibrate(cfg, seed=args.seed)
             for key, val in result.items():

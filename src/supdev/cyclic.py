@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .spectrum import FrequencySeq, PolynomialSpec
+from .spectrum import FrequencySeq, PolynomialSpec, power_sum
 
 __all__ = [
     "DeltaReport",
@@ -167,9 +167,7 @@ def perp_process(spec: PolynomialSpec, ts: TestSequence) -> PolynomialSpec:
     frequency k replaced by floor(N_k L_k) / N_k stored exactly."""
     if spec.convention != "raw":
         raise DomainError("the rational-frequency companion applies to raw-convention specs")
-    pairs = []
-    for k in range(spec.y, spec.x + 1):
-        pairs.append(rational_freq(spec.freqs.value(k), ts.value(k)))
+    pairs = [rational_freq(float(L), N) for L, N in zip(spec.freq_values(), ts.values(spec.y, spec.x))]
     return PolynomialSpec(
         coeffs=spec.coeffs,
         freqs=FrequencySeq.rationals(pairs) if pairs else FrequencySeq.rationals(((1, 1),)),
@@ -216,7 +214,7 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
     a = spec.coeff_values()
     inv_sq = ts.inverse_squares(y, x)
     inv2 = float(np.sum(inv_sq)) if inv_sq.size else 0.0
-    a2 = float(np.sum(a**2)) if a.size else 0.0
+    a2 = power_sum(spec, 2)
     base = math.sqrt(inv2) * math.sqrt(a2)
     walk = _walk(ts, U)
     blocks_1U = _blocks(walk, 1.0, U)

@@ -22,7 +22,7 @@ from .bounds import BoundReport
 from .errors import CheckError, DomainError
 from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate
 from .quadrature import adaptive_simpson
-from .spectrum import PolynomialSpec, power_sum
+from .spectrum import PolynomialSpec, node_floor, power_sum
 
 __all__ = [
     "DecouplingReport",
@@ -109,10 +109,11 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
     integral = adaptive_simpson(phi_abs, 0.0, 1.0, tol=tol, n_panels=panels)
     integral_term = n * integral / a2
     gap = abs(rep.p_value - integral_term)
-    gap_bound = 2.0 * math.pi * float(np.sum(jk * aa)) / a2
+    floor = node_floor(spec)
+    gap_bound = floor / a2
     if gap > gap_bound + 10.0 * tol * n / a2 + 1e-9:
         raise CheckError(f"Riemann gap {gap:.6g} exceeds derivative bound {gap_bound:.6g}")
-    upper = (n * math.sqrt(power_sum(spec, 4)) + 2.0 * math.pi * float(np.sum(jk * aa))) / a2
+    upper = (n * math.sqrt(power_sum(spec, 4)) + floor) / a2
     if rep.p_value > upper * (1.0 + 1e-12) + 1e-9:
         raise CheckError(f"p={rep.p_value:.6g} exceeds fourth-moment bound {upper:.6g}")
     return RiemannGap(rep.p_value, integral_term, gap, gap_bound, upper)
@@ -350,7 +351,7 @@ def cyclic_deviation_bound(spec: PolynomialSpec, n: int, eps: float, theta: floa
         "mills_floor": mills_floor,
         "A": a2,
     }
-    freq_sum = 2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2))
+    freq_sum = node_floor(spec)
     if n >= freq_sum:
         value_ii = math.exp(-eps * tail * a2 / (math.sqrt(power_sum(spec, 4)) + 1.0))
         inter["value_ii"] = value_ii

@@ -86,7 +86,7 @@ class Kind(NamedTuple):
     """One experiment kind: its runner, its optional constant fit, its
     default replication count, its one-line description and its parameter
     schema ``{name: (type name, required, default)}``.  The default slot
-    holds the ``default_config`` value of every parameter; an INI config
+    holds the ``default_config`` value of every parameter; any config
     that omits an optional one gets the same value."""
 
     run: Callable
@@ -111,8 +111,10 @@ def _check_seed(seed: int, source: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated on construction, so configs parsed from INI and configs
-    with CLI overrides applied (``dataclasses.replace``) pass one check."""
+    """Validated on construction, so every config (parsed from INI, from
+    ``default_config``, through ``dataclasses.replace`` or built directly)
+    passes one check: reps, workers, seed, kind and the ``[params]`` schema,
+    whose result (strings parsed, defaults filled in) becomes ``params``."""
 
     kind: str
     params: dict
@@ -126,6 +128,7 @@ class ExperimentConfig:
             raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
         if self.seed is not None:
             _check_seed(self.seed, "seed")
+        object.__setattr__(self, "params", _validate_params(self.kind, self.params))
 
     def canonical(self) -> str:
         lines = [f"kind={self.kind}", f"reps={self.reps}"]
@@ -187,14 +190,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if "kind" not in exp:
         raise ConfigError("[experiment] needs a 'kind'")
     kind = exp["kind"].strip()
-    _kind(kind)
     try:
         seed = int(exp["seed"]) if "seed" in exp else None
         reps = int(exp.get("reps", 10000))
         workers = int(exp.get("workers", 1))
     except ValueError as exc:
         raise ConfigError(f"seed/reps/workers must be integers: {exc}") from exc
-    params = _validate_params(kind, dict(cp["params"]) if "params" in cp else {})
+    params = dict(cp["params"]) if "params" in cp else {}
     output = dict(cp["output"]) if "output" in cp else {}
     bad_out = set(output) - {"csv", "json", "plotdata"}
     if bad_out:
@@ -318,6 +320,7 @@ def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
     density = _szego_density(p["root_coeffs"], p["floor"])
     n, z = p["n"], p["z"]
+    CovarianceSpec.check_dimension(n)  # before the per-lag autocovariance loop
     sz = szego_bounds(density, n, z)
     gammas = [autocovariance(density, h) for h in range(n)]
     cov = CovarianceSpec.stationary(gammas)
@@ -361,8 +364,7 @@ def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
     theta = 2.0 * p["H"] * math.sqrt(a2)
     h = p["H"] * math.sqrt(a2)
     tb = transfer_bound(spec, ts, p["U"], theta, h, C=p["C"])
-    n_nodes = int(math.ceil((p["U"] - 1.0) * p["grid_per_unit"])) + 1
-    grid = GridSpec.uniform(1.0, p["U"], n_nodes)
+    grid = GridSpec.dense(1.0, p["U"], p["grid_per_unit"])
     # X and its companion X-perp are built from the same (g_k, g'_k): one draw table
     est_x, est_perp = mc_sup_probs([spec, perp], grid, [theta - h, theta], reps, seed, workers=workers)
     return tb, est_x, est_perp, theta, h
@@ -383,6 +385,7 @@ def _run_cyclic_transfer(cfg: ExperimentConfig, seed: int) -> list:
 
 def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
+    CovarianceSpec.check_dimension(p["ou_n"])  # before any Monte Carlo work
     rows = []
     cov = CovarianceSpec.equicorrelated(p["n"], p["lam"])
     p_x = decoupling_coeff_vector(cov).p_value
@@ -419,7 +422,7 @@ def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
     search = lattice_search(problem, arm_threshold=False)
     target = 1.0 / p["omega"]
     xi_rep = xi(problem)
-    counts = solution_count(problem, C=p["C"], search=search, xi_rep=xi_rep)
+    counts = solution_count(problem, search, xi_rep, C=p["C"])
     return [
         _row("approximation_found", target - search.achieved, mc=search.achieved, bound=target, x=search.t_best),
         _row("hit_count", bound=float(counts.count)),
@@ -539,8 +542,7 @@ def _calibrate_kronecker(cfg: ExperimentConfig, seed: int) -> dict:
     """The largest C for which both count lower bounds stay below the
     observed count."""
     problem = _lattice_problem(cfg.params)
-    search = lattice_search(problem, arm_threshold=False)
-    base = solution_count(problem, C=1.0, search=search)
+    base = solution_count(problem, lattice_search(problem, arm_threshold=False), xi(problem))
     count = base.count
     if count == 0:
         return {"kind": cfg.kind, "c_max": 0.0}
@@ -691,7 +693,7 @@ EXPERIMENT_KINDS = tuple(sorted(KINDS))
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> ResultRecord:
     """Dispatch the config to its kind's runner and wrap the result rows."""
-    run = _kind(config.kind).run
+    run = KINDS[config.kind].run
     eff_seed = effective_seed(config, seed)
     start = time.perf_counter()
     try:
@@ -828,7 +830,7 @@ def calibrate(config: ExperimentConfig, seed: Optional[int] = None) -> dict:
     the kinds with a ``calibrate`` entry in ``KINDS`` have one.  Nothing is
     persisted, so a config with an ``[output]`` section is refused."""
     eff_seed = effective_seed(config, seed)
-    fit = _kind(config.kind).calibrate
+    fit = KINDS[config.kind].calibrate
     if fit is None:
         raise ConfigError(f"no free constant to calibrate for kind {config.kind!r}")
     if config.output:

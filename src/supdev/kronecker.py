@@ -316,26 +316,17 @@ def solution_k(ratio: float) -> int:
     return j
 
 
-def solution_count(
-    problem: LatticeProblem,
-    C: float = 1.0,
-    search: Optional[LatticeSearch] = None,
-    xi_rep: Optional[XiReport] = None,
-) -> SolutionCount:
+def solution_count(problem: LatticeProblem, search: LatticeSearch, xi_rep: XiReport, C: float = 1.0) -> SolutionCount:
     """Count the 1/omega approximants on the lattice and evaluate the two
     lower bounds with the supplied free constant.
 
-    A caller that already holds the lattice search or the Xi report of
-    ``problem`` passes them in (``search``, ``xi_rep``) so neither scan is
-    repeated; missing ones are computed here.  The count and both bounds
-    are returned as they are; the caller compares them (calibration fits
-    the largest C keeping both bounds below the count), because their
+    ``search`` and ``xi_rep`` are the caller's lattice search and Xi report
+    of ``problem`` (``lattice_search(problem, arm_threshold=False)`` and
+    ``xi(problem)``); this function runs neither scan.  The count and both
+    bounds are returned as they are; the caller compares them (calibration
+    fits the largest C keeping both bounds below the count), because their
     constant is not pinned by the statement.
     """
-    if search is None:
-        search = lattice_search(problem, arm_threshold=False)
-    if xi_rep is None:
-        xi_rep = xi(problem)
     n = problem.n_freq
     ratio = n * problem.omega / problem.c_o
     k = solution_k(ratio)
@@ -463,7 +454,8 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
     (``_scan_pieces``) into one reused buffer; each unit is then summed with
     one ``np.sum`` over its values, and the unit sums are added in order.
     Neither the units nor the pieces depend on the worker count, so S_J is
-    bit-identical for any worker count.
+    bit-identical for any worker count.  A scan of (largest J + 1) * N
+    values over ENUM_BUDGET raises BudgetError before any term is added.
     """
     if a <= 0.0:
         raise DomainError(f"step a={a} must be positive")
@@ -472,6 +464,8 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
         raise DomainError("J ladder must be a nondecreasing list of nonnegative integers")
     if not spec.coeffs.nonvanishing:
         raise DomainError("divergence sums require a non-vanishing coefficient sequence flag")
+    if (ladder[-1] + 1) * spec.n_terms > ENUM_BUDGET:
+        raise BudgetError(f"divergence scan size ({ladder[-1]} + 1)*{spec.n_terms} exceeds {ENUM_BUDGET}")
     a2 = power_sum(spec, 2)
     if a2 <= 0.0:
         raise DomainError("A(x) must be positive")
@@ -543,7 +537,7 @@ def lattice_correlation(
         raise DomainError(f"omega={omega} must exceed 12 pi / (c (pi beta)^2) = {omega_floor:.4g}")
     lam = spec.angular_freqs()
     aa = spec.coeff_values() ** 2
-    a2 = float(np.sum(aa))
+    a2 = power_sum(spec, 2)
     if a2 <= 0.0:
         raise DomainError("A(x) must be positive")
 

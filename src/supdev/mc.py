@@ -55,7 +55,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .errors import BudgetError, DomainError, FactorizationError
-from .spectrum import PolynomialSpec
+from .spectrum import PolynomialSpec, node_floor
 
 __all__ = [
     "CHUNK_REPS",
@@ -138,12 +138,20 @@ class CovarianceSpec:
     stationary(gamma(0..n-1)) (the Toeplitz matrix gamma(|i - j|), built by
     numpy indexing; it holds the values ``scipy.linalg.toeplitz`` copies).
     The Cholesky factor is computed on first use; positive semi-definiteness
-    is verified by that factorization with a single jitter retry.
+    is verified by that factorization with a single jitter retry.  The
+    block and stationary constructors refuse a dimension n with n^2 >
+    GRID_BUDGET before allocating anything (``check_dimension``).
     """
 
     def __init__(self, matrix: np.ndarray):
         self._matrix = matrix
         self._factor: Optional[np.ndarray] = None
+
+    @staticmethod
+    def check_dimension(n: int) -> None:
+        """Raise BudgetError when an n x n matrix would exceed GRID_BUDGET entries."""
+        if n * n > GRID_BUDGET:
+            raise BudgetError(f"covariance of dimension {n} ({n * n} entries) exceeds {GRID_BUDGET}")
 
     @classmethod
     def explicit(cls, matrix) -> "CovarianceSpec":
@@ -166,6 +174,7 @@ class CovarianceSpec:
     def block(cls, N: int, k: int, u: float, lam: float) -> "CovarianceSpec":
         if N < 1 or k < 1:
             raise DomainError(f"block covariance needs N >= 1 and k >= 1, got N={N}, k={k}")
+        cls.check_dimension(N * k)
         m = np.full((N * k, N * k), float(lam))
         for j in range(N):
             sl = slice(j * k, (j + 1) * k)
@@ -180,6 +189,7 @@ class CovarianceSpec:
             raise DomainError("stationary covariance needs gamma(0..n-1)")
         if g[0] <= 0.0:
             raise DomainError("stationary covariance needs gamma(0) > 0")
+        cls.check_dimension(g.size)
         idx = np.arange(g.size)
         return cls(g[np.abs(idx[:, None] - idx[None, :])])
 
@@ -254,7 +264,7 @@ class GridSpec:
             raise DomainError("the cyclic grid rule requires an integer-frequency spec")
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"eps={eps} outside (0, 1]")
-        floor_n = max(2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2)), 1.0 / eps)
+        floor_n = max(node_floor(spec), 1.0 / eps)
         n_eff = int(math.ceil(floor_n)) if n is None else int(n)
         if n_eff < floor_n:
             raise DomainError(f"n={n_eff} below the rule floor {floor_n:.3f}")

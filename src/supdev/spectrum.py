@@ -2,7 +2,9 @@
 
 A PolynomialSpec evaluates its coefficients a_y..a_x and frequencies
 L_y..L_x once, when it is built, and everything downstream (bounds, Monte
-Carlo, rational-frequency approximation) reads those read-only arrays.
+Carlo, rational-frequency approximation) reads those read-only arrays;
+no other module evaluates a sequence.  Shared aggregates are defined here
+once: ``power_sum`` (sum a_k^p) and ``node_floor`` (2 pi sum j_k a_k^2).
 Empty ranges follow the convention sum() == 0.
 """
 
@@ -23,6 +25,7 @@ __all__ = [
     "SpectralDensity",
     "GeometricMean",
     "ModerateCondition",
+    "node_floor",
     "power_sum",
     "check_moderate_condition",
     "spectral_geometric_mean",
@@ -223,6 +226,12 @@ def power_sum(spec: PolynomialSpec, p: int) -> float:
     if a.size == 0:
         return 0.0
     return float(np.sum(a**p))
+
+
+def node_floor(spec: PolynomialSpec) -> float:
+    """2 pi sum_{y<=k<=x} j_k a_k^2, the node floor of the periodic cyclic
+    rule (A times the Riemann-gap bound); 0 on the empty range."""
+    return 2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2))
 
 
 class ModerateCondition(NamedTuple):

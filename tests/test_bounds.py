@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -211,6 +212,63 @@ class TestBoundBlock:
                 CovarianceSpec.block(N, k, u, lam), theta, 2000, seed=int(rng.integers(1 << 30))
             )
             assert est.estimate - 3.0 * est.half_width <= rep.value
+
+
+def log_equicorrelated(n, lam, theta):
+    """log of the equicorrelated product bound, summed term by term."""
+    phi = float(ndtr(theta / math.sqrt(1.0 + lam * (n - 1))))
+    return (n - 1) / 2.0 * math.log(1.0 + lam * n / (1.0 - lam)) + n * math.log(phi)
+
+
+class TestProductBoundsBeyondFloat:
+    """The product bounds keep their displayed float expression wherever it
+    is positive and finite, and are evaluated in logs where a factor
+    overflows, underflows or divides by zero; a bound past the float range
+    reads inf (vacuous)."""
+
+    def test_displayed_expressions_kept_bit_for_bit(self):
+        for n, lam, theta in itertools.product([2, 5, 8, 32, 150], [0.05, 0.3, 0.8], [-1.0, 0.5, 2.0, 3.0]):
+            multiplier = (1.0 + lam * n / (1.0 - lam)) ** ((n - 1) / 2.0)
+            expect = multiplier * float(ndtr(theta / math.sqrt(1.0 + lam * (n - 1)))) ** n
+            assert bound_equicorrelated(n, lam, theta).value.hex() == expect.hex()
+        for N, k, u, lam, theta in [(3, 4, 0.5, 0.1, 2.0), (6, 4, 0.6, 0.2, 0.5), (2, 6, 0.4, 0.1, 1.0)]:
+            beta, nk = beta_block(lam, u, k, N), N * k
+            norm = math.sqrt((1.0 - u) ** ((k - 1) * N) * (1.0 + u * (k - 1)) ** N)
+            expect = float(ndtr(theta * math.sqrt(beta))) ** nk / (beta ** (nk / 2.0) * norm)
+            assert bound_block(lam, u, k, N, theta).value.hex() == expect.hex()
+
+    def test_equicorrelated_multiplier_overflow(self):
+        with pytest.raises(OverflowError):
+            (1.0 + 0.3 * 300 / 0.7) ** (299 / 2.0)
+        rep = bound_equicorrelated(300, 0.3, 2.0)
+        assert rep.intermediates["multiplier"] == math.inf
+        assert rep.value == pytest.approx(math.exp(log_equicorrelated(300, 0.3, 2.0)), rel=1e-12)
+        assert math.isfinite(rep.value) and rep.vacuous
+
+    def test_equicorrelated_past_the_float_range_is_inf(self):
+        rep = bound_equicorrelated(3000, 0.9, -30.0)
+        assert log_equicorrelated(3000, 0.9, -30.0) > 710.0
+        assert rep.value == math.inf and rep.vacuous
+
+    def test_gumbel_multiplier_overflow_with_vanishing_tail(self):
+        n, lam, x_arg, eps = 1000, 0.5, -8.0, 0.0
+        rep = bound_gumbel(n, lam, x_arg, eps)
+        expect = (n - 1) / 2.0 * math.log(1.0 + lam * n / (1.0 - lam)) - math.exp(-x_arg) * (1.0 - eps)
+        assert rep.intermediates["multiplier"] == math.inf
+        assert rep.value == pytest.approx(math.exp(expect), rel=1e-12)
+
+    def test_block_underflowing_factors(self):
+        # beta^(nk/2) and (1-u)^((k-1)N) underflow: the displayed form divides by zero
+        lam, u, k, N = 0.1, 0.5, 4, 400
+        beta, nk = beta_block(lam, u, k, N), N * k
+        with pytest.raises(ZeroDivisionError):
+            float(ndtr(0.0)) ** nk / (beta ** (nk / 2.0) * math.sqrt((1.0 - u) ** ((k - 1) * N) * 2.5**N))
+        log_norm = 0.5 * ((k - 1) * N * math.log(1.0 - u) + N * math.log(1.0 + u * (k - 1)))
+        rep = bound_block(lam, u, k, N, 0.0)
+        assert rep.intermediates["normalizer"] == pytest.approx(math.exp(log_norm), rel=1e-12)
+        expect = nk * math.log(0.5) - nk / 2.0 * math.log(beta) - log_norm
+        assert 0.0 < rep.value == pytest.approx(math.exp(expect), rel=1e-12)
+        assert bound_block(lam, u, k, N, 2.0).value == math.inf
 
 
 class TestSzego:

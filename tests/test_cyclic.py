@@ -121,6 +121,22 @@ class TestPerpProcess:
         num, den = perp.freqs.rational_pair(1)
         assert den == 2 and num == math.floor(2 * 2**0.5)
 
+    def test_reads_the_frequencies_the_spec_holds(self, monkeypatch):
+        spec = real_spec(12, coeff_kind="inv_sqrt")
+        ts = TestSequence(kind="pow2")
+        expect = tuple(rational_freq(spec.freqs.value(k), ts.value(k)) for k in range(1, 13))
+        value = FrequencySeq.value
+
+        def refuse(self, k):
+            # the companion's own rational sequence is still evaluated when it is built
+            if self is spec.freqs:
+                raise AssertionError(f"frequency {k} of the spec evaluated again")
+            return value(self, k)
+
+        monkeypatch.setattr(FrequencySeq, "value", refuse)
+        perp = perp_process(spec, ts)
+        assert perp.freqs.explicit == expect
+
 
 class TestDeltaTerm:
     def test_u_below_y_branch(self):

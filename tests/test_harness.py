@@ -135,10 +135,46 @@ C = 0.5
         assert sorted(kinds) == list(EXPERIMENT_KINDS)
 
     def test_unknown_kind_named_by_every_entry_point(self):
-        cfg = ExperimentConfig(kind="nonsense", params={})
-        for call in (lambda: default_config("nonsense"), lambda: run_experiment(cfg), lambda: calibrate(cfg)):
+        for call in (
+            lambda: default_config("nonsense"),
+            lambda: ExperimentConfig(kind="nonsense", params={}),
+            lambda: parse_config("[experiment]\nkind = nonsense\n"),
+        ):
             with pytest.raises(ConfigError, match="unknown experiment kind 'nonsense'; known"):
                 call()
+
+
+class TestDirectConfigs:
+    """A config built directly, or changed through ``dataclasses.replace``,
+    passes the same schema check as an INI config."""
+
+    def test_unknown_key_rejected(self):
+        params = dict(default_config("equicorrelated").params, thta=2.0)
+        with pytest.raises(ConfigError, match=r"unknown \[params\] keys for kind 'equicorrelated': \['thta'\]"):
+            ExperimentConfig(kind="equicorrelated", params=params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, (1.0, math.nan)])
+    def test_non_finite_float_rejected(self, value):
+        key = "root_coeffs" if isinstance(value, tuple) else "z"
+        params = dict(default_config("szego").params, **{key: value})
+        with pytest.raises(ConfigError, match=f"param {key!r} of kind 'szego' must be finite"):
+            ExperimentConfig(kind="szego", params=params)
+
+    def test_replace_is_checked(self):
+        cfg = default_config("limsup")
+        with pytest.raises(ConfigError, match="requires param 'max_terms'"):
+            replace(cfg, params={k: v for k, v in cfg.params.items() if k != "max_terms"})
+
+    def test_omitted_optional_params_take_defaults(self):
+        cfg = ExperimentConfig(kind="moderate-trig", params={"x": 100, "eta": 0.3}, reps=200)
+        assert cfg.params == default_config("moderate-trig").params
+        record = run_experiment(cfg, seed=1)
+        assert [row.name for row in record.checks] == ["sup_prob_le_moderate_bound", "bound_vacuous"]
+
+    def test_strings_parse_and_other_values_are_kept(self):
+        cfg = ExperimentConfig(kind="equicorrelated", params={"n": "6", "lam": 0.25, "theta": 2})
+        assert cfg.params == {"n": 6, "lam": 0.25, "theta": 2} and type(cfg.params["theta"]) is int
+        assert replace(cfg, reps=500).params == cfg.params
 
 
 class TestSeedPrecedence:
@@ -355,10 +391,16 @@ class TestCli:
             assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_alias_subcommands(self, capsys):
-        assert cli_main(["decouple", "--reps", "4000"]) == 0
-        out = capsys.readouterr().out
-        assert "experiment=decoupling" in out
+    def test_no_alias_subcommands(self, capsys):
+        for alias in ("cyclic", "decouple", "kronecker"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([alias])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and err.count("\n") == 1
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        assert "{verify,calibrate}" in capsys.readouterr().out
 
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -602,6 +644,9 @@ class TestBudgetErrors:
         "walk": ("cyclic-transfer", {"ts_kind": "identity", "U": "1e9"}, "test sequence walk to 1e+09"),
         "grid": ("cyclic-transfer", {"ts_kind": "pow2", "U": "1e9"}, "grid of 127999999873 nodes"),
         "terms": ("cyclic-transfer", {"x": "100000000", "U": "2"}, "range [1, 100000000] of 100000000 terms"),
+        "divergence": ("divergence", {"ladder": "1000000000000"}, "divergence scan size (2000000000000 + 1)*4"),
+        "ou_covariance": ("decoupling", {"ou_n": "1000000"}, "covariance of dimension 1000000 "),
+        "szego_covariance": ("szego", {"n": "1000000"}, "covariance of dimension 1000000 "),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -614,3 +659,24 @@ class TestBudgetErrors:
         assert captured.err.startswith("budget error: ") and captured.err.count("\n") == 1
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestProductBoundsBeyondFloat:
+    """Product-bound configs whose displayed form overflows or divides by
+    zero end in a record: the bound is evaluated in logs, and one past the
+    float range reads inf (a vacuous pass)."""
+
+    CASES = {
+        "equicorrelated": ("equicorrelated", {"n": "300", "lam": "0.3", "theta": "2.0"}, "bound=3.61514e+245"),
+        "block": ("block", {"blocks": "400", "block_size": "4", "u": "0.5", "lam": "0.1"}, "bound=inf"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_ends_in_a_record(self, case, capsys, tmp_path, deadline):
+        kind, overrides, bound = self.CASES[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini_with(kind, overrides))
+        assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert bound in captured.out and captured.out.splitlines()[-1] == "overall: PASS - 1 passed, 0 failed"

@@ -10,6 +10,7 @@ from supdev import harness, kronecker
 from supdev.bounds import bound_equicorrelated
 from supdev.errors import BudgetError, DomainError
 from supdev.kronecker import (
+    ENUM_BUDGET,
     LatticeProblem,
     bound_cos_lattice,
     divergence_partial_sums,
@@ -28,6 +29,11 @@ def lat_problem(lambdas, betas, omega=10, h=1.0, interval=(1.0, 1000.0), c_o=0.1
     return LatticeProblem(
         lambdas=tuple(lambdas), betas=tuple(betas), omega=omega, h=h, interval=interval, c_o=c_o
     )
+
+
+def counted(problem, C=1.0):
+    """``solution_count`` on the problem's own lattice search and Xi report."""
+    return solution_count(problem, lattice_search(problem, arm_threshold=False), xi(problem), C=C)
 
 
 def brute_force_xi(problem, radius):
@@ -248,22 +254,23 @@ class TestSolutionCount:
 
     def test_count_positive_when_search_succeeds(self):
         prob = lat_problem([math.sqrt(2.0), math.sqrt(3.0)], [0.25, 0.75], omega=10, interval=(1.0, 20000.0))
-        res = solution_count(prob)
+        res = counted(prob)
         assert res.count >= 1
         assert res.k == solution_k(2 * 10 / 0.125)
 
     def test_count_monotone_in_interval(self):
         lam, bet = [math.sqrt(2.0)], [0.5]
-        small = solution_count(lat_problem(lam, bet, omega=10, interval=(1.0, 500.0)))
-        big = solution_count(lat_problem(lam, bet, omega=10, interval=(1.0, 1000.0)))
+        small = counted(lat_problem(lam, bet, omega=10, interval=(1.0, 500.0)))
+        big = counted(lat_problem(lam, bet, omega=10, interval=(1.0, 1000.0)))
         assert big.count >= small.count
 
     def test_supplied_xi_is_not_recomputed(self, monkeypatch):
         prob = lat_problem([math.sqrt(2.0), math.sqrt(3.0)], [0.25, 0.75], omega=10, interval=(1.0, 5000.0))
-        expect = solution_count(prob)
-        rep = xi(prob)
+        search, rep = lattice_search(prob, arm_threshold=False), xi(prob)
+        expect = solution_count(prob, search, rep)
         monkeypatch.setattr(kronecker, "xi", mock.Mock(side_effect=AssertionError("xi recomputed")))
-        assert solution_count(prob, xi_rep=rep) == expect
+        monkeypatch.setattr(kronecker, "lattice_search", mock.Mock(side_effect=AssertionError("search recomputed")))
+        assert solution_count(prob, search, rep) == expect
 
     def test_kronecker_case_computes_xi_once(self, monkeypatch):
         spy = mock.Mock(wraps=xi)
@@ -274,7 +281,7 @@ class TestSolutionCount:
 
     def test_lower_bounds_reported_not_asserted(self):
         prob = lat_problem([math.sqrt(2.0)], [0.5], omega=10, interval=(1.0, 200.0))
-        res = solution_count(prob, C=1e6)  # absurd constant: bounds exceed count
+        res = counted(prob, C=1e6)  # absurd constant: bounds exceed count
         assert res.lower_ii > res.count
 
 
@@ -549,3 +556,27 @@ class TestBoundCosLattice:
     def test_threshold_reported_with_mass(self):
         rep = bound_cos_lattice(3, 0.4, 2.0, total_a2=4.0)
         assert rep.threshold == pytest.approx(0.4 * 2.0 * 2.0)
+
+
+class TestDivergenceBudget:
+    """A divergence scan of (largest J + 1) * N values over ENUM_BUDGET
+    raises BudgetError before any term is evaluated."""
+
+    SPEC = PolynomialSpec(
+        coeffs=CoefficientSeq.from_values([1.0, 0.8, 0.6, 0.4], nonvanishing=True),
+        freqs=FrequencySeq.reals([2**0.5, 3**0.5, 5**0.5, 7**0.5]),
+        y=1,
+        x=4,
+        convention="raw",
+    )
+
+    def test_huge_ladder_raises_before_any_term(self, monkeypatch, deadline):
+        monkeypatch.setattr(kronecker, "ordered_map", mock.Mock(side_effect=AssertionError("term evaluated")))
+        with pytest.raises(BudgetError, match=rf"\(2000000000000 \+ 1\)\*4 exceeds {ENUM_BUDGET}"):
+            divergence_partial_sums(self.SPEC, 1.0, [10**12, 2 * 10**12])
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(kronecker, "ENUM_BUDGET", 40)
+        assert len(divergence_partial_sums(self.SPEC, 1.0, [4, 9])) == 2  # (9 + 1) * 4 = 40
+        with pytest.raises(BudgetError, match=r"\(10 \+ 1\)\*4 exceeds 40"):
+            divergence_partial_sums(self.SPEC, 1.0, [10])

@@ -17,7 +17,7 @@ from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
 
 import supdev
-from supdev import harness
+from supdev import harness, mc
 from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
 from supdev.errors import BudgetError, DomainError, FactorizationError
 from supdev.mc import (
@@ -777,6 +777,28 @@ class TestGridBudget:
             _design_matrix(spec, np.linspace(0.0, 1.0, 4097))
         with pytest.raises(BudgetError, match="design matrix"):
             mc_sup_prob(spec, GridSpec.uniform(0.0, 1.0, 4097), 1.0, 10, seed=0)
+
+
+class TestCovarianceBudget:
+    """A covariance of dimension n with n^2 > GRID_BUDGET raises BudgetError
+    before its matrix (or its index matrix) is allocated."""
+
+    def test_huge_dimensions_raise(self, deadline):
+        with pytest.raises(BudgetError, match=r"dimension 1000000 \(1000000000000 entries\) exceeds"):
+            CovarianceSpec.stationary(np.exp(-0.5 * np.arange(10**6)))
+        with pytest.raises(BudgetError, match="dimension 1000000 "):
+            CovarianceSpec.equicorrelated(10**6, 0.2)
+        with pytest.raises(BudgetError, match="dimension 4000000 "):
+            CovarianceSpec.block(10**6, 4, 0.5, 0.1)
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(mc, "GRID_BUDGET", 16)
+        assert CovarianceSpec.stationary([1.0, 0.5, 0.2, 0.1]).n == 4
+        assert CovarianceSpec.block(2, 2, 0.5, 0.1).n == 4
+        with pytest.raises(BudgetError, match=r"dimension 5 \(25 entries\) exceeds 16"):
+            CovarianceSpec.stationary([1.0, 0.5, 0.2, 0.1, 0.0])
+        with pytest.raises(BudgetError, match="dimension 5 "):
+            CovarianceSpec.equicorrelated(5, 0.1)
 
 
 _EQUI3 = CovarianceSpec.equicorrelated(3, 0.2)

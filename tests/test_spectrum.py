@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from supdev.spectrum import (
     PolynomialSpec,
     SpectralDensity,
     check_moderate_condition,
+    node_floor,
     power_sum,
     primes_up_to,
     spectral_geometric_mean,
@@ -62,6 +65,71 @@ class TestPowerSum:
     def test_cauchy_schwarz_fourth_vs_second(self, values):
         spec = make_spec("explicit", 1, len(values), coeffs=values)
         assert math.sqrt(power_sum(spec, 4)) <= power_sum(spec, 2) + 1e-12
+
+
+NODE_FLOOR_SPECS = [
+    make_spec("inv_sqrt", 1, 50),
+    make_spec("ones", 3, 17),
+    make_spec("prime_inv_sqrt", 1, 200),
+    make_spec("explicit", 2, 7, coeffs=[0.3, -1.7, 2.5, 0.0, 1e-3, -0.9, 4.2]),
+    PolynomialSpec(
+        coeffs=CoefficientSeq(kind="inv_sqrt"),
+        freqs=FrequencySeq.integers([k * k + 1 for k in range(1, 31)]),
+        y=4,
+        x=30,
+        convention="2pi",
+    ),
+    make_spec("ones", 6, 5),
+]
+
+
+class TestNodeFloor:
+    """node_floor is bit-for-bit each inline form it replaced, and every
+    caller of the node floor reads it."""
+
+    @pytest.mark.parametrize("spec", NODE_FLOOR_SPECS)
+    def test_equals_the_replaced_expressions(self, spec):
+        # GridSpec.cyclic_rule and cyclic_deviation_bound
+        grid_form = 2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2))
+        # riemann_gap
+        jk, aa = spec.freq_values(), spec.coeff_values() ** 2
+        gap_form = 2.0 * math.pi * float(np.sum(jk * aa))
+        assert node_floor(spec).hex() == grid_form.hex() == gap_form.hex()
+
+    def test_empty_range_is_zero(self):
+        assert node_floor(make_spec("ones", 6, 5)) == 0.0
+
+    @pytest.mark.parametrize("spec", NODE_FLOOR_SPECS[:5])
+    def test_callers_read_it(self, spec):
+        from supdev.decoupling import cyclic_deviation_bound, riemann_gap
+        from supdev.mc import GridSpec
+
+        floor = node_floor(spec)
+        grid = GridSpec.cyclic_rule(spec, 0.5)
+        assert grid.step == 1.0 / math.ceil(max(floor, 2.0))
+        a2 = power_sum(spec, 2)
+        n = int(math.ceil(max(floor, 2.0)))
+        assert cyclic_deviation_bound(spec, n, 0.5, 1.0).intermediates["freq_sum_floor"].hex() == floor.hex()
+        assert riemann_gap(spec, n).gap_bound.hex() == (floor / a2).hex()
+
+
+def test_sequences_are_evaluated_only_in_spectrum():
+    """Coefficients and frequencies are evaluated once, in PolynomialSpec;
+    no other module calls ``<...>.freqs.value(`` or ``<...>.coeffs.value(``."""
+    offenders = []
+    for path in sorted((Path(spectrum.__file__).parent).glob("*.py")):
+        if path.name == "spectrum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "value"
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr in ("freqs", "coeffs")
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestCoefficientSequences:
