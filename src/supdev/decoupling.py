@@ -19,7 +19,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .bounds import BoundReport
-from .errors import CheckError, DomainError
+from .errors import DomainError
 from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate
 from .quadrature import adaptive_simpson
 from .spectrum import PolynomialSpec, node_floor, power_sum
@@ -94,8 +94,9 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
     The L1 norm of the cosine sum over one period is computed by adaptive
     Simpson quadrature seeded with panels finer than the top frequency (the
     integrand is piecewise smooth with kinks at its sign changes).  The gap
-    against (n/A) * integral is certified against the derivative bound, and
-    the coefficient against its fourth-moment upper bound.
+    against (n/A) * integral and its derivative bound are returned, with
+    the coefficient and its fourth-moment upper bound; the caller compares
+    them.  The quadrature adds at most about 10 tol n / A to the gap.
     """
     rep = decoupling_coeff_cyclic(spec, n)
     aa = spec.coeff_values() ** 2
@@ -108,15 +109,9 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
     panels = int(max(16, 4 * jk.max())) if jk.size else 16
     integral = adaptive_simpson(phi_abs, 0.0, 1.0, tol=tol, n_panels=panels)
     integral_term = n * integral / a2
-    gap = abs(rep.p_value - integral_term)
     floor = node_floor(spec)
-    gap_bound = floor / a2
-    if gap > gap_bound + 10.0 * tol * n / a2 + 1e-9:
-        raise CheckError(f"Riemann gap {gap:.6g} exceeds derivative bound {gap_bound:.6g}")
     upper = (n * math.sqrt(power_sum(spec, 4)) + floor) / a2
-    if rep.p_value > upper * (1.0 + 1e-12) + 1e-9:
-        raise CheckError(f"p={rep.p_value:.6g} exceeds fourth-moment bound {upper:.6g}")
-    return RiemannGap(rep.p_value, integral_term, gap, gap_bound, upper)
+    return RiemannGap(rep.p_value, integral_term, abs(rep.p_value - integral_term), floor / a2, upper)
 
 
 @dataclass(frozen=True)
@@ -148,24 +143,15 @@ def mechanical_quadrature_check(poly: TrigPoly, N: int) -> tuple:
     """Mean of P over the circle vs the 2N-point equispaced average.
 
     Returns (lhs, rhs) where lhs is the exact constant Fourier coefficient
-    and rhs = (1/2N) sum_{nu=-N+1}^{N} P(nu pi / N).  For degree <= 2N - 1
-    the two agree to rounding and this is verified in place; for higher
-    degrees the identity fails (e.g. cos(2Nx) gives rhs = 1, lhs = 0) and
-    nothing is asserted.
+    and rhs = (1/2N) sum_{nu=-N+1}^{N} P(nu pi / N); the caller compares
+    them.  For degree <= 2N - 1 the two agree to rounding, within
+    1e-12 (1 + coeff_l1); for higher degrees the identity fails (e.g.
+    cos(2Nx) gives rhs = 1, lhs = 0).
     """
     if N < 1:
         raise DomainError(f"N={N} < 1")
     nodes = np.arange(-N + 1, N + 1) * (math.pi / N)
-    rhs = float(np.mean(poly(nodes)))
-    lhs = poly.c0
-    if poly.degree <= 2 * N - 1:
-        tol = 1e-12 * (1.0 + poly.coeff_l1())
-        if abs(lhs - rhs) > tol:
-            raise CheckError(
-                f"mechanical quadrature violated at degree {poly.degree} <= 2N-1={2 * N - 1}: "
-                f"|{lhs} - {rhs}| > {tol}"
-            )
-    return lhs, rhs
+    return poly.c0, float(np.mean(poly(nodes)))
 
 
 def decoupling_multiplier(cov: CovarianceSpec, p: float, beta: float) -> float:

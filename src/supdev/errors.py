@@ -22,7 +22,9 @@ class BudgetError(SupdevError, ValueError):
 
 
 class CheckError(SupdevError, AssertionError):
-    """A deterministic inequality check failed (names the check)."""
+    """An invariant the computation relies on failed (names it).  Library
+    functions return both sides of an inequality instead of raising on it;
+    ``bounds.beta_block`` raises the one CheckError left."""
 
 
 class ConfigError(SupdevError, ValueError):

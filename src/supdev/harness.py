@@ -16,6 +16,8 @@ import configparser
 import hashlib
 import json
 import math
+import numbers
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -74,13 +76,53 @@ __all__ = [
 
 SEED_ENV_VAR = "SUPDEV_SEED"
 
+
+def _as_int(value) -> int:
+    """An integer, or text that ``int`` reads.  Floats are refused, even
+    integral ones, as the text "6.0" is; so are bools."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise TypeError(f"{type(value).__name__} is not a number")
+    return float(value)
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{type(value).__name__} is not text")
+    return value
+
+
+def _as_list(item: Callable) -> Callable:
+    """A tuple of ``item`` values, from text split at commas and spaces or
+    from any other iterable."""
+    return lambda value: tuple(map(item, value.replace(",", " ").split() if isinstance(value, str) else value))
+
+
+# schema type name -> (coercion, description); text and Python values alike
 _TYPES = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "list_float": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
-    "list_int": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
+    "int": (_as_int, "an integer"),
+    "float": (_as_float, "a number"),
+    "str": (_as_str, "a string"),
+    "list_float": (_as_list(_as_float), "a list of numbers"),
+    "list_int": (_as_list(_as_int), "a list of integers"),
 }
+
+
+def _typed(value, tname: str, what: str):
+    """``value`` as schema type ``tname``, or a ConfigError naming ``what``."""
+    coerce, description = _TYPES[tname]
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be {description}, got {value!r}") from exc
+
 
 class Kind(NamedTuple):
     """One experiment kind: its runner, its optional constant fit, its
@@ -113,8 +155,10 @@ def _check_seed(seed: int, source: str) -> int:
 class ExperimentConfig:
     """Validated on construction, so every config (parsed from INI, from
     ``default_config``, through ``dataclasses.replace`` or built directly)
-    passes one check: reps, workers, seed, kind and the ``[params]`` schema,
-    whose result (strings parsed, defaults filled in) becomes ``params``."""
+    passes one check: reps, workers, seed, kind and the ``[params]`` schema.
+    Values are typed by the schema whatever their source: seed, reps,
+    workers and int params are ints, float params floats and list params
+    tuples, so a config hashes and runs the same as its INI text."""
 
     kind: str
     params: dict
@@ -124,10 +168,12 @@ class ExperimentConfig:
     output: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("reps", "workers"):
+            object.__setattr__(self, name, _typed(getattr(self, name), "int", name))
         if self.reps < 1 or self.workers < 1:
             raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
         if self.seed is not None:
-            _check_seed(self.seed, "seed")
+            object.__setattr__(self, "seed", _check_seed(_typed(self.seed, "int", "seed"), "seed"))
         object.__setattr__(self, "params", _validate_params(self.kind, self.params))
 
     def canonical(self) -> str:
@@ -154,17 +200,12 @@ def _validate_params(kind: str, raw: dict) -> dict:
         raise ConfigError(f"unknown [params] keys for kind {kind!r}: {sorted(unknown)}")
     params = {}
     for name, (tname, required, default) in schema.items():
-        if name in raw:
-            try:
-                params[name] = _TYPES[tname](raw[name]) if isinstance(raw[name], str) else raw[name]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"param {name!r} of kind {kind!r} must parse as {tname}: {exc}") from exc
-            if tname in ("float", "list_float") and not np.all(np.isfinite(params[name])):
-                raise ConfigError(f"param {name!r} of kind {kind!r} must be finite, got {raw[name]!r}")
-        elif required:
+        if required and name not in raw:
             raise ConfigError(f"kind {kind!r} requires param {name!r}")
-        else:
-            params[name] = default
+        what = f"param {name!r} of kind {kind!r}"
+        params[name] = _typed(raw.get(name, default), tname, what)
+        if tname in ("float", "list_float") and not np.all(np.isfinite(params[name])):
+            raise ConfigError(f"{what} must be finite, got {raw[name]!r}")
     return params
 
 
@@ -189,19 +230,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown [experiment] keys: {sorted(bad)}")
     if "kind" not in exp:
         raise ConfigError("[experiment] needs a 'kind'")
-    kind = exp["kind"].strip()
-    try:
-        seed = int(exp["seed"]) if "seed" in exp else None
-        reps = int(exp.get("reps", 10000))
-        workers = int(exp.get("workers", 1))
-    except ValueError as exc:
-        raise ConfigError(f"seed/reps/workers must be integers: {exc}") from exc
+    kind = exp.pop("kind").strip()
     params = dict(cp["params"]) if "params" in cp else {}
     output = dict(cp["output"]) if "output" in cp else {}
     bad_out = set(output) - {"csv", "json", "plotdata"}
     if bad_out:
         raise ConfigError(f"unknown [output] keys: {sorted(bad_out)}")
-    return ExperimentConfig(kind=kind, params=params, seed=seed, reps=reps, workers=workers, output=output)
+    # seed, reps and workers stay text here: construction types them
+    return ExperimentConfig(kind=kind, params=params, output=output, **exp)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -216,14 +252,10 @@ def load_config(path: str) -> ExperimentConfig:
 def effective_seed(config: ExperimentConfig, cli_seed: Optional[int] = None) -> int:
     """Seed precedence: CLI flag > environment > config > 0."""
     if cli_seed is not None:
-        return _check_seed(int(cli_seed), "seed override")
+        return _check_seed(_typed(cli_seed, "int", "seed override"), "seed override")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-        return _check_seed(seed, SEED_ENV_VAR)
+        return _check_seed(_typed(env, "int", SEED_ENV_VAR), SEED_ENV_VAR)
     if config.seed is not None:
         return config.seed
     return 0
@@ -389,10 +421,8 @@ def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     rows = []
     cov = CovarianceSpec.equicorrelated(p["n"], p["lam"])
     p_x = decoupling_coeff_vector(cov).p_value
-    beta_bar = max(p["beta"], 1.0 + 1e-9)
-    p_norm = beta_bar * p_x
     boxes = [(0.0, math.inf)] * p["n"]
-    chk = verify_decoupling_mc(cov, p_norm, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers)
+    chk = verify_decoupling_mc(cov, p["beta"] * p_x, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers)
     rows.append(_row_from_estimate("product_indicator_le_pnorm_bound", chk.lhs, chk.rhs))
     gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, seed, workers=cfg.workers)
     hw = gn.lhs.half_width
@@ -419,7 +449,7 @@ def _lattice_problem(p: dict) -> LatticeProblem:
 def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
     problem = _lattice_problem(p)
-    search = lattice_search(problem, arm_threshold=False)
+    search = lattice_search(problem)
     target = 1.0 / p["omega"]
     xi_rep = xi(problem)
     counts = solution_count(problem, search, xi_rep, C=p["C"])
@@ -492,7 +522,7 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
         interval=(1.0, p["scan_hi"]),
         c_o=0.125,
     )
-    search = lattice_search(scaled, arm_threshold=False)
+    search = lattice_search(scaled)
     # the correlation cap can only mix below 1 when the sampled phase
     # parities differ, so keep one point per parity signature
     ts, seen = [], set()
@@ -511,10 +541,11 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
     finite = math.isfinite(res.max_offdiag_corr)
     return [
         CheckRow(name="lattice_points_found", passed=True, bound=float(len(res.accepted_ts))),
-        # hand-built: with fewer than two accepted points the cap passes with no margin
+        # hand-built: with fewer than two accepted points the correlation is
+        # -inf, so the cap passes with no margin
         CheckRow(
             name="correlation_cap",
-            passed=bool(res.cap_ok),
+            passed=bool(res.max_offdiag_corr <= res.eta),
             mc=res.max_offdiag_corr if finite else None,
             bound=res.eta,
             margin=(res.eta - res.max_offdiag_corr) if finite else None,
@@ -542,7 +573,7 @@ def _calibrate_kronecker(cfg: ExperimentConfig, seed: int) -> dict:
     """The largest C for which both count lower bounds stay below the
     observed count."""
     problem = _lattice_problem(cfg.params)
-    base = solution_count(problem, lattice_search(problem, arm_threshold=False), xi(problem))
+    base = solution_count(problem, lattice_search(problem), xi(problem))
     count = base.count
     if count == 0:
         return {"kind": cfg.kind, "c_max": 0.0}

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .bounds import BoundReport
-from .errors import BudgetError, CheckError, DomainError
+from .errors import BudgetError, DomainError
 from .mc import ordered_map
 from .spectrum import PolynomialSpec, power_sum
 
@@ -216,14 +216,14 @@ def _lattice_range(problem: LatticeProblem) -> tuple:
     return m_lo, m_hi
 
 
-def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> LatticeSearch:
+def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     """Scan t = h*m over the interval and minimize max_j ||t lambda_j - beta_j||.
 
     Returns the smallest minimizing t, the achieved distance, and the full
-    list of t meeting the 1/omega target.  When the achieved distance
-    misses 1/omega and the interval is longer than the guarantee threshold
-    (which requires computing Xi), a CheckError is raised; below the
-    threshold the miss is legitimate.
+    list of t meeting the 1/omega target; the caller compares the achieved
+    distance with 1/omega.  A miss contradicts the approximation theorem
+    only when hi - lo > problem.length_threshold(xi(problem).xi); below
+    that length it is legitimate.
 
     A point can be a hit, or improve on the best distance so far, only if
     its first-frequency distance is at most thr = max(1/omega, best).  Each
@@ -277,21 +277,10 @@ def lattice_search(problem: LatticeProblem, arm_threshold: bool = True) -> Latti
                 best = float(dist[i])
                 best_m = int(ms[cand[i]])
         hit_chunks.append(t_cand[dist <= target])
-    hits = np.concatenate(hit_chunks)
-
-    if arm_threshold and best > target:
-        xi_rep = xi(problem)
-        lo, hi = problem.interval
-        if hi - lo > problem.length_threshold(xi_rep.xi):
-            raise CheckError(
-                f"approximation guarantee violated: achieved {best:.6g} > 1/omega={target:.6g} "
-                f"on an interval of length {hi - lo:.6g} above the threshold "
-                f"{problem.length_threshold(xi_rep.xi):.6g}"
-            )
     return LatticeSearch(
         t_best=problem.h * best_m,
         achieved=best,
-        hits=hits,
+        hits=np.concatenate(hit_chunks),
         m_best=best_m,
         lattice_size=count,
     )
@@ -320,11 +309,10 @@ def solution_count(problem: LatticeProblem, search: LatticeSearch, xi_rep: XiRep
     """Count the 1/omega approximants on the lattice and evaluate the two
     lower bounds with the supplied free constant.
 
-    ``search`` and ``xi_rep`` are the caller's lattice search and Xi report
-    of ``problem`` (``lattice_search(problem, arm_threshold=False)`` and
-    ``xi(problem)``); this function runs neither scan.  The count and both
-    bounds are returned as they are; the caller compares them (calibration
-    fits the largest C keeping both bounds below the count), because their
+    ``search`` and ``xi_rep`` are the caller's ``lattice_search(problem)``
+    and ``xi(problem)``; this function runs neither scan.  The count and
+    both bounds are returned; the caller compares them (calibration fits
+    the largest C keeping both bounds below the count), because their
     constant is not pinned by the statement.
     """
     n = problem.n_freq
@@ -499,8 +487,6 @@ class LatticeCorrelation(NamedTuple):
     eta: float
     var_ratio_min: float
     accepted_ts: tuple
-    cap_ok: bool
-    floor_ok: bool
 
 
 def lattice_correlation(
@@ -520,13 +506,12 @@ def lattice_correlation(
     search on frequencies a*lambda_k/pi with target beta/pi and precision
     omega' >= pi*omega pass it); failing points are rejected.
 
-    The largest off-diagonal correlation and the smallest variance ratio
-    are returned with eta and the two flags cap_ok and floor_ok; the caller
-    judges them.  Note the floor is structurally tight: the admissibility
-    constraints force beta^2 > 6/omega while the floor needs
+    The largest off-diagonal correlation (-inf with one accepted point)
+    and the smallest variance ratio are returned with eta; the caller
+    compares each with eta.  Note the floor is structurally tight: the
+    admissibility constraints force beta^2 > 6/omega while the floor needs
     sin(beta)^2 <= 2/omega, so for admissible inputs the computed variance
-    ratio sits near cos(beta)^2 below eta, and floor_ok reports exactly
-    that.
+    ratio sits near cos(beta)^2 below eta.
     """
     if not 0.0 < c < 2.0 / math.pi:
         raise DomainError(f"c={c} outside (0, 2/pi)")
@@ -561,9 +546,7 @@ def lattice_correlation(
         max_off = float(off.max())
     else:
         max_off = -math.inf
-    var_ratio_min = float(variances.min() / a2)
-    cap_ok = (m <= 1) or (max_off <= eta)
-    return LatticeCorrelation(max_off, eta, var_ratio_min, tuple(accepted), cap_ok, var_ratio_min >= eta)
+    return LatticeCorrelation(max_off, eta, float(variances.min() / a2), tuple(accepted))
 
 
 def bound_cos_lattice(m: int, eta: float, kappa_arg: float, total_a2: Optional[float] = None) -> BoundReport:

@@ -2,6 +2,12 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples and writes no example database, so two
+# runs of the suite see the same @given cases
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -171,10 +172,78 @@ class TestDirectConfigs:
         record = run_experiment(cfg, seed=1)
         assert [row.name for row in record.checks] == ["sup_prob_le_moderate_bound", "bound_vacuous"]
 
-    def test_strings_parse_and_other_values_are_kept(self):
-        cfg = ExperimentConfig(kind="equicorrelated", params={"n": "6", "lam": 0.25, "theta": 2})
-        assert cfg.params == {"n": 6, "lam": 0.25, "theta": 2} and type(cfg.params["theta"]) is int
+
+class TestConfigTyping:
+    """Values are typed by the schema whatever their source: a config built
+    in code runs and hashes like its INI text, and a value of the wrong type
+    is a ConfigError (exit 2 from the CLI), not a traceback or a silently
+    truncated number."""
+
+    def test_text_and_python_values_are_typed_alike(self):
+        cfg = ExperimentConfig(kind="equicorrelated", params={"n": "6", "lam": 0.25, "theta": 2}, seed="3")
+        assert cfg.params == {"n": 6, "lam": 0.25, "theta": 2.0} and type(cfg.params["theta"]) is float
+        assert cfg.seed == 3
         assert replace(cfg, reps=500).params == cfg.params
+
+    def test_int_for_a_float_hashes_like_the_ini(self):
+        params = dict(default_config("equicorrelated").params, theta=2)
+        ini = parse_config(ini_with("equicorrelated", {"theta": "2"}))
+        assert ExperimentConfig(kind="equicorrelated", params=params).config_hash() == ini.config_hash()
+
+    def test_list_hashes_like_the_tuple_and_the_ini(self):
+        params = default_config("limsup").params
+        as_list = ExperimentConfig(kind="limsup", params=dict(params, alphas=[1, 1.0, 1]))
+        assert as_list.params["alphas"] == (1.0, 1.0, 1.0)
+        assert all(type(a) is float for a in as_list.params["alphas"])
+        assert (
+            as_list.config_hash()
+            == ExperimentConfig(kind="limsup", params=params).config_hash()
+            == parse_config(ini_with("limsup", {})).config_hash()
+        )
+
+    @pytest.mark.parametrize("name, value", [("seed", 1.5), ("reps", 1000.5), ("workers", 2.0), ("seed", True),
+                                             ("reps", "many")])
+    def test_experiment_numbers_take_the_int_rule(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(kind="equicorrelated", params=default_config("equicorrelated").params, **{name: value})
+
+    def test_seed_override_takes_the_int_rule(self):
+        with pytest.raises(ConfigError, match=re.escape("seed override must be an integer, got 1.5")):
+            run_experiment(default_config("equicorrelated"), seed=1.5)
+
+    @pytest.mark.parametrize(
+        "kind, key, value, description",
+        [
+            ("equicorrelated", "n", 6.5, "an integer"),
+            ("equicorrelated", "n", True, "an integer"),
+            ("equicorrelated", "theta", None, "a number"),
+            ("equicorrelated", "theta", "two", "a number"),
+            ("moderate-trig", "coeff_kind", 1, "a string"),
+            ("limsup", "alphas", 1.0, "a list of numbers"),
+            ("divergence", "ladder", (1000, 1e4), "a list of integers"),
+        ],
+    )
+    def test_wrong_type_rejected(self, kind, key, value, description):
+        params = dict(default_config(kind).params, **{key: value})
+        message = f"param {key!r} of kind {kind!r} must be {description}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(kind=kind, params=params)
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [("seed", "1.5", "seed"), ("reps", "1000.5", "reps"), ("n", "6.5", "param 'n' of kind 'equicorrelated'")],
+    )
+    def test_cli_exit_two_names_the_field(self, key, value, what, capsys, tmp_path, deadline):
+        text = ini_with("equicorrelated", {key: value})
+        if key != "n":
+            text = text.replace("[params]", f"{key} = {value}\n[params]")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert cli_main(["verify", "equicorrelated", "-c", str(cfg), "--reps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {what} must be an integer, got {value!r}\n"
+        assert captured.out == ""
 
 
 class TestSeedPrecedence:
@@ -315,6 +384,12 @@ class TestVerdictRule:
             assert row.passed == (row.margin >= 0), row.name
         if params:
             assert any(row.margin < 0 and row.passed is False for row in rows)
+
+    def test_correlation_cap_with_one_point_passes_without_margin(self):
+        cfg = default_config("lattice-correlation")
+        record = run_experiment(replace(cfg, params={**cfg.params, "max_points": 1}), seed=0)
+        [cap] = [row for row in record.checks if row.name == "correlation_cap"]
+        assert cap.passed is True and cap.margin is None and cap.mc is None
 
 
 class TestEmission:

@@ -33,7 +33,7 @@ def lat_problem(lambdas, betas, omega=10, h=1.0, interval=(1.0, 1000.0), c_o=0.1
 
 def counted(problem, C=1.0):
     """``solution_count`` on the problem's own lattice search and Xi report."""
-    return solution_count(problem, lattice_search(problem, arm_threshold=False), xi(problem), C=C)
+    return solution_count(problem, lattice_search(problem), xi(problem), C=C)
 
 
 def brute_force_xi(problem, radius):
@@ -223,7 +223,7 @@ class TestLatticeSearch:
     @settings(max_examples=300, deadline=None)
     def test_matches_full_scan(self, problem, chunk):
         with mock.patch.object(kronecker, "_SCAN_CHUNK", chunk):
-            res = lattice_search(problem, arm_threshold=False)
+            res = lattice_search(problem)
         assert_same_search(res, full_scan(problem))
 
     @pytest.mark.parametrize("lambdas,betas", [([0.5], [0.25]), ([0.5, math.sqrt(2.0)], [0.25, 0.1])])
@@ -232,9 +232,17 @@ class TestLatticeSearch:
         # the first filter, and the minimum ties everywhere in one dimension
         monkeypatch.setattr(kronecker, "_SCAN_CHUNK", 16)
         prob = lat_problem(lambdas, betas, omega=10, interval=(3.0, 500.0))
-        res = lattice_search(prob, arm_threshold=False)
+        res = lattice_search(prob)
         assert res.hits.size == 0 and res.achieved >= 0.25
         assert_same_search(res, full_scan(prob))
+
+    def test_guarantee_regime_hits_the_target(self):
+        # the interval is longer than the threshold set by Xi (0.01219 here,
+        # threshold 8098), so the theorem promises a point within 1/omega
+        prob = lat_problem([math.sqrt(2.0)], [0.3], omega=3, h=1.0, interval=(1.0, 1.0e5), c_o=0.2)
+        lo, hi = prob.interval
+        assert hi - lo > prob.length_threshold(xi(prob).xi)
+        assert lattice_search(prob).achieved <= 1.0 / 3.0
 
     def test_empty_lattice_rejected(self):
         # the nonnegative multiples of h miss a negative interval entirely
@@ -266,7 +274,7 @@ class TestSolutionCount:
 
     def test_supplied_xi_is_not_recomputed(self, monkeypatch):
         prob = lat_problem([math.sqrt(2.0), math.sqrt(3.0)], [0.25, 0.75], omega=10, interval=(1.0, 5000.0))
-        search, rep = lattice_search(prob, arm_threshold=False), xi(prob)
+        search, rep = lattice_search(prob), xi(prob)
         expect = solution_count(prob, search, rep)
         monkeypatch.setattr(kronecker, "xi", mock.Mock(side_effect=AssertionError("xi recomputed")))
         monkeypatch.setattr(kronecker, "lattice_search", mock.Mock(side_effect=AssertionError("search recomputed")))
@@ -505,7 +513,7 @@ class TestLatticeCorrelation:
     def test_variance_floor_structurally_fails(self):
         # admissibility forces beta^2 > 6/omega while the floor needs
         # sin(beta)^2 <= 2/omega, so the computed ratio sits near cos(beta)^2
-        # below eta: floor_ok reports exactly that
+        # below eta
         lam = [math.sqrt(2.0), math.sqrt(3.0)]
         beta, omega, c = 0.35, 60, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
@@ -515,14 +523,13 @@ class TestLatticeCorrelation:
         eta = 1.0 - 2.0 / omega
         assert res.eta == pytest.approx(eta)
         assert res.var_ratio_min == pytest.approx(math.cos(beta) ** 2, abs=0.05)
-        assert not res.floor_ok
+        assert res.var_ratio_min < res.eta
 
     def test_mixed_parity_points_pass_cap(self):
         lam = [math.sqrt(2.0), math.sqrt(3.0)]
         beta, omega, c = 0.35, 60, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
         res = lattice_correlation(raw_spec([1.0, 0.8], lam), 1.0, omega, beta, c, pts)
-        assert res.cap_ok
         assert res.max_offdiag_corr <= res.eta
 
     def test_precondition_names(self):

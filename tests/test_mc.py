@@ -738,7 +738,7 @@ def test_no_verdict_switches():
     """Verdicts are decided once, by the harness rows: no public callable in
     supdev (function, class or public method) takes a switch that turns a
     comparison into a raise, and the row cushion is not settable."""
-    switches = {"check", "assert_lower_bounds"}
+    switches = {"check", "assert_lower_bounds", "arm_threshold"}
     found = set()
     for info in pkgutil.iter_modules(supdev.__path__):
         module = importlib.import_module(f"supdev.{info.name}")
@@ -760,6 +760,26 @@ def test_no_verdict_switches():
                 found.update(f"{module.__name__}.{qual}({p})" for p in params if p in switches)
     assert found == set()
     assert "cushion" not in inspect.signature(harness._row_from_estimate).parameters
+
+
+def test_check_error_raised_only_by_beta_block():
+    """Library functions return both sides of each inequality and the caller
+    judges; the one ``raise CheckError`` left is ``bounds.beta_block``'s
+    escape of beta from (0, 1)."""
+    raisers = []
+    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names = {sub.id for sub in ast.walk(node.exc) if isinstance(sub, ast.Name)}
+                names |= {sub.attr for sub in ast.walk(node.exc) if isinstance(sub, ast.Attribute)}
+                if "CheckError" in names:
+                    raisers.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert raisers == ["bounds.beta_block"]
 
 
 class TestGridBudget:

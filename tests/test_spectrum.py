@@ -110,7 +110,10 @@ class TestNodeFloor:
         a2 = power_sum(spec, 2)
         n = int(math.ceil(max(floor, 2.0)))
         assert cyclic_deviation_bound(spec, n, 0.5, 1.0).intermediates["freq_sum_floor"].hex() == floor.hex()
-        assert riemann_gap(spec, n).gap_bound.hex() == (floor / a2).hex()
+        res = riemann_gap(spec, n)
+        assert res.gap_bound.hex() == (floor / a2).hex()
+        assert res.gap <= res.gap_bound + min(1e-6, 10.0 * 1e-9 * n / a2 + 1e-9)
+        assert res.p_value <= res.upper_bound + 1e-9
 
 
 def test_sequences_are_evaluated_only_in_spectrum():
