@@ -75,6 +75,13 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
+def _free_constant(C: float) -> None:
+    """Refuse a free constant C that is not positive: the statements take
+    it positive, and C <= 0 overflows or turns a bound complex."""
+    if not C > 0.0:
+        raise DomainError(f"free constant C={C} must be positive")
+
+
 def _product(direct: Callable[[], float], log_value: float) -> float:
     """``direct()`` where it is positive and finite, else exp(``log_value``):
     0 below the float range, inf above it."""
@@ -272,6 +279,7 @@ def bound_moderate_trig(
         threshold = sqrt(2 A log(A/V)),
         value = exp(-C eps V / sqrt(((sum a^4)^{1/2} + 1) log(A/V))).
     """
+    _free_constant(C)
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta={eta} outside (0, 1]")
     if not 0.0 < eps <= 1.0:
@@ -310,6 +318,7 @@ def bound_loglog(x: float, eta: float, B: float, C: float = 1.0) -> BoundReport:
     sqrt(2 eta (log log x)(log log log x)) and value
     exp(-C (log log x)^{1-eta} / sqrt(8 eta (B+1) log log log x)).
     """
+    _free_constant(C)
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
     if B < 0.0:

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import _free_constant
 from .errors import BudgetError, DomainError
 from .spectrum import FrequencySeq, PolynomialSpec, power_sum
 
@@ -95,8 +96,9 @@ class TestSequence:
         return out
 
     def inverse_squares(self, y: int, x: int) -> np.ndarray:
-        """1/N_k^2 as floats (harmless underflow to 0 for huge N_k)."""
-        return np.array([1.0 / (v * v) for v in self.values(y, x)], dtype=float)
+        """1/N_k^2 as floats, by exact integer division: correctly rounded,
+        and 0 where it underflows (N_k^2 beyond the float range included)."""
+        return np.array([1 / (v * v) for v in self.values(y, x)], dtype=float)
 
     def max_index(self) -> Optional[int]:
         return len(self.explicit) if self.kind == "explicit" else None
@@ -105,13 +107,20 @@ class TestSequence:
 def rational_freq(L: float, N: int) -> tuple:
     """Quantize L > 0 to the exact rational (floor(N L), N).
 
-    The represented value floor(N L)/N differs from L by at most 1/N.
+    The represented value floor(N L)/N differs from L by at most 1/N; N L
+    must be a finite float.
     """
     if L <= 0.0:
         raise DomainError(f"frequency L={L} must be positive")
     if N < 1:
         raise DomainError(f"denominator N={N} must be a positive integer")
-    return int(math.floor(N * L)), int(N)
+    try:
+        scaled = N * L
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise DomainError(f"N*L is not a finite float for L={L} and a {int(N).bit_length()}-bit denominator N")
+    return int(math.floor(scaled)), int(N)
 
 
 class KappaBlocks(NamedTuple):
@@ -280,6 +289,7 @@ def sup_diff_bound(spec: PolynomialSpec, ts: TestSequence, U: float, C: float = 
     kappa <= 1 the logarithm degenerates, so log kappa is guarded by
     max(log kappa, 1) while the raw kappa is still reported.
     """
+    _free_constant(C)
     rep = delta_term(spec, ts, U)
     kappa = rep.kappa_yU if rep.branch == "y<=U" else rep.kappa_1U
     return SupDiffBound(rep.delta, C * rep.delta * math.sqrt(_guarded_log(kappa)), kappa, rep.branch)
@@ -306,6 +316,7 @@ def transfer_bound(
     P{sup X_perp <= theta} plus this error term.  Delta = 0 (all-zero
     coefficients) gives error 0 since the coupled difference vanishes.
     """
+    _free_constant(C)
     if not 0.0 < h < theta:
         raise DomainError(f"need 0 < h < theta, got h={h}, theta={theta}")
     if U < 1.0:

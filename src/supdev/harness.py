@@ -20,6 +20,7 @@ import numbers
 import operator
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Optional
@@ -155,19 +156,32 @@ def _check_seed(seed: int, source: str) -> int:
 class ExperimentConfig:
     """Validated on construction, so every config (parsed from INI, from
     ``default_config``, through ``dataclasses.replace`` or built directly)
-    passes one check: reps, workers, seed, kind and the ``[params]`` schema.
-    Values are typed by the schema whatever their source: seed, reps,
-    workers and int params are ints, float params floats and list params
-    tuples, so a config hashes and runs the same as its INI text."""
+    passes one check: kind, reps, workers, seed, the ``[params]`` schema and
+    the ``[output]`` paths.  Values are typed by the schema whatever their
+    source: the kind is text, params and output are mappings, seed, reps,
+    workers and int params are ints, float params floats, list params
+    tuples and output paths text, so a config hashes and runs the same as
+    its INI text.  Omitted reps take the kind's replication count."""
 
     kind: str
     params: dict
     seed: Optional[int] = None
-    reps: int = 10000
+    reps: Optional[int] = None
     workers: int = 1
     output: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        entry = _kind(_typed(self.kind, "str", "kind"))
+        for name in ("params", "output"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
+        bad_out = set(self.output) - {"csv", "json", "plotdata"}
+        if bad_out:
+            raise ConfigError(f"unknown [output] keys: {sorted(bad_out, key=repr)}")
+        output = {fmt: _typed(path, "str", f"[output] {fmt} path") for fmt, path in self.output.items()}
+        object.__setattr__(self, "output", output)
+        if self.reps is None:
+            object.__setattr__(self, "reps", entry.reps)
         for name in ("reps", "workers"):
             object.__setattr__(self, name, _typed(getattr(self, name), "int", name))
         if self.reps < 1 or self.workers < 1:
@@ -193,11 +207,11 @@ def _kind(name: str) -> Kind:
         raise ConfigError(f"unknown experiment kind {name!r}; known: {EXPERIMENT_KINDS}") from None
 
 
-def _validate_params(kind: str, raw: dict) -> dict:
-    schema = _kind(kind).params
+def _validate_params(kind: str, raw: Mapping) -> dict:
+    schema = KINDS[kind].params
     unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown [params] keys for kind {kind!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown [params] keys for kind {kind!r}: {sorted(unknown, key=repr)}")
     params = {}
     for name, (tname, required, default) in schema.items():
         if required and name not in raw:
@@ -233,10 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kind = exp.pop("kind").strip()
     params = dict(cp["params"]) if "params" in cp else {}
     output = dict(cp["output"]) if "output" in cp else {}
-    bad_out = set(output) - {"csv", "json", "plotdata"}
-    if bad_out:
-        raise ConfigError(f"unknown [output] keys: {sorted(bad_out)}")
-    # seed, reps and workers stay text here: construction types them
+    # seed, reps, workers and the [output] keys stay as read: construction checks them
     return ExperimentConfig(kind=kind, params=params, output=output, **exp)
 
 
@@ -851,7 +862,6 @@ def default_config(kind: str, seed: Optional[int] = None, workers: int = 1) -> E
         kind=kind,
         params={name: default for name, (_, _, default) in entry.params.items()},
         seed=seed,
-        reps=entry.reps,
         workers=workers,
     )
 

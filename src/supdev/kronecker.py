@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._normal import ndtr
-from .bounds import BoundReport
+from .bounds import BoundReport, _free_constant, _log, _product
 from .errors import BudgetError, DomainError
 from .mc import ordered_map
 from .spectrum import PolynomialSpec, power_sum
@@ -58,7 +58,9 @@ def nearest_int_dist(u) -> np.ndarray:
 @dataclass(frozen=True)
 class LatticeProblem:
     """Approximation targets: frequencies, targets, precision 1/omega,
-    lattice step h, scan interval, and the free constant C_o < 1/4."""
+    lattice step h, scan interval, and the free constant C_o < 1/4.  The
+    phases t lambda_j - beta_j over the interval must stay below 2^52 in
+    size, where a float still has fractional bits to measure."""
 
     lambdas: tuple
     betas: tuple
@@ -81,6 +83,9 @@ class LatticeProblem:
             raise DomainError(f"interval [{lo}, {hi}] must be finite")
         if hi - lo <= self.h:
             raise DomainError(f"interval length {hi - lo} must exceed h={self.h}")
+        phase = self.h * max(map(abs, self.lambdas)) * max(abs(lo), abs(hi)) + max(map(abs, self.betas))
+        if not phase < 2.0**52:
+            raise DomainError(f"phases up to {phase:.4g} leave a float no fractional bits (need < 2^52)")
         if not 0.0 < self.c_o < 0.25:
             raise DomainError(f"c_o={self.c_o} outside (0, 1/4)")
 
@@ -313,13 +318,21 @@ def solution_count(problem: LatticeProblem, search: LatticeSearch, xi_rep: XiRep
     and ``xi(problem)``; this function runs neither scan.  The count and
     both bounds are returned; the caller compares them (calibration fits
     the largest C keeping both bounds below the count), because their
-    constant is not pinned by the statement.
+    constant is not pinned by the statement.  C must be positive; a bound
+    past the float range reads inf.
     """
+    _free_constant(C)
     n = problem.n_freq
     ratio = n * problem.omega / problem.c_o
     k = solution_k(ratio)
-    lower_ii = (C / (problem.omega * math.sqrt(k))) ** n * search.lattice_size
-    lower_iii = C ** (n / 2.0) / (problem.h * xi_rep.xi) if xi_rep.xi > 0.0 else math.inf
+    scale = C / (problem.omega * math.sqrt(k))
+    size = search.lattice_size
+    lower_ii = _product(lambda: scale**n * size, n * _log(scale) + math.log(size))
+    if xi_rep.xi > 0.0:
+        hxi = problem.h * xi_rep.xi
+        lower_iii = _product(lambda: C ** (n / 2.0) / hxi, n / 2.0 * math.log(C) - _log(hxi))
+    else:
+        lower_iii = math.inf
     return SolutionCount(int(search.hits.size), lower_ii, lower_iii, k)
 
 
@@ -337,30 +350,36 @@ def _block_rows(n_freq: int) -> int:
     return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
 
 
-def _scan_pieces(units: list, n_freq: int) -> list:
-    """Cut each (start, stop) unit of a scan into pieces of _PIECE_BLOCKS
-    product blocks, counted from the unit's start.
+def _abs_products(
+    rows: Callable, vector: np.ndarray, start: int, stop: int, out: np.ndarray, workers: int
+) -> np.ndarray:
+    """|rows(s, e) @ vector| for the rows [start, stop) of a scan, written
+    into ``out`` (row ``start`` at ``out[0]``).
 
-    A piece computes its ``matrix @ vector`` rows one block at a time
-    (``_matvec``), small enough that OpenBLAS runs each product on the
-    worker's own thread.  The row values must equal those of one product
-    over the whole unit.  numpy sends a one-row product to a dot kernel,
-    which rounds differently from gemv, so a one-row tail joins the block
-    before it.  Every block but a unit's last holds a whole multiple of
-    _ROW_ALIGN rows and starts a whole number of blocks into the unit, so
-    a gemv kernel that handles leftover rows separately meets them at the
-    unit's end, as in one product.  (OpenBLAS's Haswell kernels give equal
-    rows for any block size above one.)  The cuts depend only on the units
-    and the number of frequencies, never on workers.
+    ``rows(s, e)`` builds the matrix rows s..e-1.  The range is cut into
+    pieces of _PIECE_BLOCKS product blocks, counted from ``start``, and
+    ``workers`` threads of the shared pool (``mc.ordered_map``) each build a
+    piece's matrix and compute its product one block at a time, small
+    enough that OpenBLAS runs each product on the worker's own thread.  The
+    row values must equal those of one product over the whole range.  numpy
+    sends a one-row product to a dot kernel, which rounds differently from
+    gemv, so a one-row tail joins the piece, and the block, before it.
+    Every block but the last holds a whole multiple of _ROW_ALIGN rows and
+    starts a whole number of blocks into the range, so a gemv kernel that
+    handles leftover rows separately meets them at the range's end, as in
+    one product.  (OpenBLAS's Haswell kernels give equal rows for any block
+    size above one.)  The cuts depend only on the range and the vector's
+    length, never on workers.
     """
-    size = _PIECE_BLOCKS * _block_rows(n_freq)
-    return [piece for start, stop in units for piece in _cuts(start, stop, size)]
+    block = _block_rows(vector.size)
 
+    def piece(cut):
+        s, e = cut
+        matrix = rows(s, e)
+        for lo, hi in _cuts(0, e - s, block):
+            np.abs(matrix[lo:hi] @ vector, out=out[s - start + lo : s - start + hi])
 
-def _matvec(matrix: np.ndarray, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` into ``out``, one product per block of a piece."""
-    for lo, hi in _cuts(0, out.size, _block_rows(vector.size)):
-        np.matmul(matrix[lo:hi], vector, out=out[lo:hi])
+    ordered_map(piece, _cuts(start, stop, _PIECE_BLOCKS * block), workers)
     return out
 
 
@@ -382,11 +401,9 @@ def limsup_exponential_sum(
     (running_max, final_max); the running maximum is non-decreasing and
     bounded by sum(alpha_k).
 
-    The progression is cut into units of 2^21/N terms and each unit into
-    pieces (``_scan_pieces``) whose size depends only on N.  ``workers``
-    threads of the shared pool (``mc.ordered_map``) write each piece's own
-    running maximum into the output; the pieces are then merged against
-    the best value so far in piece order.  A maximum is exact, so the
+    ``workers`` threads of the shared pool fill the moduli of all M sums
+    (``_abs_products``), and one running maximum is taken over them.  The
+    moduli do not depend on the worker count and a maximum is exact, so the
     result is bit-identical for any worker count.
     """
     a = np.asarray(alphas, dtype=float)
@@ -408,23 +425,13 @@ def limsup_exponential_sum(
     if M * a.size > ENUM_BUDGET:
         raise BudgetError(f"progression scan size {M * a.size} exceeds {ENUM_BUDGET}")
 
-    running = np.empty(M)
-
-    def scan(piece):
-        s, e = piece
+    def rows(s, e):
         nu = (start + step * np.arange(s, e)).astype(float)
-        sums = _matvec(np.exp(1j * c * np.outer(nu, lam)), a, np.empty(e - s, dtype=complex))
-        np.maximum.accumulate(np.abs(sums), out=running[s:e])
+        return np.exp(1j * c * np.outer(nu, lam))
 
-    unit = max(1, (1 << 21) // max(a.size, 1))
-    pieces = _scan_pieces([(u, min(u + unit, M)) for u in range(0, M, unit)], a.size)
-    ordered_map(scan, pieces, workers)
-    best = 0.0
-    for s, e in pieces:
-        seg = running[s:e]
-        np.maximum(seg, best, out=seg)
-        best = float(seg[-1])
-    return running, best
+    running = _abs_products(rows, a, 0, M, np.empty(M), workers)
+    np.maximum.accumulate(running, out=running)
+    return running, float(running[-1])
 
 
 def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], workers: int = 1) -> list:
@@ -437,13 +444,13 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
     coefficients.
 
     The terms j = 0..J are added in summation units: each ladder rung,
-    cut every 2^22/N rows.  ``workers`` threads of the shared pool
-    (``mc.ordered_map``) fill a unit's |cos(...) @ a^2| values in pieces
-    (``_scan_pieces``) into one reused buffer; each unit is then summed with
-    one ``np.sum`` over its values, and the unit sums are added in order.
-    Neither the units nor the pieces depend on the worker count, so S_J is
-    bit-identical for any worker count.  A scan of (largest J + 1) * N
-    values over ENUM_BUDGET raises BudgetError before any term is added.
+    cut every 2^22/N rows, which bounds the one reused buffer.  ``workers``
+    threads of the shared pool fill a unit's |cos(...) @ a^2| values
+    (``_abs_products``); each unit is then summed with one ``np.sum`` over
+    its values, and the unit sums are added in order.  Neither the units
+    nor the values depend on the worker count, so S_J is bit-identical for
+    any worker count.  A scan of (largest J + 1) * N values over
+    ENUM_BUDGET raises BudgetError before any term is added.
     """
     if a <= 0.0:
         raise DomainError(f"step a={a} must be positive")
@@ -459,6 +466,10 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
         raise DomainError("A(x) must be positive")
     aa = spec.coeff_values() ** 2
     lam = spec.angular_freqs()
+
+    def rows(s, e):
+        return np.cos(np.outer(np.arange(s, e, dtype=float) * a, lam))
+
     chunk = max(1, (1 << 22) // max(lam.size, 1))
     values = np.empty(min(chunk, ladder[-1] + 1))
     sums = []
@@ -466,18 +477,9 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
     cursor = 0
     for j_stop in ladder:
         while cursor <= j_stop:
-            hi = min(cursor + chunk - 1, j_stop)
-            unit = values[: hi + 1 - cursor]
-
-            def fill(piece, base=cursor, unit=unit):
-                s, e = piece
-                jj = np.arange(s, e, dtype=float)
-                rows = _matvec(np.cos(np.outer(jj * a, lam)), aa, unit[s - base : e - base])
-                np.abs(rows, out=rows)
-
-            ordered_map(fill, _scan_pieces([(cursor, hi + 1)], lam.size), workers)
-            running += float(np.sum(unit))
-            cursor = hi + 1
+            stop = min(cursor + chunk, j_stop + 1)
+            running += float(np.sum(_abs_products(rows, aa, cursor, stop, values[: stop - cursor], workers)))
+            cursor = stop
         sums.append(running / a2)
     return sums
 
@@ -517,7 +519,8 @@ def lattice_correlation(
         raise DomainError(f"c={c} outside (0, 2/pi)")
     if not (c / 2.0) * beta * beta < 1.0:
         raise DomainError(f"(c/2) beta^2 = {(c / 2.0) * beta * beta} must be below 1")
-    omega_floor = 12.0 * math.pi / (c * (math.pi * beta) ** 2)
+    curvature = c * (math.pi * beta) ** 2
+    omega_floor = 12.0 * math.pi / curvature if curvature > 0.0 else math.inf
     if not omega > omega_floor:
         raise DomainError(f"omega={omega} must exceed 12 pi / (c (pi beta)^2) = {omega_floor:.4g}")
     lam = spec.angular_freqs()

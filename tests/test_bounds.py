@@ -381,6 +381,15 @@ class TestLogLog:
             bound_loglog(10.0, 0.5, 1.0)
 
 
+class TestFreeConstant:
+    @pytest.mark.parametrize("C", [0.0, -1e-300, -1.0, -1e300])
+    def test_nonpositive_rejected(self, C):
+        with pytest.raises(DomainError, match="free constant C=.* must be positive"):
+            bound_moderate_trig(harmonic_spec(100), eta=0.4, eps=1.0, C=C)
+        with pytest.raises(DomainError, match="free constant C=.* must be positive"):
+            bound_loglog(1e100, eta=0.5, B=1.0, C=C)
+
+
 class TestReportInvariants:
     def test_values_positive_and_vacuous_flagged(self):
         reps = [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,11 @@ class TestRationalFreq:
         with pytest.raises(DomainError):
             rational_freq(0.0, 5)
 
+    @pytest.mark.parametrize("L, bits", [(1e300, 30), (0.5, 1100), (627.3, 1016)])
+    def test_product_past_the_float_range_is_named(self, L, bits):
+        with pytest.raises(DomainError, match=re.escape(f"N*L is not a finite float for L={L} and a {bits + 1}-bit")):
+            rational_freq(L, 2**bits)
+
 
 class TestTestSequence:
     def test_pow2_values(self):
@@ -78,6 +84,17 @@ class TestTestSequence:
         ts = TestSequence(kind="rule", rule=lambda k: 20 - k if k < 10 else k)
         with pytest.raises(DomainError):
             ts.values(1, 12)
+
+    def test_inverse_squares_underflow_past_the_float_range(self):
+        # N_k^2 = 2^(2k) passes the float range at k = 512; the squares
+        # underflow to subnormals and then to 0 instead of overflowing
+        ts = TestSequence(kind="pow2")
+        inv = ts.inverse_squares(1, 600)
+        assert inv[:511].tobytes() == np.array([1.0 / (v * v) for v in ts.values(1, 511)]).tobytes()
+        assert inv[511] == 2.0**-1024 and inv[-1] == 0.0
+        values = TestSequence(kind="identity").values(1, 5000)
+        expected = np.array([1.0 / (v * v) for v in values])
+        assert TestSequence(kind="identity").inverse_squares(1, 5000).tobytes() == expected.tobytes()
 
 
 class TestKappaCount:
@@ -270,6 +287,18 @@ class TestTransferBound:
         est_p = mc_sup_prob(perp, grid, theta, 3000, seed=17)
         cushion = 3.0 * (est_x.half_width + est_p.half_width)
         assert est_x.estimate <= est_p.estimate + tb.error_term + cushion
+
+
+class TestFreeConstant:
+    """The free constant C of both bounds must be positive."""
+
+    @pytest.mark.parametrize("C", [0.0, -1e-300, -1.0, -1e300, math.nan])
+    def test_nonpositive_rejected(self, C):
+        spec, ts = real_spec(8), TestSequence(kind="pow2")
+        with pytest.raises(DomainError, match="free constant C=.* must be positive"):
+            transfer_bound(spec, ts, 4.0, 2.0, 1.0, C=C)
+        with pytest.raises(DomainError, match="free constant C=.* must be positive"):
+            sup_diff_bound(spec, ts, 4.0, C=C)
 
 
 class TestCouplingIdentity:

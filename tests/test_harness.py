@@ -11,7 +11,7 @@ import pytest
 
 from supdev import decoupling, harness
 from supdev.cli import main as cli_main
-from supdev.errors import ConfigError
+from supdev.errors import ConfigError, SupdevError
 from supdev.harness import (
     CSV_HEADER,
     EXPERIMENT_KINDS,
@@ -129,11 +129,23 @@ C = 0.5
         text = f"[experiment]\nkind = {kind}\n\n[params]\n" + "".join(
             f"{name} = {ini_value(default)}\n" for name, default in required
         )
-        assert parse_config(text).params == default_config(kind).params
+        cfg = parse_config(text)
+        assert cfg.params == default_config(kind).params
+        # reps too: an INI without a reps line runs at the kind's count
+        assert cfg == default_config(kind) and cfg.config_hash() == default_config(kind).config_hash()
 
     def test_shipped_configs_parse_one_per_kind(self):
         kinds = [load_config(str(path)).kind for path in sorted(CONFIGS.glob("*.ini"))]
         assert sorted(kinds) == list(EXPERIMENT_KINDS)
+
+    def test_omitted_reps_take_the_kinds_count(self):
+        no_reps = [path for path in sorted(CONFIGS.glob("*.ini")) if "reps" not in path.read_text(encoding="utf-8")]
+        assert [path.stem for path in no_reps] == ["divergence", "kronecker_search", "lattice_correlation", "limsup"]
+        for path in no_reps:
+            cfg = load_config(str(path))
+            assert cfg.reps == KINDS[cfg.kind].reps == 1, path.name
+        direct = ExperimentConfig(kind="equicorrelated", params=default_config("equicorrelated").params)
+        assert direct.reps == KINDS["equicorrelated"].reps == 100000
 
     def test_unknown_kind_named_by_every_entry_point(self):
         for call in (
@@ -165,6 +177,26 @@ class TestDirectConfigs:
         cfg = default_config("limsup")
         with pytest.raises(ConfigError, match="requires param 'max_terms'"):
             replace(cfg, params={k: v for k, v in cfg.params.items() if k != "max_terms"})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("kind", ["equicorrelated"], "kind must be a string, got ['equicorrelated']"),
+            ("params", None, "params must be a mapping, got None"),
+            ("params", [("n", 8)], "params must be a mapping, got [('n', 8)]"),
+            ("params", {"n": 8, "lam": 0.3, "theta": 2.0, 1: 2, "zz": 3}, "unknown [params] keys for kind "
+             "'equicorrelated': ['zz', 1]"),
+            ("output", "out.csv", "output must be a mapping, got 'out.csv'"),
+            ("output", {"csv": 3}, "[output] csv path must be a string, got 3"),
+            ("output", {"pdf": "x"}, "unknown [output] keys: ['pdf']"),
+        ],
+        ids=["kind_list", "params_none", "params_pairs", "params_int_key", "output_text", "output_int_path",
+             "output_unknown_key"],
+    )
+    def test_containers_are_checked(self, name, value, message):
+        fields = {"kind": "equicorrelated", "params": default_config("equicorrelated").params, name: value}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**fields)
 
     def test_omitted_optional_params_take_defaults(self):
         cfg = ExperimentConfig(kind="moderate-trig", params={"x": 100, "eta": 0.3}, reps=200)
@@ -734,6 +766,91 @@ class TestBudgetErrors:
         assert captured.err.startswith("budget error: ") and captured.err.count("\n") == 1
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestNamedDomainErrors:
+    """Inputs outside a statement's domain end in one "domain error" line
+    and exit 2, not in a traceback or a complex bound: the free constant C
+    is positive, a rational companion needs N*L inside the float range, a
+    vanishing beta needs an infinite omega, and lattice phases need
+    fractional bits."""
+
+    THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
+             "omega": "5", "t_hi": "10000"}
+    CASES = {
+        "pow2_denominator": ("cyclic-transfer", {"x": "1100"}, "N*L is not a finite float"),
+        "freq_step": ("cyclic-transfer", {"freq_step": "1e300"}, "N*L is not a finite float"),
+        "transfer_C": ("cyclic-transfer", {"C": "-1e300"}, "free constant C=-1e+300 must be positive"),
+        "moderate_C": ("moderate-trig", {"C": "-1e300"}, "free constant C=-1e+300 must be positive"),
+        "count_C": ("kronecker-search", dict(THREE, C="-1e300"), "free constant C=-1e+300 must be positive"),
+        "count_C_complex": ("kronecker-search", dict(THREE, C="-1"), "free constant C=-1.0 must be positive"),
+        "beta_zero": ("lattice-correlation", {"beta": "0"}, "12 pi / (c (pi beta)^2) = inf"),
+        "beta_tiny": ("lattice-correlation", {"beta": "1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
+        "beta_tiny_negative": ("lattice-correlation", {"beta": "-1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
+        "huge_step": ("lattice-correlation", {"a": "1e300"}, "leave a float no fractional bits"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_exit_two_one_line(self, case, capsys, tmp_path, deadline):
+        kind, overrides, message = self.CASES[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini_with(kind, overrides))
+        assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "kind, overrides, shown",
+        [
+            # 1/N_k^2 underflows past k = 537 instead of overflowing at k = 512
+            ("cyclic-transfer", {"x": "600"}, "delta: bound=6.28148"),
+            # both count bounds read inf past the float range
+            ("kronecker-search", dict(THREE, C="1e300"), "count_lower_iii: bound=inf"),
+        ],
+    )
+    def test_cli_ends_in_a_record(self, kind, overrides, shown, capsys, tmp_path, deadline):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini_with(kind, overrides))
+        assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and shown in captured.out
+
+
+def _extreme_cases():
+    """(kind, param, value): each float param at +-1e300, +-1e-300 and 0,
+    each int param at -1, 0 and 2^40, and pow2 cyclic-transfer at x = 600."""
+    values = {"float": (-1e300, -1e-300, 0.0, 1e-300, 1e300), "int": (-1, 0, 2**40)}
+    cases = [
+        (kind, name, value)
+        for kind, entry in KINDS.items()
+        for name, (tname, _, _) in entry.params.items()
+        for value in values.get(tname, ())
+    ]
+    return cases + [("cyclic-transfer", "x", 600)]
+
+
+# scan sizes shrunk so the sweep stays fast; lattice-correlation keeps its
+# default scan, where a vanishing beta is reached
+_SWEEP_SIZES = {"kronecker-search": {"t_hi": 1e4}, "limsup": {"max_terms": 1000}, "divergence": {"ladder": (100, 1000)}}
+
+
+@pytest.mark.parametrize("kind, name, value", _extreme_cases(), ids=str)
+def test_extreme_values_end_in_a_record_or_a_named_error(kind, name, value, deadline):
+    """One parameter at a time at the edges of its type: a run ends in a
+    record whose numbers are floats, or in a package error (exit 2 or 1 from
+    the CLI), never in another exception."""
+    base = default_config(kind)
+    params = dict(base.params, **_SWEEP_SIZES.get(kind, {}))
+    params[name] = value
+    try:
+        record = run_experiment(ExperimentConfig(kind=kind, params=params, reps=min(base.reps, 200)), seed=1)
+    except SupdevError:
+        return
+    for row in record.checks:
+        for number in (row.x, row.mc, row.mc_lo, row.mc_hi, row.bound, row.margin):
+            assert number is None or type(number) is float, (row.name, number)
 
 
 class TestProductBoundsBeyondFloat:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -244,6 +246,16 @@ class TestLatticeSearch:
         assert hi - lo > prob.length_threshold(xi(prob).xi)
         assert lattice_search(prob).achieved <= 1.0 / 3.0
 
+    @pytest.mark.parametrize(
+        "lambdas, betas, interval",
+        [([1e300], [0.5], (1.0, 10.0)), ([1.0], [1e300], (1.0, 10.0)), ([2.0], [0.5], (1.0, 2.0**52)),
+         ([math.nan], [0.5], (1.0, 10.0))],
+    )
+    def test_phases_without_fractional_bits_rejected(self, lambdas, betas, interval):
+        # every lattice point would read as an exact hit
+        with pytest.raises(DomainError, match="no fractional bits"):
+            lat_problem(lambdas, betas, interval=interval)
+
     def test_empty_lattice_rejected(self):
         # the nonnegative multiples of h miss a negative interval entirely
         with pytest.raises(DomainError):
@@ -292,6 +304,19 @@ class TestSolutionCount:
         res = counted(prob, C=1e6)  # absurd constant: bounds exceed count
         assert res.lower_ii > res.count
 
+    @pytest.mark.parametrize("C", [0.0, -1e-300, -1.0, -1e300])
+    def test_free_constant_must_be_positive(self, C):
+        # C = -1 with three frequencies once gave a complex lower_iii
+        prob = lat_problem(_ROOTS[:3], [0.25, 0.75, 0.5], omega=5, interval=(1.0, 2000.0))
+        with pytest.raises(DomainError, match="free constant C=.* must be positive"):
+            counted(prob, C=C)
+
+    def test_bounds_past_the_float_range_read_inf(self):
+        prob = lat_problem(_ROOTS[:3], [0.25, 0.75, 0.5], omega=5, interval=(1.0, 2000.0))
+        res = counted(prob, C=1e300)
+        assert res.lower_ii == math.inf and res.lower_iii == math.inf
+        assert res.count == counted(prob).count
+
 
 def single_thread_limsup(alphas, lambdas, start, step, M, c=2.0 * math.pi):
     """Reference: the one-thread loop over 2^21/N-row chunks that the pieced
@@ -334,13 +359,24 @@ _ROOTS = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13)]
 
 
 def _pieces(rows, n_freq):
-    return len(kronecker._scan_pieces([(0, rows)], n_freq))
+    return len(kronecker._cuts(0, rows, kronecker._PIECE_BLOCKS * kronecker._block_rows(n_freq)))
 
 
 class TestScanPieces:
     """The pieced scans equal the one-thread loops byte for byte at every
     worker count.  With N = 3 (limsup) a piece is 10240 rows and a unit
     699050; with N = 4 (divergence) a piece is 8192 rows and a unit 2^20."""
+
+    def test_pool_runs_only_in_the_kernel(self):
+        # both scans fill their moduli through one kernel, the one place
+        # kronecker hands work to the pool
+        tree = ast.parse(Path(kronecker.__file__).read_text(encoding="utf-8"))
+
+        def uses(node):
+            return sum(isinstance(sub, ast.Name) and sub.id == "ordered_map" for sub in ast.walk(node))
+
+        [kernel] = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "_abs_products"]
+        assert uses(kernel) == uses(tree) == 1
 
     @pytest.mark.parametrize(
         "start,step,M",
@@ -387,10 +423,8 @@ class TestScanPieces:
         for rows in (1, 2, block + 1, piece + 1, 4 * piece + block + 1, 4 * piece + 3):
             matrix = rng.standard_normal((rows, n_freq)).astype(dtype)
             vector = rng.uniform(0.2, 1.5, n_freq)
-            out = np.empty(rows, dtype=dtype)
-            for s, e in kronecker._scan_pieces([(0, rows)], n_freq):
-                kronecker._matvec(matrix[s:e], vector, out[s:e])
-            assert out.tobytes() == (matrix @ vector).tobytes(), rows
+            got = kronecker._abs_products(lambda s, e: matrix[s:e], vector, 0, rows, np.empty(rows), 2)
+            assert got.tobytes() == np.abs(matrix @ vector).tobytes(), rows
 
     @given(
         st.integers(1, 6),
@@ -539,6 +573,12 @@ class TestLatticeCorrelation:
             lattice_correlation(spec, 1.0, 100, 0.3, 0.9, [1.0])
         with pytest.raises(DomainError, match="omega"):
             lattice_correlation(spec, 1.0, 3, 0.3, 0.6, [1.0])
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-300, -1e-300])
+    def test_vanishing_beta_needs_an_infinite_omega(self, beta):
+        spec = raw_spec([1.0], [math.sqrt(2.0)])
+        with pytest.raises(DomainError, match=r"12 pi / \(c \(pi beta\)\^2\) = inf"):
+            lattice_correlation(spec, 1.0, 100, beta, 0.6, [1.0])
 
 
 class TestBoundCosLattice:
