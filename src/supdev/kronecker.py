@@ -42,7 +42,10 @@ __all__ = [
 ]
 
 ENUM_BUDGET = 10**8  # hard cap on enumeration sizes (desk scale)
-_SCAN_CHUNK = 1 << 14  # lattice points per lattice_search chunk: a few arrays stay cache-resident
+_SCAN_CHUNK = 1 << 14  # lattice points per every-point lattice_search block: a few arrays stay cache-resident
+_SEARCH_WINDOW = 1 << 17  # lattice points per candidate lattice_search block
+_SPARSE_SHARE = 0.35  # candidate share of a block at which lattice_search evaluates every point
+_MAX_STEP = 32  # largest step q of the rotations lattice_search filters on
 _GEMV_VALUES = 1 << 11  # values per BLAS matrix-vector product, below OpenBLAS's threading size
 _ROW_ALIGN = 64  # product blocks hold a whole multiple of this many rows
 _PIECE_BLOCKS = 16  # product blocks per scan piece, the task a worker takes
@@ -181,7 +184,9 @@ def xi(problem: LatticeProblem, radius: Optional[int] = None) -> XiReport:
     gap = np.minimum(nearest_int_dist(shift - ring[pos - 1]), nearest_int_dist(shift - ring[pos % ring.size]))
     gap[m] = math.inf  # row nu_1 = 0 is always evaluated exactly
     slack = 64.0 * np.finfo(float).eps * (problem.h * m * float(np.abs(lam).sum()) + 1.0)
-    rows = np.union1d(np.flatnonzero(gap <= gap.min() + 2.0 * slack), [m])
+    keep = gap <= gap.min() + 2.0 * slack
+    keep[m] = True
+    rows = np.flatnonzero(keep)
 
     best = math.inf
     best_vec = None
@@ -221,6 +226,36 @@ def _lattice_range(problem: LatticeProblem) -> tuple:
     return m_lo, m_hi
 
 
+def _candidates(size: int, step: int, alpha: float, phases: np.ndarray, w: float) -> np.ndarray:
+    """The offsets o = r + step*i in [0, size) with ||alpha i - phases[r]||
+    <= w, for 0 < alpha <= 1/2, phases in [0, 1] and 0 < w < 1/4; residue
+    class r = 0, 1, ... in turn, each in increasing order.
+
+    Class r meets the bound at the integers i of the intervals
+    [k + phases[r] - w, k + phases[r] + w] / alpha, one for each integer k
+    from -1 to alpha*len + w, where len is the largest class size (the
+    rotation alpha i covers [0, alpha len)).  The intervals of a class are
+    more than one apart, since (1 - 2w) / alpha > 1, so its offsets come
+    out sorted and distinct.  The ends are rounded outward by ceil and
+    floor; their own rounding, a few units in the last place of |k| + 2,
+    moves an end by less than 3 u (alpha len + 4) / alpha (u = 2^-53),
+    which the caller adds to w.
+    """
+    rows = np.arange(step)
+    last = (size - 1 - rows) // step  # each class's largest i
+    ks = np.arange(-1.0, math.floor(alpha * (last[0] + 1) + w) + 1.0)
+    lo = np.ceil((ks + (phases[:, None] - w)) / alpha)
+    hi = np.floor((ks + (phases[:, None] + w)) / alpha)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, last[:, None].astype(float), out=hi)
+    counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64).ravel()
+    firsts = (lo * step + rows[:, None]).astype(np.int64).ravel()
+    ends = np.cumsum(counts)
+    out = np.repeat(firsts - step * (ends - counts), counts)
+    out += np.arange(0, step * ends[-1], step)
+    return out
+
+
 def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     """Scan t = h*m over the interval and minimize max_j ||t lambda_j - beta_j||.
 
@@ -231,17 +266,59 @@ def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     that length it is legitimate.
 
     A point can be a hit, or improve on the best distance so far, only if
-    its first-frequency distance is at most thr = max(1/omega, best).  Each
-    chunk therefore computes ||t lambda_1 - beta_1|| everywhere and the
-    other frequencies only on the points within thr.  Before a first best
-    exists thr starts at 1/omega and widens (to the smallest candidate
+    its distance for one filter frequency is at most thr = max(1/omega,
+    best).  Each block of points therefore finds the points within thr for
+    the filter and tests the other frequencies only there.  Before a first
+    best exists thr starts at 1/omega and widens (to the smallest candidate
     distance, or doubling when no point is within it) until it brackets the
-    chunk minimum.  Distances use the same floating-point expressions as a
-    full scan, and ties still go to the smallest m, so the result equals a
-    full scan's exactly.  The full-chunk arrays (m, t, the first-frequency
-    distance and its rounding) live in four buffers that every chunk reuses
-    through ``out=``, so the cost of a chunk does not depend on how the
-    allocator was left by earlier work.
+    block minimum.  Every distance is the full scan's floating-point
+    expression, nearest_int_dist(h*m*lambda_j - beta_j); a block's minimum
+    goes to its smallest m and its hits are sorted, so the result equals a
+    full scan's exactly, whichever frequency filters.
+
+    Candidates.  With c = fl(h lambda_j), the filter phase of point m is
+    h m lambda_j - beta_j = m (c - round(c)) - beta_j mod 1, a rotation.
+    Along every q-th point it turns by alpha = ||q (c - round(c))||, and
+    the filter is the slowest of these rotations: the frequency j and step
+    q <= _MAX_STEP with the smallest alpha among those whose residue
+    classes turn at least once per block (alpha * block >= q).  With s the
+    sign of q (c - round(c)) minus its nearest integer, the points
+    m = start + r + q i of a block are within thr only where
+    ||alpha i - g_r|| <= thr, g_r = frac(s (beta_j - (c - round(c))
+    (start + r))): the integers of one short interval per turn of each
+    class (``_candidates``; the three-distance theorem describes their
+    gaps).  Some q <= _MAX_STEP has ||q c|| <= 1/(_MAX_STEP + 1)
+    (Dirichlet), so unless every rotation is too slow to use, a block lists
+    at most about block/(_MAX_STEP + 1) intervals and 2 thr + e of its
+    points.  Blocks hold _SEARCH_WINDOW points.
+
+    Margin.  Let P = |c| m_hi + |beta_j| bound the phases and u = 2^-53 the
+    unit roundoff.  The computed filter distance is the exact distance to
+    the nearest integer of fl(fl(fl(h m) lambda_j) - beta_j) (removing its
+    rounding is a Sterbenz subtraction), within 4 u P of the real phase.
+    c - round(c) is exact and within u |c| of the real h lambda_j minus
+    that integer, and its product by q rounds by u q |c|, so alpha i is off
+    by at most 2 u P; g_r is within 4 u P + u of its real value.
+    ``_candidates`` rounds its interval ends by less than 3 u (block + 4)
+    in phase.  So every point whose computed filter distance is at most thr
+    lies in the candidate intervals of half-width w = thr + e, with e =
+    32 u (P + block + 4) covering all of these errors together three times
+    over.  The candidates are evaluated whole: the points left out all have
+    filter distances above thr, so the block minimum is found whenever it
+    is at most thr, and a candidate farther than thr only ever reads as
+    farther than thr.
+
+    Every point.  A block evaluates the filter at all of its points, and
+    the other frequencies where it is within thr, when the candidates would
+    be a large share of it, 2 (thr + e) >= _SPARSE_SHARE: a wide target
+    (omega <= 5), a thr widened that far before a first hit, or e grown
+    near the 2^52 phase guard.  When no rotation turns once per block
+    (h lambda_j an integer, or all its multiples nearly integers) or the
+    target itself is that wide, the whole scan runs this way, on the first
+    frequency, in blocks of _SCAN_CHUNK points.  The block arrays (m, t,
+    the filter distance and its rounding) live in four buffers that every
+    block reuses through ``out=``, so the cost of a block does not depend
+    on how the allocator was left by earlier work.
     """
     m_lo, m_hi = _lattice_range(problem)
     count = m_hi - m_lo + 1
@@ -251,37 +328,67 @@ def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     bet = np.asarray(problem.betas, dtype=float)
     target = 1.0 / problem.omega
 
+    # the slowest rotation (step q, frequency j) whose classes turn once per block
+    window = max(1, min(count, _SEARCH_WINDOW))
+    steps = problem.h * lam
+    turns = steps - np.round(steps)
+    qs = np.arange(1, _MAX_STEP + 1)[:, None]
+    rotations = qs * turns
+    rotations -= np.round(rotations)
+    rates = np.abs(rotations)
+    rates[rates * window < qs] = math.inf
+    q, j = (int(v) for v in np.unravel_index(int(np.argmin(rates)), rates.shape))
+    alpha = float(rates[q, j])
+    sign = -1.0 if rotations[q, j] < 0.0 else 1.0
+    classes = np.arange(q + 1)  # residue classes mod the step q + 1
+    margin = 16.0 * np.finfo(float).eps * (abs(float(steps[j])) * m_hi + abs(float(bet[j])) + window + 4.0)
+    sparse = alpha < math.inf and 2.0 * (target + margin) < _SPARSE_SHARE
+    if not sparse:
+        j = 0
+    others = [(lam[i], bet[i]) for i in range(lam.size) if i != j]
+
     best = math.inf
     best_m = m_lo
     hit_chunks = []
-    chunk = max(1, min(count, _SCAN_CHUNK))
-    offsets = np.arange(chunk)
-    ms_buf, ts_buf, first_buf, round_buf = np.empty_like(offsets), np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    for start in range(m_lo, m_hi + 1, chunk):
-        size = min(chunk, m_hi + 1 - start)
-        ms = np.add(offsets[:size], start, out=ms_buf[:size])
-        ts = np.multiply(problem.h, ms, out=ts_buf[:size])
-        first = np.multiply(ts, lam[0], out=first_buf[:size])
-        first -= bet[0]
-        first -= np.round(first, out=round_buf[:size])
-        np.abs(first, out=first)
+    block = window if sparse else max(1, min(count, _SCAN_CHUNK))
+    offsets = np.arange(block)
+    ms_buf, ts_buf, first_buf, round_buf = np.empty_like(offsets), np.empty(block), np.empty(block), np.empty(block)
+    for start in range(m_lo, m_hi + 1, block):
+        size = min(block, m_hi + 1 - start)
         thr = target if best == math.inf else max(target, best)
+        scanned = False
         while True:
-            cand = np.flatnonzero(first <= thr)
-            dist = first[cand]
-            t_cand = ts[cand]
-            for lam_j, bet_j in zip(lam[1:], bet[1:]):
-                dist = np.maximum(dist, nearest_int_dist(t_cand * lam_j - bet_j))
+            if sparse and 2.0 * (thr + margin) < _SPARSE_SHARE:
+                # a superset of the points within thr, evaluated whole
+                phases = _frac(sign * (bet[j] - turns[j] * (start + classes)))
+                near = _candidates(size, q + 1, alpha, phases, thr + margin)
+                t_cand = problem.h * (near + start)
+                dist = t_cand * lam[j]
+                dist -= bet[j]
+                dist -= np.round(dist)
+                np.abs(dist, out=dist)
+            else:
+                if not scanned:
+                    ms = np.add(offsets[:size], start, out=ms_buf[:size])
+                    ts = np.multiply(problem.h, ms, out=ts_buf[:size])
+                    first = np.multiply(ts, lam[j], out=first_buf[:size])
+                    first -= bet[j]
+                    first -= np.round(first, out=round_buf[:size])
+                    np.abs(first, out=first)
+                    scanned = True
+                near = np.flatnonzero(first <= thr)
+                t_cand, dist = ts[near], first[near]
+            for lam_i, bet_i in others:
+                dist = np.maximum(dist, nearest_int_dist(t_cand * lam_i - bet_i))
             lowest = dist.min(initial=math.inf)
             if lowest <= thr or thr >= best:
                 break
             thr = float(lowest) if dist.size else 2.0 * thr
-        if dist.size:
-            i = int(np.argmin(dist))
-            if dist[i] < best:
-                best = float(dist[i])
-                best_m = int(ms[cand[i]])
-        hit_chunks.append(t_cand[dist <= target])
+        if lowest < best:
+            best = float(lowest)
+            best_m = start + int(near[dist == lowest].min())
+        hits = t_cand[dist <= target]
+        hit_chunks.append(np.sort(hits) if sparse else hits)
     return LatticeSearch(
         t_best=problem.h * best_m,
         achieved=best,

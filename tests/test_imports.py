@@ -2,8 +2,9 @@
 
 ``import supdev`` loads no scipy module.  ``scipy.special`` is imported by
 ``supdev._normal`` at the first normal CDF or quantile, so the lattice kinds
-never load it, and no run loads ``scipy.linalg``.  Each check runs in a new
-interpreter, since this test process has imported scipy already.
+never load it, and no run loads ``scipy.linalg``.  The lattice kinds do not
+load ``numpy.ma`` either.  Each check runs in a new interpreter, since this
+test process has imported scipy already.
 """
 
 import ast
@@ -50,6 +51,20 @@ print(json.dumps([after_import, rows, {SCIPY_LOADED}]))
     assert after_import == []
     assert len(rows) == 4 and min(rows) >= 1
     assert after_runs == []
+
+
+def test_lattice_kinds_load_no_numpy_ma():
+    """``numpy.ma`` takes about 15 ms to import, and ``np.unique`` (behind
+    ``np.union1d``) imports it on first use; ``xi`` picks its rows with a
+    mask instead."""
+    out = fresh(f"""
+import json, sys
+from supdev.harness import default_config, run_experiment
+for k in {LATTICE_KINDS!r}:
+    run_experiment(default_config(k))
+print(json.dumps("numpy.ma" in sys.modules))
+""")
+    assert out is False
 
 
 def test_normal_kinds_load_scipy_special_only_when_called():

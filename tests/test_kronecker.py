@@ -105,6 +105,49 @@ def lattice_problems(draw):
     )
 
 
+# h*lambda at these distances from an integer: a still, slow or fast rotation,
+# and the exact half turn where the reflection of the rotation is a tie
+_turn_offsets = st.sampled_from([0.0, 1e-9, 3e-6, 1e-4, 0.01, 0.2, 0.49, 0.5 - 1e-9, 0.5, 0.5 + 1e-9])
+
+
+@st.composite
+def long_lattice_problems(draw):
+    """Lattices of 10^4-10^5 points, long enough for the candidate path:
+    rotations near 0 and near or at 1/2, negative frequencies, targets near
+    +-1/2, phases up to near 2^52, and omega up to 600, where 3 frequencies
+    on 10^4 points usually have no hit and the threshold widens."""
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1.0, 0.5, 2.0, 0.37]))
+    lambdas = []
+    for _ in range(n):
+        lam = draw(st.one_of(st.floats(0.05, 8.0), st.builds(lambda k, d: (k + d) / h, st.integers(0, 6), _turn_offsets)))
+        lambdas.append(draw(st.sampled_from([lam, -lam])))
+    betas = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.5, -0.5, 0.5 - 1e-12, -0.5 + 1e-12])),
+                          min_size=n, max_size=n))
+    length = draw(st.integers(10**4, 10**5)) * h
+    lo = draw(st.floats(0.0, 50.0))
+    phase = draw(st.sampled_from([None, 2.0**30, 2.0**44, 2.0**47, 2.0**51.9]))
+    lam_max = max(map(abs, lambdas))
+    if phase is not None and lam_max > 0.0:
+        lo = max(lo, min(phase, 2.0**51.9 / h) / lam_max - length)
+    return lat_problem(lambdas, betas, omega=draw(st.one_of(st.integers(2, 60), st.integers(200, 600))), h=h,
+                       interval=(lo, lo + length))
+
+
+def candidate_sizes(monkeypatch):
+    """Record the size of every candidate list lattice_search builds."""
+    sizes = []
+    real = kronecker._candidates
+
+    def counting(*args):
+        out = real(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(kronecker, "_candidates", counting)
+    return sizes
+
+
 def raw_spec(coeffs, lambdas):
     return PolynomialSpec(
         coeffs=CoefficientSeq.from_values(coeffs, nonvanishing=True),
@@ -237,6 +280,55 @@ class TestLatticeSearch:
         res = lattice_search(prob)
         assert res.hits.size == 0 and res.achieved >= 0.25
         assert_same_search(res, full_scan(prob))
+
+    @given(long_lattice_problems(), st.sampled_from([7, 1 << 14]), st.sampled_from([64, 1000, 1 << 17]),
+           st.sampled_from([1, 3, 32]))
+    @settings(max_examples=150, deadline=None)
+    def test_long_lattices_match_full_scan(self, problem, chunk, window, max_step):
+        with mock.patch.multiple(kronecker, _SCAN_CHUNK=chunk, _SEARCH_WINDOW=window, _MAX_STEP=max_step):
+            res = lattice_search(problem)
+        assert_same_search(res, full_scan(problem))
+
+    @pytest.mark.parametrize(
+        "lambdas, betas, omega, h",
+        [
+            ([0.5, math.sqrt(2.0)], [0.25, -0.5], 40, 1.0),  # h*lambda_1 exactly 1/2
+            ([3.0 + 2e-5, -math.sqrt(3.0)], [0.5, 0.1], 30, 1.0),  # a slow rotation, a negative one
+            ([1.0 / 0.37 + 0.3, 2.0], [-0.5 + 1e-12, 0.5 - 1e-12], 25, 0.37),  # targets near +-1/2
+            ([math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)], [0.1, 0.2, 0.3], 500, 1.0),  # no hit: widens
+        ],
+    )
+    def test_candidate_path_matches_full_scan(self, monkeypatch, lambdas, betas, omega, h):
+        sizes = candidate_sizes(monkeypatch)
+        prob = lat_problem(lambdas, betas, omega=omega, h=h, interval=(1.0, 6.0e4 * h))
+        assert_same_search(lattice_search(prob), full_scan(prob))
+        assert sizes
+
+    def test_candidates_skip_most_points(self, monkeypatch):
+        # a benchmark-sized 2-frequency search lists one candidate set per
+        # block, together well under the lattice: a silent fallback to the
+        # every-point scan lists none
+        sizes = candidate_sizes(monkeypatch)
+        prob = lat_problem([math.sqrt(2.0), math.sqrt(5.0)], [0.3, 0.7], omega=30, interval=(1.0, 5.0e5))
+        res = lattice_search(prob)
+        assert res.hits.size > 0
+        assert len(sizes) == -(-res.lattice_size // kronecker._SEARCH_WINDOW)
+        assert sum(sizes) < res.lattice_size / 4
+        assert_same_search(res, full_scan(prob))
+
+    @pytest.mark.parametrize(
+        "lambdas, betas, omega, interval",
+        [
+            ([math.sqrt(2.0), math.sqrt(5.0), 0.71], [0.3, 0.7, 0.2], 5, (1.0, 5.0e5)),  # wide target
+            ([2.0, -3.0], [0.3, 0.7], 30, (1.0, 5.0e4)),  # h*lambda integers: no rotation
+            ([1.3, 2.1], [0.3, 0.7], 30, (2.0**51.5 / 2.1, 2.0**51.5 / 2.1 + 5.0e4)),  # e near 1/2
+        ],
+    )
+    def test_every_point_path(self, monkeypatch, lambdas, betas, omega, interval):
+        sizes = candidate_sizes(monkeypatch)
+        prob = lat_problem(lambdas, betas, omega=omega, interval=interval)
+        assert_same_search(lattice_search(prob), full_scan(prob))
+        assert sizes == []
 
     def test_guarantee_regime_hits_the_target(self):
         # the interval is longer than the threshold set by Xi (0.01219 here,
