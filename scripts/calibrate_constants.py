@@ -6,8 +6,9 @@ reports, per configuration and overall, the largest constant C for which
 the coupled comparison still passes (the admissible set is an interval
 (0, C_max]).  For the lattice search it reports the largest C keeping both
 count lower bounds below the observed count.  Constants are printed only;
-defaults in the package never change.  An invalid seed or replication
-count ends in one "config error" line and exit code 2.
+defaults in the package never change.  --seed is the seed override
+(SUPDEV_SEED is not read); a package error, such as an invalid seed, ends
+the run in one stderr line and the exit code ``supdev calibrate`` gives it.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from supdev.errors import ConfigError
+from supdev.errors import SupdevError
 from supdev.harness import calibrate, default_config
 
 
@@ -44,25 +45,19 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        transfer = []
+        overall = math.inf
         for U, x in ((4.0, 200), (16.0, 100), (64.0, 50)):
-            cfg = default_config("cyclic-transfer", seed=args.seed)
-            transfer.append((U, x, replace(cfg, params=dict(cfg.params, U=U, x=x), reps=args.reps)))
-        lattice = default_config("kronecker-search", seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    overall = math.inf
-    for U, x, cfg in transfer:
-        out = calibrate(cfg)
-        overall = min(overall, out["c_max"])
-        print(f"transfer U={U:<5} x={x:<4} largest admissible C = {out['c_max']:.4g}")
-    print(transfer_summary(overall))
-
-    out = calibrate(lattice)
-    print(f"lattice-count: largest C keeping lower bounds below count = {out['c_max']:.4g} "
-          f"(count = {out['count']})")
+            cfg = default_config("cyclic-transfer")
+            out = calibrate(replace(cfg, params=dict(cfg.params, U=U, x=x), reps=args.reps), seed=args.seed)
+            overall = min(overall, out["c_max"])
+            print(f"transfer U={U:<5} x={x:<4} largest admissible C = {out['c_max']:.4g}")
+        print(transfer_summary(overall))
+        out = calibrate(default_config("kronecker-search"), seed=args.seed)
+        print(f"lattice-count: largest C keeping lower bounds below count = {out['c_max']:.4g} "
+              f"(count = {out['count']})")
+    except SupdevError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     print("note: reported only, never persisted as defaults")
     return 0
 

@@ -3,11 +3,12 @@
 
 Writes results/<kind>.csv, results/<kind>.json and results/<kind>_plot.csv,
 prints one verdict line per check and a closing summary line
-("overall: PASS|FAIL - P passed, F failed: kind/row, ..."), exits 0 only if
-every assertion row passed, and exits 2 with one "config error" line when
-the seed, the worker count or a kind is invalid.  Seed and worker count
-come from the command line; reruns with the same seed reproduce the same
-rows byte-for-byte (timing columns aside).
+("overall: PASS|FAIL - P passed, F failed: kind/row, ..."), and exits 0 only
+if every assertion row passed.  A package error, such as an invalid seed,
+worker count or kind or an unwritable --out, ends the run in one stderr
+line and the exit code ``supdev verify`` gives it.  --seed is the seed
+override (SUPDEV_SEED is not read); reruns with the same seed reproduce the
+same rows byte-for-byte (timing columns aside).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from supdev.errors import ConfigError
+from supdev.errors import SupdevError
 from supdev.harness import EXPERIMENT_KINDS, default_config, emit, run_experiment, run_summary
 
 
@@ -29,27 +30,23 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        configs = [default_config(kind, seed=args.seed, workers=args.workers) for kind in args.kinds]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    records = []
-    for kind, cfg in zip(args.kinds, configs):
-        record = run_experiment(cfg)
-        stem = str(Path(args.out) / kind.replace("-", "_"))
-        emit([record], "csv", stem + ".csv")
-        emit([record], "json", stem + ".json")
-        emit([record], "plotdata", stem + "_plot.csv")
-        records.append(record)
-        for row in record.checks:
-            verdict = "----" if row.passed is None else ("PASS" if row.passed else "FAIL")
-            detail = []
-            if row.mc is not None:
-                detail.append(f"mc={row.mc:.6g}")
-            if row.bound is not None:
-                detail.append(f"bound={row.bound:.6g}")
-            print(f"{kind:22s} {row.name:32s} {verdict}  {' '.join(detail)}")
+        # every kind is checked before the first run writes or prints anything
+        configs = [default_config(kind, workers=args.workers) for kind in args.kinds]
+        records = []
+        for kind, cfg in zip(args.kinds, configs):
+            record = run_experiment(cfg, seed=args.seed)
+            stem = str(Path(args.out) / kind.replace("-", "_"))
+            for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("plotdata", "_plot.csv")):
+                emit([record], fmt, stem + suffix)
+            records.append(record)
+            for row in record.checks:
+                verdict = "----" if row.passed is None else ("PASS" if row.passed else "FAIL")
+                values = (("mc", row.mc), ("bound", row.bound))
+                detail = " ".join(f"{name}={v:.6g}" for name, v in values if v is not None)
+                print(f"{kind:22s} {row.name:32s} {verdict}  {detail}")
+    except SupdevError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(run_summary(records))
     return 0 if all(record.all_passed() for record in records) else 1
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._normal import ndtr
-from .errors import CheckError, DomainError
+from .errors import DomainError
 from .spectrum import (
     PolynomialSpec,
     SpectralDensity,
@@ -185,7 +185,8 @@ def beta_block(lam: float, u: float, k: int, N: int) -> float:
     blocks at level u and off-blocks at level lam.
 
     beta = (1 / (1-u+k(u-lam))) * ((1-u+Nku-k lam) / (1-u+Nk(u+lam)-k lam)),
-    guaranteed in (0, 1) under N u > lam and (k-1) u > 1.
+    stated to lie in (0, 1) under N u > lam and (k-1) u > 1; the inputs
+    where it does not (an open defect of the block bound) raise DomainError.
     """
     if not 0.0 < lam <= u < 1.0:
         raise DomainError(f"need 0 < lam <= u < 1, got lam={lam}, u={u}")
@@ -197,7 +198,7 @@ def beta_block(lam: float, u: float, k: int, N: int) -> float:
         (1.0 - u + N * k * u - k * lam) / (1.0 - u + N * k * (u + lam) - k * lam)
     )
     if not 0.0 < beta < 1.0:
-        raise CheckError(f"beta={beta} escaped (0, 1); inputs lam={lam}, u={u}, k={k}, N={N}")
+        raise DomainError(f"beta={beta} escaped (0, 1); inputs lam={lam}, u={u}, k={k}, N={N}")
     return beta
 
 

@@ -2,8 +2,15 @@
 
 A verify run ends with the line ``overall: PASS|FAIL - P passed, F failed:
 kind/row, ...``.  Exit codes: 0 when every assertion row passes, 1 when any
-assertion fails, 2 for usage or config errors, out-of-domain inputs and
-inputs whose work would exceed a hard budget.
+assertion fails, 2 for usage errors.  A package error ends the run in one
+stderr line ``<label>: <message>`` and its class's exit code:
+
+    ConfigError         config error    2   bad config, unreadable or unwritable path
+    DomainError         domain error    2   input outside a stated domain
+    BudgetError         budget error    2   work over a hard budget
+    QuadratureError     error           1
+    FactorizationError  error           1
+
 The seed resolves as CLI flag > SUPDEV_SEED environment variable > config
 file > 0 and is echoed in every output row.
 """
@@ -11,20 +18,23 @@ file > 0 and is echoed in every output row.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .errors import BudgetError, ConfigError, DomainError, SupdevError
+from .errors import ConfigError, SupdevError
 from .harness import (
     EXPERIMENT_KINDS,
     KINDS,
-    SEED_ENV_VAR,
     calibrate,
+    check_seed,
     default_config,
     emit,
     load_config,
     run_experiment,
     run_summary,
 )
+
+SEED_ENV_VAR = "SUPDEV_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +101,12 @@ def _resolve_config(args, kind):
     return cfg
 
 
+def _seed_override(args):
+    """--seed, else SUPDEV_SEED, else None (the library then takes the config's seed, else 0)."""
+    env = os.environ.get(SEED_ENV_VAR)
+    return check_seed(env, SEED_ENV_VAR) if args.seed is None and env is not None else args.seed
+
+
 def _print_record(record) -> None:
     print(f"experiment={record.experiment} seed={record.seed} reps={record.reps} hash={record.config_hash}")
     for row in record.checks:
@@ -109,12 +125,8 @@ def _print_record(record) -> None:
 
 
 def _write_outputs(record, cfg, args):
-    targets = dict(cfg.output)
-    for fmt in ("csv", "json", "plotdata"):
-        flag = getattr(args, fmt, None)
-        if flag:
-            targets[fmt] = flag
-    for fmt, path in targets.items():
+    flags = {fmt: getattr(args, fmt) for fmt in ("csv", "json", "plotdata") if getattr(args, fmt)}
+    for fmt, path in {**cfg.output, **flags}.items():
         emit([record], fmt, path)
         print(f"wrote {fmt} -> {path}")
 
@@ -125,31 +137,19 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args, args.kind)
         if args.command == "calibrate":
-            result = calibrate(cfg, seed=args.seed)
+            result = calibrate(cfg, seed=_seed_override(args))
             for key, val in result.items():
                 print(f"{key}={val}")
             print("note: calibrated constants are reported only, never stored as defaults")
             return 0
-        record = run_experiment(cfg, seed=args.seed)
+        record = run_experiment(cfg, seed=_seed_override(args))
         _print_record(record)
         _write_outputs(record, cfg, args)
         print(run_summary([record]))
         return 0 if record.all_passed() else 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 2
     except SupdevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

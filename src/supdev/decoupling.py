@@ -17,9 +17,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import mc
 from ._normal import ndtr
 from .bounds import BoundReport
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate
 from .quadrature import adaptive_simpson
 from .spectrum import PolynomialSpec, node_floor, power_sum
@@ -65,11 +66,14 @@ def decoupling_coeff_vector(cov: CovarianceSpec) -> DecouplingReport:
 
 def decoupling_coeff_cyclic(spec: PolynomialSpec, n: int) -> DecouplingReport:
     """(1/A) sum_{j=0}^{n-1} |sum_k a_k^2 cos(2 pi j_k j / n)| for the
-    periodic sum sampled on the n-cycle."""
+    periodic sum sampled on the n-cycle.  An n x terms cosine matrix over
+    mc.GRID_BUDGET entries raises BudgetError before it is allocated."""
     if n < 1:
         raise DomainError(f"modulus n={n} < 1")
     if spec.freqs.kind != "integer":
         raise DomainError("cyclic decoupling coefficient requires integer frequencies")
+    if n * spec.n_terms > mc.GRID_BUDGET:
+        raise BudgetError(f"cosine matrix {n} x {spec.n_terms} exceeds {mc.GRID_BUDGET} entries")
     a2 = power_sum(spec, 2)
     if a2 <= 0.0:
         raise DomainError(f"A(y,x)={a2} must be positive")

@@ -2,11 +2,15 @@
 
 
 class SupdevError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors; front ends print ``{label}: {message}`` and exit ``exit_code``."""
+
+    label, exit_code = "error", 1
 
 
 class DomainError(SupdevError, ValueError):
     """An input violates a stated precondition (named in the message)."""
+
+    label, exit_code = "domain error", 2
 
 
 class QuadratureError(SupdevError, ArithmeticError):
@@ -20,12 +24,10 @@ class FactorizationError(SupdevError, ArithmeticError):
 class BudgetError(SupdevError, ValueError):
     """An enumeration, walk or grid would exceed its hard desk-scale budget."""
 
-
-class CheckError(SupdevError, AssertionError):
-    """An invariant the computation relies on failed (names it).  Library
-    functions return both sides of an inequality instead of raising on it;
-    ``bounds.beta_block`` raises the one CheckError left."""
+    label, exit_code = "budget error", 2
 
 
 class ConfigError(SupdevError, ValueError):
-    """An experiment config is malformed (unknown key, bad type, ...)."""
+    """A config is malformed (unknown key, bad type, ...) or names a path that cannot be read or written."""
+
+    label, exit_code = "config error", 2

@@ -40,7 +40,7 @@ from .decoupling import (
     verify_decoupling_mc,
     verify_gebelein_nelson,
 )
-from .errors import CheckError, ConfigError, DomainError
+from .errors import ConfigError, SupdevError
 from .kronecker import (
     LatticeProblem,
     lattice_correlation,
@@ -62,6 +62,7 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "KINDS",
     "calibrate",
+    "check_seed",
     "default_config",
     "emit",
     "load_config",
@@ -72,10 +73,7 @@ __all__ = [
     "records_to_plotdata",
     "run_experiment",
     "run_summary",
-    "SEED_ENV_VAR",
 ]
-
-SEED_ENV_VAR = "SUPDEV_SEED"
 
 
 def _as_int(value) -> int:
@@ -145,8 +143,9 @@ CSV_HEADER = (
 )
 
 
-def _check_seed(seed: int, source: str) -> int:
-    """Seeds key a 64-bit Philox stream, so they must lie in [0, 2**64)."""
+def check_seed(value, source: str) -> int:
+    """``value`` as a seed (an integer in [0, 2**64), a Philox key), or a ConfigError naming ``source``."""
+    seed = _typed(value, "int", source)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{source} {seed} outside [0, 2**64)")
     return seed
@@ -187,7 +186,7 @@ class ExperimentConfig:
         if self.reps < 1 or self.workers < 1:
             raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
         if self.seed is not None:
-            object.__setattr__(self, "seed", _check_seed(_typed(self.seed, "int", "seed"), "seed"))
+            object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         object.__setattr__(self, "params", _validate_params(self.kind, self.params))
 
     def canonical(self) -> str:
@@ -260,16 +259,9 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def effective_seed(config: ExperimentConfig, cli_seed: Optional[int] = None) -> int:
-    """Seed precedence: CLI flag > environment > config > 0."""
-    if cli_seed is not None:
-        return _check_seed(_typed(cli_seed, "int", "seed override"), "seed override")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _check_seed(_typed(env, "int", SEED_ENV_VAR), SEED_ENV_VAR)
-    if config.seed is not None:
-        return config.seed
-    return 0
+def effective_seed(config: ExperimentConfig, seed: Optional[int] = None) -> int:
+    """The override ``seed`` if given, else the config's seed, else 0."""
+    return (config.seed or 0) if seed is None else check_seed(seed, "seed override")
 
 
 @dataclass
@@ -733,15 +725,19 @@ KINDS = {
 EXPERIMENT_KINDS = tuple(sorted(KINDS))
 
 
+def _tagged(work: Callable, config: ExperimentConfig, seed: int):
+    """``work(config, seed)``; a package error it raises gets ``[kind=... hash=...]``."""
+    try:
+        return work(config, seed)
+    except SupdevError as exc:
+        raise type(exc)(f"[kind={config.kind} hash={config.config_hash()}] {exc}") from exc
+
+
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> ResultRecord:
     """Dispatch the config to its kind's runner and wrap the result rows."""
-    run = KINDS[config.kind].run
     eff_seed = effective_seed(config, seed)
     start = time.perf_counter()
-    try:
-        rows = run(config, eff_seed)
-    except (DomainError, CheckError) as exc:
-        raise type(exc)(f"[kind={config.kind} hash={config.config_hash()}] {exc}") from exc
+    rows = _tagged(KINDS[config.kind].run, config, eff_seed)
     wall = time.perf_counter() - start
     return ResultRecord(
         experiment=config.kind,
@@ -838,17 +834,16 @@ def run_summary(records) -> str:
 
 def emit(records, fmt: str, path: str) -> str:
     """Write records in the requested format; returns the path written."""
-    if fmt == "csv":
-        text = records_to_csv(records)
-    elif fmt == "json":
-        text = records_to_json(records)
-    elif fmt == "plotdata":
-        text = records_to_plotdata(records)
-    else:
+    render = {"csv": records_to_csv, "json": records_to_json, "plotdata": records_to_plotdata}.get(fmt)
+    if render is None:
         raise ConfigError(f"unknown emit format {fmt!r}; use csv, json or plotdata")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    text = render(records)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {fmt} to {path!r}: {exc}") from exc
     return path
 
 
@@ -876,4 +871,4 @@ def calibrate(config: ExperimentConfig, seed: Optional[int] = None) -> dict:
         raise ConfigError(f"no free constant to calibrate for kind {config.kind!r}")
     if config.output:
         raise ConfigError(f"calibrate writes no files; drop the [output] keys {sorted(config.output)}")
-    return fit(config, eff_seed)
+    return _tagged(fit, config, eff_seed)

@@ -146,9 +146,7 @@ class TestBetaBlock:
         assert 0.0 < beta_block(lam, u, k, N) < 1.0
 
     def test_escape_above_one_is_loud(self):
-        from supdev.errors import CheckError
-
-        with pytest.raises(CheckError, match="escaped"):
+        with pytest.raises(DomainError, match="escaped"):
             beta_block(0.6, 0.6, 3, 4)
 
     def test_named_precondition_errors(self):

@@ -15,8 +15,8 @@ from supdev.decoupling import (
     verify_gebelein_nelson,
     _in_box,
 )
-from supdev import decoupling
-from supdev.errors import DomainError
+from supdev import decoupling, mc
+from supdev.errors import BudgetError, DomainError
 from supdev.mc import CHUNK_REPS, CovarianceSpec, GridSpec, mc_sup_prob, normal_draws, _chunk_bounds
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, power_sum
 
@@ -95,6 +95,19 @@ class TestCyclicCoefficient:
                 inner = sum(coeffs[k] ** 2 * math.cos(2 * math.pi * (k + 1) * j / n) for k in range(x))
                 acc += abs(inner)
             assert rep.p_value == pytest.approx(acc / float(np.sum(coeffs**2)), rel=1e-12)
+
+    def test_budget_boundary(self, monkeypatch):
+        # the n x terms cosine matrix is refused before it is built, also
+        # when riemann_gap or cyclic_deviation_bound passes n through
+        monkeypatch.setattr(mc, "GRID_BUDGET", 8)
+        spec = int_spec([1.0, 0.5], [1, 2])
+        assert decoupling_coeff_cyclic(spec, 4).terms.size == 4
+        with pytest.raises(BudgetError, match=r"cosine matrix 5 x 2 exceeds 8 entries"):
+            decoupling_coeff_cyclic(spec, 5)
+        with pytest.raises(BudgetError, match="cosine matrix 5 x 2"):
+            riemann_gap(spec, 5)
+        with pytest.raises(BudgetError, match="cosine matrix 5 x 2"):
+            cyclic_deviation_bound(spec, 5, 1.0, 1.0)
 
 
 def assert_riemann_bounds(res, spec, n, tol=1e-9):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from supdev import decoupling, harness
+from supdev import cli, decoupling, harness
+from supdev.cli import SEED_ENV_VAR
 from supdev.cli import main as cli_main
 from supdev.errors import ConfigError, SupdevError
 from supdev.harness import (
@@ -19,7 +20,6 @@ from supdev.harness import (
     ExperimentConfig,
     calibrate,
     default_config,
-    effective_seed,
     emit,
     load_config,
     load_records_json,
@@ -28,7 +28,6 @@ from supdev.harness import (
     records_to_json,
     records_to_plotdata,
     run_experiment,
-    SEED_ENV_VAR,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -279,27 +278,51 @@ class TestConfigTyping:
 
 
 class TestSeedPrecedence:
-    def test_config_seed_used(self, monkeypatch):
+    """The CLI's seed rule: --seed > SUPDEV_SEED > config > 0."""
+
+    @staticmethod
+    def seed_run(capsys, tmp_path, *flags, config=True):
+        argv = ["verify", "equicorrelated", "--reps", "50", *flags]
+        if config:
+            cfg = tmp_path / "equi.ini"
+            cfg.write_text(EQUI_INI)
+            argv += ["-c", str(cfg)]
+        code = cli_main(argv)
+        return code, capsys.readouterr()
+
+    def test_config_seed_used(self, monkeypatch, capsys, tmp_path):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert effective_seed(parse_config(EQUI_INI)) == 11
+        code, captured = self.seed_run(capsys, tmp_path)
+        assert code == 0 and "seed=11 " in captured.out
 
-    def test_env_beats_config(self, monkeypatch):
+    def test_env_beats_config(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
-        assert effective_seed(parse_config(EQUI_INI)) == 77
+        code, captured = self.seed_run(capsys, tmp_path)
+        assert code == 0 and "seed=77 " in captured.out
 
-    def test_cli_beats_env(self, monkeypatch):
+    def test_cli_beats_env(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
-        assert effective_seed(parse_config(EQUI_INI), cli_seed=5) == 5
+        code, captured = self.seed_run(capsys, tmp_path, "--seed", "5")
+        assert code == 0 and "seed=5 " in captured.out
 
-    def test_default_zero(self, monkeypatch):
+    def test_default_zero(self, monkeypatch, capsys, tmp_path):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        cfg = default_config("equicorrelated")
-        assert effective_seed(cfg) == 0
+        code, captured = self.seed_run(capsys, tmp_path, config=False)
+        assert code == 0 and "seed=0 " in captured.out
 
-    def test_bad_env_named(self, monkeypatch):
+    def test_bad_env_named(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError, match=SEED_ENV_VAR):
-            effective_seed(parse_config(EQUI_INI))
+        code, captured = self.seed_run(capsys, tmp_path)
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"config error: {SEED_ENV_VAR} must be an integer, got 'not-a-number'\n"
+
+    def test_library_reads_no_environment(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "77")
+        assert run_experiment(replace(parse_config(EQUI_INI), reps=50)).seed == 11
+        assert run_experiment(default_config("limsup")).seed == 0
+        assert run_experiment(default_config("limsup"), seed=5).seed == 5
+        monkeypatch.setitem(KINDS, "limsup", KINDS["limsup"]._replace(calibrate=lambda cfg, seed: {"seed": seed}))
+        assert calibrate(default_config("limsup", seed=4)) == {"seed": 4}
 
 
 class TestRunExperiment:
@@ -621,6 +644,51 @@ class TestCli:
         assert "seed=99" in capsys.readouterr().out
 
 
+def _package_errors():
+    """Every subclass of SupdevError, at any depth."""
+    found, todo = [], [SupdevError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    return found
+
+
+class TestErrorMap:
+    """Each package error's stderr label and exit code are class constants,
+    listed in the CLI docstring; one clause reports every one of them."""
+
+    def test_every_error_maps_as_documented(self):
+        rows = (re.match(r"\s+(\w+Error)\s+(\S.*?)\s+(\d)(\s|$)", line) for line in cli.__doc__.splitlines())
+        documented = {row[1]: (row[2], int(row[3])) for row in rows if row}
+        assert {cls.__name__: (cls.label, cls.exit_code) for cls in _package_errors()} == documented
+
+    @pytest.mark.parametrize("cls", _package_errors(), ids=lambda cls: cls.__name__)
+    def test_cli_reports_each_error(self, cls, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli_main(["verify", "limsup"]) == cls.exit_code
+        assert capsys.readouterr() == ("", f"{cls.label}: boom\n")
+
+    def test_block_escape_in_a_process(self, tmp_path):
+        # admissible block inputs whose shrink factor beta = 1.46 leaves (0, 1)
+        cfg = tmp_path / "block.ini"
+        cfg.write_text(ini_with("block", {"blocks": "2", "block_size": "3", "u": "0.7773", "lam": "0.7699"}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "supdev.cli", "verify", "block", "-c", str(cfg), "--reps", "50"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("domain error: [kind=block hash=") and proc.stderr.count("\n") == 1
+        assert "escaped (0, 1)" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestVerificationScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verifications.py"
 
@@ -662,6 +730,31 @@ class TestVerificationScript:
         passed = sum(" PASS " in line for line in lines)
         assert passed > 0
         assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"
+
+    def test_unwritable_out_exit_two(self, tmp_path):
+        out = tmp_path / "a_file"
+        out.write_text("")
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--kinds", "limsup", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("config error: cannot write csv to ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_seed_flag_beats_env(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--seed", "3", "--kinds", "limsup", "--out", str(tmp_path)],
+            env=dict(os.environ, **{SEED_ENV_VAR: "5"}),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = (tmp_path / "limsup.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[3] for row in rows} == {"3"}
 
 
 def ini_with(kind, overrides):
@@ -763,7 +856,7 @@ class TestBudgetErrors:
         cfg.write_text(ini_with(kind, overrides))
         assert cli_main(["verify", kind, "-c", str(cfg), "--reps", "50"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("budget error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"budget error: [kind={kind} hash=") and captured.err.count("\n") == 1
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -348,6 +348,16 @@ class TestLatticeSearch:
         with pytest.raises(DomainError, match="no fractional bits"):
             lat_problem(lambdas, betas, interval=interval)
 
+    def test_phase_guard_reads_the_interval_not_the_step(self):
+        # the interval holds t = h m itself, so the phases t lambda - beta
+        # stay under 1.1 * (|lo| + 100) + 0.3 whatever h is: near 4.95e15 >
+        # 2^52 with a short step (every point would read as an exact hit),
+        # near 1.24e15 < 2^52 with a long one
+        with pytest.raises(DomainError, match="no fractional bits"):
+            lat_problem([1.1], [0.3], h=0.25, interval=(2.0**52, 2.0**52 + 100))
+        problem = lat_problem([1.1], [0.3], h=4.0, interval=(2.0**50, 2.0**50 + 100))
+        assert lattice_search(problem).lattice_size == 26
+
     def test_empty_lattice_rejected(self):
         # the nonnegative multiples of h miss a negative interval entirely
         with pytest.raises(DomainError):

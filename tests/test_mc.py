@@ -762,26 +762,6 @@ def test_no_verdict_switches():
     assert "cushion" not in inspect.signature(harness._row_from_estimate).parameters
 
 
-def test_check_error_raised_only_by_beta_block():
-    """Library functions return both sides of each inequality and the caller
-    judges; the one ``raise CheckError`` left is ``bounds.beta_block``'s
-    escape of beta from (0, 1)."""
-    raisers = []
-    for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}
-        for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                names = {sub.id for sub in ast.walk(node.exc) if isinstance(sub, ast.Name)}
-                names |= {sub.attr for sub in ast.walk(node.exc) if isinstance(sub, ast.Attribute)}
-                if "CheckError" in names:
-                    raisers.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
-    assert raisers == ["bounds.beta_block"]
-
-
 class TestGridBudget:
     def test_node_count_over_budget_raises_before_allocating(self):
         with pytest.raises(BudgetError, match=f"grid of {GRID_BUDGET + 1} nodes exceeds"):
