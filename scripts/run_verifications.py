@@ -5,8 +5,9 @@ Writes results/<kind>.csv, results/<kind>.json and results/<kind>_plot.csv,
 prints one verdict line per check and a closing summary line
 ("overall: PASS|FAIL - P passed, F failed: kind/row, ..."), and exits 0 only
 if every assertion row passed.  A package error, such as an invalid seed,
-worker count or kind or an unwritable --out, ends the run in one stderr
-line and the exit code ``supdev verify`` gives it.  --seed is the seed
+worker count or kind, a --kinds that names no kind or an unwritable --out,
+ends the run in one stderr line and the exit code ``supdev verify`` gives
+it.  --seed is the seed
 override (SUPDEV_SEED is not read); reruns with the same seed reproduce the
 same rows byte-for-byte (timing columns aside).
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from supdev.errors import SupdevError
+from supdev.errors import ConfigError, SupdevError
 from supdev.harness import EXPERIMENT_KINDS, default_config, emit, run_experiment, run_summary
 
 
@@ -30,6 +31,8 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        if not args.kinds:
+            raise ConfigError("--kinds names no experiment kind")
         # every kind is checked before the first run writes or prints anything
         configs = [default_config(kind, workers=args.workers) for kind in args.kinds]
         records = []

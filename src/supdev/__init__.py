@@ -14,46 +14,3 @@ The package has three layers:
 """
 
 __version__ = "0.1.0"
-
-from .spectrum import (
-    CoefficientSeq,
-    FrequencySeq,
-    PolynomialSpec,
-    SpectralDensity,
-    check_moderate_condition,
-    power_sum,
-    spectral_geometric_mean,
-)
-from .mc import (
-    CovarianceSpec,
-    GridSpec,
-    McEstimate,
-    mc_expected_sup_diff,
-    mc_expected_sup_path,
-    mc_expected_sup_vector,
-    mc_sup_prob,
-    mc_sup_probs,
-    mc_vector_sup_prob,
-    sample_path,
-)
-
-__all__ = [
-    "CoefficientSeq",
-    "FrequencySeq",
-    "PolynomialSpec",
-    "SpectralDensity",
-    "check_moderate_condition",
-    "power_sum",
-    "spectral_geometric_mean",
-    "CovarianceSpec",
-    "GridSpec",
-    "McEstimate",
-    "mc_expected_sup_diff",
-    "mc_expected_sup_path",
-    "mc_expected_sup_vector",
-    "mc_sup_prob",
-    "mc_sup_probs",
-    "mc_vector_sup_prob",
-    "sample_path",
-    "__version__",
-]

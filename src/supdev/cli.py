@@ -2,14 +2,15 @@
 
 A verify run ends with the line ``overall: PASS|FAIL - P passed, F failed:
 kind/row, ...``.  Exit codes: 0 when every assertion row passes, 1 when any
-assertion fails, 2 for usage errors.  A package error ends the run in one
-stderr line ``<label>: <message>`` and its class's exit code:
+assertion fails, 2 for usage errors, 3 for a computation that could not
+finish.  A package error ends the run in one stderr line ``<label>:
+<message>`` and its class's exit code:
 
-    ConfigError         config error    2   bad config, unreadable or unwritable path
-    DomainError         domain error    2   input outside a stated domain
-    BudgetError         budget error    2   work over a hard budget
-    QuadratureError     error           1
-    FactorizationError  error           1
+    ConfigError         config error     2   bad config, unreadable or unwritable path
+    DomainError         domain error     2   input outside a stated domain
+    BudgetError         budget error     2   work over a hard budget
+    QuadratureError     numerical error  3   quadrature out of nodes before converging
+    FactorizationError  numerical error  3   covariance not factorizable after jitter
 
 The seed resolves as CLI flag > SUPDEV_SEED environment variable > config
 file > 0 and is echoed in every output row.

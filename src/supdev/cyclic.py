@@ -84,16 +84,11 @@ class TestSequence:
             raise DomainError(f"test sequence value N_{k}={v} < 1")
         if v < k:
             raise DomainError(f"test sequence violates N_k >= k at k={k}: N_k={v}")
-        if self.kind == "explicit" and k > 1 and v < int(self.explicit[k - 2]):
-            raise DomainError(f"test sequence decreases at k={k}: {self.explicit[k - 2]} -> {v}")
         return v
 
     def values(self, y: int, x: int) -> list:
         """N_y..N_x as exact Python integers (they can exceed 64 bits)."""
-        out = [self.value(k) for k in range(y, x + 1)] if x >= y else []
-        if any(b < a for a, b in zip(out, out[1:])):
-            raise DomainError(f"test sequence decreases inside [{y}, {x}]")
-        return out
+        return _nondecreasing([self.value(k) for k in range(y, x + 1)] if x >= y else [], y)
 
     def inverse_squares(self, y: int, x: int) -> np.ndarray:
         """1/N_k^2 as floats, by exact integer division: correctly rounded,
@@ -123,6 +118,14 @@ def rational_freq(L: float, N: int) -> tuple:
     return int(math.floor(scaled)), int(N)
 
 
+def _nondecreasing(vals: list, first: int) -> list:
+    """``vals`` (N_first, N_first+1, ...) as given; DomainError at the first decrease."""
+    for k, (a, b) in enumerate(zip(vals, vals[1:]), first + 1):
+        if b < a:
+            raise DomainError(f"test sequence decreases at k={k}: {a} -> {b}")
+    return vals
+
+
 class KappaBlocks(NamedTuple):
     count: int
     degenerate: int  # repeated-N blocks [N, N) counted through vacuous containment
@@ -131,7 +134,8 @@ class KappaBlocks(NamedTuple):
 def _walk(ts: TestSequence, hi: float) -> list:
     """N_1, N_2, ... up to the first N_k > hi, or to the end of an explicit
     sequence; every block index kappa with N_{kappa-1} <= hi is a pair of
-    neighbours in this list.  A walk longer than WALK_BUDGET raises."""
+    neighbours in this list.  A walk longer than WALK_BUDGET or a decrease
+    raises."""
     if not math.isfinite(hi):
         raise DomainError(f"interval end {hi} is not finite")
     cap = ts.max_index()
@@ -140,7 +144,7 @@ def _walk(ts: TestSequence, hi: float) -> list:
         if len(walk) == WALK_BUDGET:
             raise BudgetError(f"test sequence walk to {hi:g} exceeds {WALK_BUDGET} terms")
         walk.append(ts.value(len(walk) + 1))
-    return walk
+    return _nondecreasing(walk, 1)
 
 
 def _blocks(walk: list, lo: float, hi: float) -> KappaBlocks:

@@ -239,7 +239,7 @@ def verify_decoupling_mc(
     rhs = mult * float(np.prod([m ** (1.0 / p) for m in masses]))
 
     in_box = partial(_in_box, los=[b[0] for b in boxes], his=[b[1] for b in boxes])
-    [flags] = _map_projected([(cov.factor().T, in_box)], seed, reps, workers)
+    [flags] = _map_projected([cov.factor().T], in_box, seed, reps, workers)
     return DecouplingCheck(_prob_estimate(flags, reps, seed), rhs, mult, masses)
 
 
@@ -305,7 +305,7 @@ def verify_gebelein_nelson(
         return f(z[:, 0]) * f(rho * z[:, 0] + root * z[:, 1])
 
     # Draws are never 0, so the identity projection returns them bit for bit.
-    [products] = _map_projected([(np.eye(2), product)], seed, reps, workers)
+    [products] = _map_projected([np.eye(2)], product, seed, reps, workers)
     return GebeleinNelson(_mean_estimate(products, reps, seed), gebelein_rhs, nelson_rhs, p)
 
 

@@ -16,9 +16,13 @@ class DomainError(SupdevError, ValueError):
 class QuadratureError(SupdevError, ArithmeticError):
     """A quadrature failed to converge within its node budget."""
 
+    label, exit_code = "numerical error", 3
+
 
 class FactorizationError(SupdevError, ArithmeticError):
     """A covariance could not be factorized even after the jitter retry."""
+
+    label, exit_code = "numerical error", 3
 
 
 class BudgetError(SupdevError, ValueError):

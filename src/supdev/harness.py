@@ -40,7 +40,7 @@ from .decoupling import (
     verify_decoupling_mc,
     verify_gebelein_nelson,
 )
-from .errors import ConfigError, SupdevError
+from .errors import ConfigError, DomainError, SupdevError
 from .kronecker import (
     LatticeProblem,
     lattice_correlation,
@@ -337,9 +337,13 @@ def _run_block(cfg: ExperimentConfig, seed: int) -> list:
 
 def _szego_density(root_coeffs, floor_val) -> SpectralDensity:
     """Positive trig-polynomial density |sum c_j e^{ijt}|^2 + floor,
-    normalized to unit mean (the sandwich standardizes the sequence)."""
+    normalized to unit mean (the sandwich standardizes the sequence).  A
+    mass sum c_j^2 + floor that is not finite and positive raises."""
     c = np.asarray(root_coeffs, dtype=float)
-    mass = float(np.sum(c * c)) + floor_val
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(c * c)) + floor_val
+    if not 0.0 < mass < math.inf:
+        raise DomainError(f"density mass sum c_j^2 + floor = {mass} is not finite and positive")
 
     def f(t):
         e = np.exp(1j * np.asarray(t, dtype=float))

@@ -634,10 +634,10 @@ def lattice_correlation(
     if not omega > omega_floor:
         raise DomainError(f"omega={omega} must exceed 12 pi / (c (pi beta)^2) = {omega_floor:.4g}")
     lam = spec.angular_freqs()
-    aa = spec.coeff_values() ** 2
     a2 = power_sum(spec, 2)
     if a2 <= 0.0:
         raise DomainError("A(x) must be positive")
+    aa = spec.coeff_values() ** 2
 
     accepted = []
     for t in sample_ts:

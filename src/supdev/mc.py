@@ -19,14 +19,18 @@ order, which makes results bit-identical for any worker count.
 Every estimator runs through one per-replication map, ``_map_projected``: a
 chunk's draws are projected through one matrix (the design matrix for a
 path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
-identity for the Gebelein pair), and a statistic turns the projected block
-into one value per replication (a maximum, a flag, a product).  Several
-matrices of one shape can share a chunk's draws, one GEMM each (a single
-GEMM against the concatenated matrices would round differently):
+identity for the Gebelein pair), and one statistic turns each projected
+block into one value per replication.  Every sup estimator keeps the grid
+maximum (or the maximum of |.|) of each replication; a probability counts
+the maxima <= theta when it is estimated, so no threshold enters the pass.
+The decoupling box test keeps a flag and the Gebelein pair a product.
+Several matrices of one shape can share a chunk's draws, one GEMM each (a
+single GEMM against the concatenated matrices would round differently):
 ``mc_sup_probs`` estimates a process and its rational-frequency companion
 on one draw table, and ``mc_sup_prob`` is its one-spec case.  Estimates
-count flags, or add chunk sums in chunk order; both reducers reject
-reps < 1, and ``normal_draws`` rejects seeds outside [0, 2^64).
+count in chunk order, or add chunk sums in chunk order.  The map rejects
+reps < 1 before any draw, and ``normal_draws`` rejects seeds outside
+[0, 2^64).
 
 Design matrices are filled on the worker pool too, in blocks of whole
 terms of a fixed number of values; each element is computed on its own, so
@@ -352,33 +356,35 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _map_projected(projections: Sequence, seed: int, reps: int, workers: int) -> list:
-    """For each ``(matrix, stat)`` pair, ``stat(draws @ matrix)`` for every
-    chunk of replications, in chunk order: one list per pair.
+def _map_projected(matrices: Sequence, stat: Callable, seed: int, reps: int, workers: int) -> list:
+    """``stat(draws @ matrix)`` for each matrix and every chunk of
+    replications, in chunk order: one list per matrix.
 
     Each chunk's draws are generated once and projected through every
     matrix in turn, one GEMM per matrix, so coupled estimates read the same
     draws; the matrices must share their shape.  ``stat`` maps a chunk's
     (rows, outputs) block to one value per replication; it owns its
-    argument and may overwrite it.
+    argument and may overwrite it.  reps < 1 is refused before any draw.
     """
-    width, outputs = projections[0][0].shape
-    if any(matrix.shape != (width, outputs) for matrix, _ in projections):
+    if reps < 1:
+        raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
+    width, outputs = matrices[0].shape
+    if any(matrix.shape != (width, outputs) for matrix in matrices):
         raise DomainError("projected matrices must share their shape")
 
     def run(chunk):
         s, e = chunk
         draws = normal_draws(seed, s, e - s, width)
-        *rest, (last_matrix, last_stat) = projections
-        values = [stat(draws @ matrix) for matrix, stat in rest]
-        block = draws @ last_matrix
+        *rest, last = matrices
+        values = [stat(draws @ matrix) for matrix in rest]
+        block = draws @ last
         # free the draws before the last statistic allocates; holding them
         # cost one-matrix maps 8-9% at workers=1 (2-core Xeon)
         del draws
-        return values + [last_stat(block)]
+        return values + [stat(block)]
 
     chunks = ordered_map(run, _chunk_bounds(reps, outputs), workers)
-    return [[parts[i] for parts in chunks] for i in range(len(projections))]
+    return [[parts[i] for parts in chunks] for i in range(len(matrices))]
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -417,11 +423,10 @@ def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, 
     return normal_draws(seed, rep_start, reps, 2 * spec.n_terms) @ _design_matrix(spec, grid.nodes())
 
 
-def _prob_estimate(parts: list, reps: int, seed: int) -> McEstimate:
-    """Share of replications whose flag is set, over per-chunk flag arrays."""
-    if reps < 1:
-        raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
-    count = sum(int(np.count_nonzero(flags)) for flags in parts)
+def _prob_estimate(parts: list, reps: int, seed: int, theta: Optional[float] = None) -> McEstimate:
+    """Share of replications whose value is <= theta, over per-chunk arrays
+    (whose flag is set, when theta is None)."""
+    count = sum(int(np.count_nonzero(values if theta is None else values <= theta)) for values in parts)
     return McEstimate(
         estimate=count / reps,
         reps=reps,
@@ -433,8 +438,6 @@ def _prob_estimate(parts: list, reps: int, seed: int) -> McEstimate:
 
 def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
     """Mean of per-replication values; chunk sums are added in chunk order."""
-    if reps < 1:
-        raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
     total = sum(float(values.sum()) for values in parts)
     total_sq = sum(float((values * values).sum()) for values in parts)
     mean = total / reps
@@ -446,11 +449,6 @@ def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
         seed=seed,
         kind="mean",
     )
-
-
-def _at_most(theta: float) -> Callable:
-    """Statistic flagging the replications whose grid maximum is <= theta."""
-    return lambda x: _row_max(x) <= theta
 
 
 def mc_sup_probs(
@@ -474,8 +472,8 @@ def mc_sup_probs(
     if len({spec.n_terms for spec in specs}) > 1:
         raise DomainError("specs on one draw table must share their term count")
     nodes = grid.nodes()
-    projections = [(_design_matrix(spec, nodes, workers), _at_most(theta)) for spec, theta in zip(specs, thetas)]
-    return [_prob_estimate(flags, reps, seed) for flags in _map_projected(projections, seed, reps, workers)]
+    maxima = _map_projected([_design_matrix(spec, nodes, workers) for spec in specs], _row_max, seed, reps, workers)
+    return [_prob_estimate(parts, reps, seed, theta) for parts, theta in zip(maxima, thetas)]
 
 
 def mc_sup_prob(
@@ -499,9 +497,8 @@ def mc_vector_sup_prob(
     absolute: bool = False,
 ) -> McEstimate:
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
-    sup = _abs_row_max if absolute else _row_max
-    [flags] = _map_projected([(cov.factor().T, lambda x: sup(x) <= theta)], seed, reps, workers)
-    return _prob_estimate(flags, reps, seed)
+    [maxima] = _map_projected([cov.factor().T], _abs_row_max if absolute else _row_max, seed, reps, workers)
+    return _prob_estimate(maxima, reps, seed, theta)
 
 
 def mc_expected_sup_path(
@@ -514,7 +511,7 @@ def mc_expected_sup_path(
 ) -> McEstimate:
     """Mean grid supremum of the path (its absolute value with absolute=True)."""
     matrix = _design_matrix(spec, grid.nodes(), workers)
-    [sups] = _map_projected([(matrix, _abs_row_max if absolute else _row_max)], seed, reps, workers)
+    [sups] = _map_projected([matrix], _abs_row_max if absolute else _row_max, seed, reps, workers)
     return _mean_estimate(sups, reps, seed)
 
 
@@ -535,8 +532,8 @@ def sup_diff_samples(
     if (spec_a.y, spec_a.x) != (spec_b.y, spec_b.x):
         raise DomainError("coupled specs must share the index range [y, x]")
     dmat = _design_matrix(spec_a, grid.nodes(), workers, minus=spec_b)
-    [parts] = _map_projected([(dmat, _abs_row_max)], seed, reps, workers)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    [parts] = _map_projected([dmat], _abs_row_max, seed, reps, workers)
+    return np.concatenate(parts)
 
 
 def mc_expected_sup_diff(
@@ -559,5 +556,5 @@ def mc_expected_sup_vector(
     absolute: bool = False,
 ) -> McEstimate:
     """Mean of max_i X_i (or max |X_i|) for the Gaussian vector X = F z."""
-    [sups] = _map_projected([(cov.factor().T, _abs_row_max if absolute else _row_max)], seed, reps, workers)
+    [sups] = _map_projected([cov.factor().T], _abs_row_max if absolute else _row_max, seed, reps, workers)
     return _mean_estimate(sups, reps, seed)

@@ -219,13 +219,18 @@ class PolynomialSpec:
 
 
 def power_sum(spec: PolynomialSpec, p: int) -> float:
-    """sum_{y<=k<=x} a_k^p for p in {2, 4}; 0 on the empty range."""
+    """sum_{y<=k<=x} a_k^p for p in {2, 4}; 0 on the empty range.  A sum
+    past the float range raises DomainError."""
     if p not in (2, 4):
         raise DomainError(f"power_sum expects p in {{2, 4}}, got {p}")
     a = spec.coeff_values()
     if a.size == 0:
         return 0.0
-    return float(np.sum(a**p))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(a**p))
+    if not math.isfinite(total):
+        raise DomainError(f"sum of a_k^{p} over [{spec.y}, {spec.x}] is {total}, not a finite float")
+    return total
 
 
 def node_floor(spec: PolynomialSpec) -> float:
@@ -297,8 +302,8 @@ def spectral_geometric_mean(
     def log_mean(n: int) -> float:
         mids = -math.pi + (2.0 * np.arange(n) + 1.0) * (math.pi / n)
         vals = density(mids)
-        if np.any(vals < 0.0):
-            raise DomainError("spectral density is negative on the midpoint grid")
+        if not np.all(vals >= 0.0):
+            raise DomainError("spectral density is negative or NaN on the midpoint grid")
         return float(np.mean(np.log(np.maximum(vals, _TINY))))
 
     n = 16

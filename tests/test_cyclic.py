@@ -84,6 +84,9 @@ class TestTestSequence:
         ts = TestSequence(kind="rule", rule=lambda k: 20 - k if k < 10 else k)
         with pytest.raises(DomainError):
             ts.values(1, 12)
+        # the block walk checks the same order
+        with pytest.raises(DomainError, match="decreases at k=2: 19 -> 18"):
+            kappa_blocks(ts, 1, 100)
 
     def test_inverse_squares_underflow_past_the_float_range(self):
         # N_k^2 = 2^(2k) passes the float range at k = 512; the squares

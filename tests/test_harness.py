@@ -688,12 +688,24 @@ class TestErrorMap:
         assert proc.stderr.startswith("domain error: [kind=block hash=") and proc.stderr.count("\n") == 1
         assert "escaped (0, 1)" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_unconverged_quadrature_exits_three(self, capsys, tmp_path, deadline):
+        # 1 + cos t is log-integrable with geometric mean 1/2 (Jensen), but
+        # the midpoint quadrature runs out of nodes at its zero t = pi
+        cfg = tmp_path / "szego.ini"
+        cfg.write_text(ini_with("szego", {"root_coeffs": "1 1", "floor": "0"}))
+        assert cli_main(["verify", "szego", "-c", str(cfg), "--reps", "50"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical error: [kind=szego hash=")
+        assert "did not converge within 4194304 nodes" in captured.err
+
 
 class TestVerificationScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verifications.py"
 
     @pytest.mark.parametrize(
-        "args", [["--workers", "0"], ["--seed", "-1"], ["--kinds", "nope"], ["--kinds", "limsup", "nope"]]
+        "args",
+        [["--workers", "0"], ["--seed", "-1"], ["--kinds", "nope"], ["--kinds", "limsup", "nope"], ["--kinds"]],
     )
     def test_bad_input_exit_two_without_traceback(self, args, tmp_path):
         proc = subprocess.run(
@@ -863,10 +875,11 @@ class TestBudgetErrors:
 
 class TestNamedDomainErrors:
     """Inputs outside a statement's domain end in one "domain error" line
-    and exit 2, not in a traceback or a complex bound: the free constant C
-    is positive, a rational companion needs N*L inside the float range, a
-    vanishing beta needs an infinite omega, and lattice phases need
-    fractional bits."""
+    and exit 2, not in a traceback, a complex bound or a warning: the free
+    constant C is positive, a rational companion needs N*L inside the float
+    range, a vanishing beta needs an infinite omega, lattice phases need
+    fractional bits, a density's mass is finite and positive, and a
+    coefficient power sum is a finite float."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -881,8 +894,13 @@ class TestNamedDomainErrors:
         "beta_tiny": ("lattice-correlation", {"beta": "1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "beta_tiny_negative": ("lattice-correlation", {"beta": "-1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "huge_step": ("lattice-correlation", {"a": "1e300"}, "leave a float no fractional bits"),
+        "szego_zero_mass": ("szego", {"root_coeffs": "0", "floor": "0"}, "mass sum c_j^2 + floor = 0.0 is not"),
+        "szego_mass_overflow": ("szego", {"root_coeffs": "1e300 1e300"}, "mass sum c_j^2 + floor = inf is not"),
+        "divergence_power_sum": ("divergence", {"coeffs": "1e300 1e300 1 1"}, "sum of a_k^2 over [1, 4] is inf"),
+        "correlation_power_sum": ("lattice-correlation", {"coeffs": "1e300 1e300"}, "sum of a_k^2 over [1, 2] is inf"),
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", CASES)
     def test_cli_exit_two_one_line(self, case, capsys, tmp_path, deadline):
         kind, overrides, message = self.CASES[case]
@@ -913,8 +931,15 @@ class TestNamedDomainErrors:
 
 def _extreme_cases():
     """(kind, param, value): each float param at +-1e300, +-1e-300 and 0,
-    each int param at -1, 0 and 2^40, and pow2 cyclic-transfer at x = 600."""
-    values = {"float": (-1e300, -1e-300, 0.0, 1e-300, 1e300), "int": (-1, 0, 2**40)}
+    each int param at -1, 0 and 2^40, each float-list param at (1e300,
+    1e300), (0,) and (), each int-list param (the divergence ladder) at
+    (0,), and pow2 cyclic-transfer at x = 600."""
+    values = {
+        "float": (-1e300, -1e-300, 0.0, 1e-300, 1e300),
+        "int": (-1, 0, 2**40),
+        "list_float": ((1e300, 1e300), (0.0,), ()),
+        "list_int": ((0,),),
+    }
     cases = [
         (kind, name, value)
         for kind, entry in KINDS.items()
@@ -932,8 +957,8 @@ _SWEEP_SIZES = {"kronecker-search": {"t_hi": 1e4}, "limsup": {"max_terms": 1000}
 @pytest.mark.parametrize("kind, name, value", _extreme_cases(), ids=str)
 def test_extreme_values_end_in_a_record_or_a_named_error(kind, name, value, deadline):
     """One parameter at a time at the edges of its type: a run ends in a
-    record whose numbers are floats, or in a package error (exit 2 or 1 from
-    the CLI), never in another exception."""
+    record whose numbers are floats and not NaN, or in a package error (exit
+    2 or 3 from the CLI), never in another exception."""
     base = default_config(kind)
     params = dict(base.params, **_SWEEP_SIZES.get(kind, {}))
     params[name] = value
@@ -943,7 +968,7 @@ def test_extreme_values_end_in_a_record_or_a_named_error(kind, name, value, dead
         return
     for row in record.checks:
         for number in (row.x, row.mc, row.mc_lo, row.mc_hi, row.bound, row.margin):
-            assert number is None or type(number) is float, (row.name, number)
+            assert number is None or (type(number) is float and not math.isnan(number)), (row.name, number)
 
 
 class TestProductBoundsBeyondFloat:

@@ -811,6 +811,9 @@ ENTRY_POINTS = {
         unit_spec(4), unit_spec(4, freq_rule=lambda k: 0.71 * k), _GRID, reps, seed
     ),
     "mc_expected_sup_vector": lambda reps, seed: mc_expected_sup_vector(_EQUI3, reps, seed),
+    "sup_diff_samples": lambda reps, seed: sup_diff_samples(
+        unit_spec(4), unit_spec(4, freq_rule=lambda k: 0.71 * k), _GRID, reps, seed
+    ),
     "verify_decoupling_mc": lambda reps, seed: verify_decoupling_mc(
         _EQUI3, 2.0 * decoupling_coeff_vector(_EQUI3).p_value, 2.0, [(0.0, math.inf)] * 3, reps, seed
     ),

@@ -289,6 +289,9 @@ class TestGeometricMean:
     def test_negative_density_rejected(self):
         with pytest.raises(DomainError):
             spectral_geometric_mean(SpectralDensity(lambda t: np.cos(t)))
+        # a NaN value is refused at once, not carried to the node budget
+        with pytest.raises(DomainError, match="negative or NaN"):
+            spectral_geometric_mean(SpectralDensity(lambda t: np.where(t > 3.0, np.nan, 1.0)))
 
     def test_nonconvergence_distinct_from_zero(self):
         # a density with a genuinely non-integrable log singularity:
