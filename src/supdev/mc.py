@@ -32,6 +32,21 @@ count in chunk order, or add chunk sums in chunk order.  The map rejects
 reps < 1 before any draw, and ``normal_draws`` rejects seeds outside
 [0, 2^64).
 
+Sup probabilities project the folded half grid.  A grid is an arithmetic
+progression, so its nodes are c -+ s_j about its midpoint c, and
+X(c -+ s) = C(s) -+ S(s) with C(s) = sum a_k h_k cos(w_k s) and
+S(s) = sum a_k h'_k sin(w_k s), where (h_k, h'_k) are the replication's
+(g_k, g'_k) turned by the angle w_k c.  A chunk turns its draws (O(m) per
+replication) and runs two (rows, m) @ (m, ceil(N/2)) GEMMs, against the cos
+and sin rows of the half grid's design matrix read as views; the grid
+maximum is max_j (C_j + |S_j|).  That halves the projection flops and the
+design-matrix entries.  The chunk bounds and the design budget stay those
+of the full grid.  The maxima equal the full projection's only to rounding
+(a few ulps of the path scale), so the counts at a threshold are those of
+``sample_path``'s maxima unless a maximum lies within that rounding of
+theta.  Means, coupled differences (two frequency sets, nothing to save)
+and ``sample_path`` keep the interleaved design matrix and its bytes.
+
 Design matrices are filled on the worker pool too, in blocks of whole
 terms of a fixed number of values; each element is computed on its own, so
 the matrix bytes depend on neither the blocks nor the worker count.
@@ -53,7 +68,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -242,6 +257,7 @@ class GridSpec:
 
     @classmethod
     def uniform(cls, t0: float, t1: float, n: int) -> "GridSpec":
+        _require_finite(t0=t0, t1=t1, span=t1 - t0)
         if t1 < t0:
             raise DomainError(f"interval [{t0}, {t1}] reversed")
         if n < 1:
@@ -250,14 +266,17 @@ class GridSpec:
 
     @classmethod
     def lattice(cls, step: float, count: int, start: float = 0.0) -> "GridSpec":
+        _require_finite(step=step, start=start)
         if step <= 0.0 or count < 1:
             raise DomainError(f"lattice needs step > 0 and count >= 1, got {step}, {count}")
+        _require_finite(last=start + step * (count - 1))
         return cls(mode="lattice", step=float(step), count=int(count), start=float(start))
 
     @classmethod
     def dense(cls, t0: float, t1: float, per_unit: int = 1024) -> "GridSpec":
         """Default density for continuous-supremum surrogates on [t0, t1]:
         per_unit nodes per unit length (override for high frequencies)."""
+        _require_finite(t0=t0, t1=t1, span=t1 - t0)
         n = int(math.ceil((t1 - t0) * per_unit)) + 1
         return cls.uniform(t0, t1, n)
 
@@ -269,19 +288,42 @@ class GridSpec:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"eps={eps} outside (0, 1]")
         floor_n = max(node_floor(spec), 1.0 / eps)
+        _require_finite(n=floor_n if n is None else n)
         n_eff = int(math.ceil(floor_n)) if n is None else int(n)
         if n_eff < floor_n:
             raise DomainError(f"n={n_eff} below the rule floor {floor_n:.3f}")
         z = math.ceil(n_eff * eps)
         return cls.lattice(step=1.0 / n_eff, count=z + 1, start=0.0)
 
+    @property
+    def size(self) -> int:
+        return self.n if self.mode == "uniform" else self.count
+
     def nodes(self) -> np.ndarray:
-        size = self.n if self.mode == "uniform" else self.count
-        if size > GRID_BUDGET:
-            raise BudgetError(f"grid of {size} nodes exceeds {GRID_BUDGET}")
+        if self.size > GRID_BUDGET:
+            raise BudgetError(f"grid of {self.size} nodes exceeds {GRID_BUDGET}")
         if self.mode == "uniform":
             return np.linspace(self.t0, self.t1, self.n)
         return self.start + self.step * np.arange(self.count)
+
+    def fold(self) -> tuple:
+        """(c, s): the midpoint c and offsets s_j >= 0, j < ceil(N/2), such
+        that the nodes are c - s_j and c + s_j.
+
+        The nodes are an arithmetic progression, so node j and node N-1-j
+        lie at c -+ s_j with c = (first + last)/2 and s_j half their
+        distance; an odd grid's middle node is c itself (s = 0).
+        """
+        nodes = self.nodes()
+        half = (nodes.size + 1) // 2
+        return 0.5 * (nodes[0] + nodes[-1]), 0.5 * (nodes[::-1][:half] - nodes[:half])
+
+
+def _require_finite(**values) -> None:
+    """Refuse a grid whose endpoints, step or start are NaN or infinite."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise DomainError(f"grid {name}={value} is not finite")
 
 
 def _design_matrix(
@@ -302,8 +344,7 @@ def _design_matrix(
     the worker count.
     """
     m = spec.n_terms
-    if 2 * m * nodes.size > GRID_BUDGET:
-        raise BudgetError(f"design matrix 2*{m} x {nodes.size} exceeds {GRID_BUDGET} entries")
+    _check_design_budget(m, nodes.size)
     out = np.empty((m, 2, nodes.size))
     rows = max(1, _DESIGN_BLOCK // (2 * max(nodes.size, 1)))
     a, w = spec.coeff_values(), spec.angular_freqs()
@@ -327,6 +368,56 @@ def _design_matrix(
 
     ordered_map(fill, range(0, m, rows), workers)
     return out.reshape(2 * m, nodes.size)
+
+
+def _check_design_budget(m: int, n_nodes: int) -> None:
+    """Raise BudgetError when a design matrix of m terms on n_nodes nodes
+    would exceed GRID_BUDGET entries."""
+    if 2 * m * n_nodes > GRID_BUDGET:
+        raise BudgetError(f"design matrix 2*{m} x {n_nodes} exceeds {GRID_BUDGET} entries")
+
+
+class _Fold(NamedTuple):
+    """A spec's paths on a grid, folded about the grid's midpoint c.
+
+    With the grid's nodes at c -+ s_j (``GridSpec.fold``), X(c -+ s_j) =
+    C_j -+ S_j, where C = h @ cos_rows and S = h' @ sin_rows and each
+    replication's draws are turned by w_k c:
+    h_k = g_k cos(w_k c) + g'_k sin(w_k c), h'_k = g'_k cos(w_k c) - g_k sin(w_k c).
+    """
+
+    cos_rows: np.ndarray  # (m, ceil(N/2)) a_k cos(w_k s_j): the even rows of the half-grid design matrix
+    sin_rows: np.ndarray  # (m, ceil(N/2)) a_k sin(w_k s_j): its odd rows
+    turn_cos: np.ndarray  # (m,) cos(w_k c)
+    turn_sin: np.ndarray  # (m,) sin(w_k c)
+    shape: tuple  # (2m, N): draws per replication and the grid nodes it stands for
+
+
+def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int) -> _Fold:
+    """The folded projection of ``spec`` on ``grid``: half the design-matrix
+    entries of the full grid, read as views.  The budgets stay the full
+    grid's: the node count's first, then 2*m*N before any matrix entry is
+    allocated."""
+    centre, offsets = grid.fold()
+    _check_design_budget(spec.n_terms, grid.size)
+    design = _design_matrix(spec, offsets, workers)
+    phase = spec.angular_freqs() * centre
+    return _Fold(design[0::2], design[1::2], np.cos(phase), np.sin(phase), (2 * spec.n_terms, grid.size))
+
+
+def _project_folded(draws: np.ndarray, fold: _Fold) -> np.ndarray:
+    """C + |S| on the half grid, two (rows, m) @ (m, ceil(N/2)) GEMMs: the
+    larger of X(c - s_j) and X(c + s_j), so its row maxima are the grid
+    maxima of the paths (equal to those of ``draws @ D`` up to rounding)."""
+    g, g_prime = draws[:, 0::2], draws[:, 1::2]
+    h = g * fold.turn_cos
+    h += g_prime * fold.turn_sin
+    h_prime = g_prime * fold.turn_cos
+    h_prime -= g * fold.turn_sin
+    block = h @ fold.cos_rows
+    odd = h_prime @ fold.sin_rows
+    block += np.abs(odd, out=odd)
+    return block
 
 
 def _chunk_bounds(reps: int, nodes: int) -> list:
@@ -356,15 +447,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _map_projected(matrices: Sequence, stat: Callable, seed: int, reps: int, workers: int) -> list:
-    """``stat(draws @ matrix)`` for each matrix and every chunk of
+def _map_projected(
+    matrices: Sequence, stat: Callable, seed: int, reps: int, workers: int, project: Callable = np.matmul
+) -> list:
+    """``stat(project(draws, matrix))`` for each matrix and every chunk of
     replications, in chunk order: one list per matrix.
 
     Each chunk's draws are generated once and projected through every
-    matrix in turn, one GEMM per matrix, so coupled estimates read the same
-    draws; the matrices must share their shape.  ``stat`` maps a chunk's
-    (rows, outputs) block to one value per replication; it owns its
-    argument and may overwrite it.  reps < 1 is refused before any draw.
+    matrix in turn, by default one GEMM per matrix, so coupled estimates
+    read the same draws; the matrices must share their shape (width,
+    outputs), which fixes the draws per replication and the chunk bounds.
+    A ``_Fold`` with ``project=_project_folded`` stands for its full grid.
+    ``stat`` maps a chunk's projected block to one value per replication;
+    it owns its argument and may overwrite it.  reps < 1 is refused before
+    any draw.
     """
     if reps < 1:
         raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
@@ -376,8 +472,8 @@ def _map_projected(matrices: Sequence, stat: Callable, seed: int, reps: int, wor
         s, e = chunk
         draws = normal_draws(seed, s, e - s, width)
         *rest, last = matrices
-        values = [stat(draws @ matrix) for matrix in rest]
-        block = draws @ last
+        values = [stat(project(draws, matrix)) for matrix in rest]
+        block = project(draws, last)
         # free the draws before the last statistic allocates; holding them
         # cost one-matrix maps 8-9% at workers=1 (2-core Xeon)
         del draws
@@ -423,6 +519,19 @@ def sample_path(spec: PolynomialSpec, grid: GridSpec, seed: int, reps: int = 1, 
     return normal_draws(seed, rep_start, reps, 2 * spec.n_terms) @ _design_matrix(spec, grid.nodes())
 
 
+def _check_threshold(theta: float) -> None:
+    """NaN would count no replication (max <= NaN is false); -+inf are valid."""
+    if math.isnan(theta):
+        raise DomainError(f"threshold theta={theta} is NaN")
+
+
+def _grid_maxima(specs: Sequence[PolynomialSpec], grid: GridSpec, seed: int, reps: int, workers: int) -> list:
+    """Each spec's per-chunk grid maxima of its paths, on one draw table:
+    the folded projection, one list of chunk arrays per spec."""
+    folds = [_fold(spec, grid, workers) for spec in specs]
+    return _map_projected(folds, _row_max, seed, reps, workers, project=_project_folded)
+
+
 def _prob_estimate(parts: list, reps: int, seed: int, theta: Optional[float] = None) -> McEstimate:
     """Share of replications whose value is <= theta, over per-chunk arrays
     (whose flag is set, when theta is None)."""
@@ -463,16 +572,19 @@ def mc_sup_probs(
     draw table.
 
     The specs must share their term count.  Each chunk's draws are made once
-    and projected through every spec's design matrix, so X and a companion
-    built from the same (g_k, g'_k) are estimated on the same paths, and each
-    estimate equals the one ``mc_sup_prob`` gives for its spec alone.
+    and projected through every spec's grid folded about its midpoint
+    (``_Fold``), so X and a companion built from the same (g_k, g'_k) are
+    estimated on the same paths, and each estimate equals the one
+    ``mc_sup_prob`` gives for its spec alone.  A NaN theta is refused before
+    any draw; -+inf give 0 and 1.
     """
     if not specs or len(specs) != len(thetas):
         raise DomainError(f"need specs and one threshold per spec, got {len(specs)} specs, {len(thetas)} thresholds")
     if len({spec.n_terms for spec in specs}) > 1:
         raise DomainError("specs on one draw table must share their term count")
-    nodes = grid.nodes()
-    maxima = _map_projected([_design_matrix(spec, nodes, workers) for spec in specs], _row_max, seed, reps, workers)
+    for theta in thetas:
+        _check_threshold(theta)
+    maxima = _grid_maxima(specs, grid, seed, reps, workers)
     return [_prob_estimate(parts, reps, seed, theta) for parts, theta in zip(maxima, thetas)]
 
 
@@ -497,6 +609,7 @@ def mc_vector_sup_prob(
     absolute: bool = False,
 ) -> McEstimate:
     """P{max_i X_i <= theta} (or max |X_i| with absolute=True) for X = F z."""
+    _check_threshold(theta)
     [maxima] = _map_projected([cov.factor().T], _abs_row_max if absolute else _row_max, seed, reps, workers)
     return _prob_estimate(maxima, reps, seed, theta)
 

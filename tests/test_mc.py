@@ -414,6 +414,87 @@ class TestSharedDraws:
         assert sorted(calls) == chunks
 
 
+def full_gemm_sup_probs(specs, grid, thetas, reps, seed, workers):
+    """The sup-probability estimator as it projected the whole grid: one
+    (rows, 2m) @ (2m, N) GEMM per spec and chunk, the row maximum of the paths."""
+    nodes = grid.nodes()
+    maxima = mc._map_projected([_design_matrix(spec, nodes, workers) for spec in specs], _row_max, seed, reps, workers)
+    return [mc._prob_estimate(parts, reps, seed, theta) for parts, theta in zip(maxima, thetas)]
+
+
+FOLD_REPS = 1000
+# (spec, grid): odd and even grids, one and two nodes, uniform grids and
+# lattices (the cyclic rule's from 0, one off the origin), integer and real
+# frequencies, an empty range, and a grid whose 1000 reps span 3 chunks
+FOLD_CASES = {
+    "odd_real_3_chunks": (unit_spec(48, coeffs="inv_sqrt"), GridSpec.uniform(1.0, 12.0, 705)),
+    "even_real": (unit_spec(30, freq_rule=lambda k: 0.61 * k), GridSpec.uniform(1.0, 4.0, 64)),
+    "one_node": (unit_spec(5), GridSpec.uniform(0.3, 1.0, 1)),
+    "two_nodes": (unit_spec(5), GridSpec.uniform(0.3, 1.0, 2)),
+    "cyclic_rule_integer": (integer_spec(60), GridSpec.cyclic_rule(integer_spec(60), 1.0)),
+    "cyclic_rule_half": (integer_spec(40), GridSpec.cyclic_rule(integer_spec(40), 0.5)),
+    "lattice_off_origin": (integer_spec(12), GridSpec.lattice(0.01, 50, start=-0.37)),
+    "empty_range": (unit_spec(0), GridSpec.uniform(0.3, 2.0, 9)),
+}
+
+
+class TestFold:
+    """Sup probabilities project each grid folded about its midpoint."""
+
+    def test_cases_cover_the_shapes(self):
+        sizes = {grid.size % 2 for _, grid in FOLD_CASES.values()}
+        assert sizes == {0, 1}
+        assert {grid.mode for _, grid in FOLD_CASES.values()} == {"uniform", "lattice"}
+        assert len(_chunk_bounds(FOLD_REPS, FOLD_CASES["odd_real_3_chunks"][1].size)) == 3
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_grid_fold_gives_the_nodes(self, case):
+        _, grid = FOLD_CASES[case]
+        nodes = grid.nodes()
+        centre, offsets = grid.fold()
+        half = (nodes.size + 1) // 2
+        assert offsets.shape == (half,) and np.all(offsets >= 0.0)
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(nodes))
+        assert np.max(np.abs(centre - offsets - nodes[:half])) <= tol
+        assert np.max(np.abs(centre + offsets - nodes[::-1][:half])) <= tol
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_maxima_match_sample_path(self, case, workers):
+        spec, grid = FOLD_CASES[case]
+        [parts] = mc._grid_maxima([spec], grid, 31, FOLD_REPS, workers)
+        folded = np.concatenate(parts)
+        paths = sample_path(spec, grid, seed=31, reps=FOLD_REPS)
+        assert folded.shape == (FOLD_REPS,)
+        assert np.max(np.abs(folded - paths.max(axis=1))) <= 1e-12 * np.max(np.abs(paths))
+
+    def test_half_grid_design_is_read_as_views(self):
+        spec, grid = FOLD_CASES["odd_real_3_chunks"]
+        fold = mc._fold(spec, grid, 1)
+        assert fold.shape == (2 * spec.n_terms, grid.size)
+        assert fold.cos_rows.shape == fold.sin_rows.shape == (spec.n_terms, (grid.size + 1) // 2)
+        assert fold.cos_rows.base is fold.sin_rows.base is not None
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimates_equal_full_projection(self, workers):
+        from supdev.cyclic import TestSequence, perp_process
+
+        real = unit_spec(48, coeffs="inv_sqrt")
+        integer = integer_spec(60)
+        runs = [
+            ([real, perp_process(real, TestSequence(kind="pow2"))], GridSpec.uniform(1.0, 12.0, 705), [4.5, 5.5]),
+            ([integer], GridSpec.cyclic_rule(integer, 1.0), [3.0]),
+            ([unit_spec(30, freq_rule=lambda k: 0.61 * k)], GridSpec.uniform(1.0, 4.0, 64), [8.0]),
+        ]
+        for specs, grid, thetas in runs:
+            want = full_gemm_sup_probs(specs, grid, thetas, 2000, 21, 1)
+            assert all(0.0 < est.estimate < 1.0 for est in want)
+            got = mc_sup_probs(specs, grid, thetas, 2000, seed=21, workers=workers)
+            assert [(repr(e.estimate), repr(e.half_width)) for e in got] == [
+                (repr(e.estimate), repr(e.half_width)) for e in want
+            ]
+
+
 class TestWideGrid:
     """Grids wide enough that the replication range splits into several chunks."""
 
@@ -675,6 +756,33 @@ class TestGridSpec:
         assert nodes[0] == 1.0 and nodes[-1] == 3.0
         assert nodes.size == 33
 
+    NON_FINITE = {
+        "uniform_nan_t1": lambda: GridSpec.uniform(0, math.nan, 5),
+        "uniform_inf_t1": lambda: GridSpec.uniform(0, math.inf, 5),
+        "uniform_minus_inf_t0": lambda: GridSpec.uniform(-math.inf, 0, 5),
+        "uniform_nan_one_node": lambda: GridSpec.uniform(math.nan, math.nan, 1),
+        "uniform_span_overflows": lambda: GridSpec.uniform(-1e308, 1e308, 5),
+        "lattice_inf_step": lambda: GridSpec.lattice(math.inf, 3),
+        "lattice_nan_step": lambda: GridSpec.lattice(math.nan, 3),
+        "lattice_nan_start": lambda: GridSpec.lattice(0.1, 3, start=math.nan),
+        "lattice_minus_inf_start": lambda: GridSpec.lattice(0.1, 3, start=-math.inf),
+        "lattice_last_overflows": lambda: GridSpec.lattice(1e308, 3),
+        "dense_inf_t1": lambda: GridSpec.dense(0.0, math.inf),
+        "dense_nan_t0": lambda: GridSpec.dense(math.nan, 1.0),
+        "cyclic_rule_inf_n": lambda: GridSpec.cyclic_rule(integer_spec(3), 0.5, n=math.inf),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_rejected(self, case):
+        with pytest.raises(DomainError, match="not finite"):
+            self.NON_FINITE[case]()
+
+    def test_finite_neighbours_accepted(self):
+        assert GridSpec.uniform(-1e307, 1e307, 5).nodes()[-1] == 1e307
+        assert GridSpec.lattice(0.1, 3, start=-5.0).nodes()[0] == -5.0
+        assert GridSpec.cyclic_rule(integer_spec(3), 0.5, n=100).count == 51
+
 
 def test_chunking_stays_in_mc():
     """Only ``mc`` splits replications into chunks, draws and runs the pool;
@@ -835,6 +943,33 @@ def test_entry_points_accept_extreme_seeds(entry):
     """The valid neighbours of the cases above run, so those fail on reps or seed alone."""
     for seed in (0, 2**64 - 1):
         ENTRY_POINTS[entry](100, seed)
+
+
+THRESHOLD_ENTRY_POINTS = {
+    "mc_sup_probs": lambda theta: mc_sup_probs([unit_spec(4), unit_spec(4, freq_rule=lambda k: 0.71 * k)],
+                                               _GRID, [1.0, theta], 100, 1)[1],
+    "mc_sup_prob": lambda theta: mc_sup_prob(unit_spec(4), _GRID, theta, 100, 1),
+    "mc_vector_sup_prob": lambda theta: mc_vector_sup_prob(_EQUI3, theta, 100, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(THRESHOLD_ENTRY_POINTS))
+def test_nan_threshold_rejected_before_any_draw(entry, monkeypatch):
+    """max <= NaN is false for every replication, so a NaN threshold would
+    read as probability 0; it is a domain error naming theta."""
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking theta")
+
+    monkeypatch.setattr(mc, "normal_draws", no_draws)
+    with pytest.raises(DomainError, match="theta=nan"):
+        THRESHOLD_ENTRY_POINTS[entry](math.nan)
+
+
+@pytest.mark.parametrize("entry", sorted(THRESHOLD_ENTRY_POINTS))
+def test_infinite_thresholds_are_certain(entry):
+    assert THRESHOLD_ENTRY_POINTS[entry](math.inf).estimate == 1.0
+    assert THRESHOLD_ENTRY_POINTS[entry](-math.inf).estimate == 0.0
 
 
 def test_bad_seed_raised_from_a_worker_thread():
