@@ -8,7 +8,9 @@ vector is approximated to 1/omega by some lattice point t in I intersected
 with h*N, and the number of such points admits explicit lower bounds.  The
 same machinery drives the running-maximum law for |sum alpha_k e^{i c nu
 lambda_k}| along arithmetic progressions and the divergence of the
-normalized absolute-covariance series.
+normalized absolute-covariance series; the running-maximum scan evaluates
+exactly only the product blocks that can hold a new maximum, which an
+anchored-rotation approximation of every sum picks out.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _MAX_STEP = 32  # largest step q of the rotations lattice_search filters on
 _GEMV_VALUES = 1 << 11  # values per BLAS matrix-vector product, below OpenBLAS's threading size
 _ROW_ALIGN = 64  # product blocks hold a whole multiple of this many rows
 _PIECE_BLOCKS = 16  # product blocks per scan piece, the task a worker takes
+_ROTATION_ROWS = 512  # rows per rotation table of the limsup approximate pass
 
 
 def nearest_int_dist(u) -> np.ndarray:
@@ -493,6 +496,23 @@ def _abs_products(
     return out
 
 
+def _turns(c: float, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The (len(nu), N) matrix e^{i c nu_m lambda_k} of the limsup scan."""
+    return np.exp(1j * c * np.outer(nu.astype(float), lam))
+
+
+def _rotated_moduli(a: np.ndarray, lam: np.ndarray, c: float, theta: float, start: int, step: int, M: int) -> tuple:
+    """(approx, delta): the approximate moduli of the limsup rows nu = start +
+    step*m, m < M, from exact phases every _ROTATION_ROWS rows turned by one
+    table, and the bound delta on their distance from the full scan's
+    moduli when theta bounds the phases (``limsup_exponential_sum``)."""
+    rows = min(_ROTATION_ROWS, M)
+    anchors = _turns(c, lam, start + step * (rows * np.arange(-(-M // rows))))
+    anchors *= a
+    approx = np.abs(anchors @ _turns(c, lam, step * np.arange(rows)).T).ravel()[:M]
+    return approx, 64.0 * np.finfo(float).eps * (float(a.sum()) + 2.0**-1022) * (theta + a.size + 2.0)
+
+
 def limsup_exponential_sum(
     alphas: Sequence[float],
     lambdas: Sequence[float],
@@ -509,12 +529,50 @@ def limsup_exponential_sum(
     (c = 2); both are exposed because the two scalings appear side by side
     and only differ by a relabeling of the frequencies.  Returns
     (running_max, final_max); the running maximum is non-decreasing and
-    bounded by sum(alpha_k).
+    bounded by sum(alpha_k).  The phases must stay below 2^52 in size,
+    Theta = c max|lambda_k| max(|start|, |start + step (M-1)|) < 2^52,
+    where a float still has fractional bits to measure, and |nu| below
+    2^62, as must step, so that the progression's int64 arithmetic cannot
+    wrap.
 
-    ``workers`` threads of the shared pool fill the moduli of all M sums
-    (``_abs_products``), and one running maximum is taken over them.  The
-    moduli do not depend on the worker count and a maximum is exact, so the
-    result is bit-identical for any worker count.
+    The result equals that of a full scan, which fills the moduli of all M
+    sums through ``_abs_products`` and takes one running maximum, but only
+    the product blocks that can hold a new maximum are evaluated exactly.
+
+    Approximate pass.  Exact phases are taken at anchors nu_a = start +
+    step R a, every R = _ROTATION_ROWS rows, and one R-row table holds
+    e^{i c lambda_k step j}, j < R.  Since nu_a + step j is row a R + j, one
+    complex GEMM of the weighted anchors alpha_k e^{i c nu_a lambda_k} by
+    the table gives every row's sum, and approx its modulus.
+
+    Candidates.  If every approx is within delta of the full scan's modulus
+    exact, a row i with approx[i] < approx[j] - 2 delta for some j < i has
+    exact[i] < approx[i] + delta < approx[j] - delta <= exact[j], so it
+    cannot raise the running maximum.  The candidates are row 0 and the
+    rows with approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
+
+    Exact pass.  The product blocks that hold a candidate, cut as the full
+    scan cuts them (_block_rows(N) rows from row 0, a one-row tail joined
+    to the block before it), are laid end to end and filled by ``workers``
+    threads of the shared pool through ``_abs_products``.  Every block but
+    the last holds exactly _block_rows(N) rows, so the joined range is cut
+    into the same blocks and each of its values is the full scan's, bit for
+    bit.  The running maximum over these rows, held across the rows left
+    out, is the full scan's running maximum, for any worker count.
+
+    Margin.  Let u = 2^-53 and A = sum(alpha_k).  Either pass computes a
+    phase as fl(c fl(nu lambda_k)), nu rounded to a float, within 3.01 u of
+    its size: at most Theta at an anchor or a full-scan row, 2 Theta in the
+    table (step j <= 2 max|nu|).  libm's cexp is within 1 ulp per
+    component, 2.83 u in modulus.  The amplitude weights round by u, the
+    GEMM's complex products by 2.24 u (sqrt(5) u), the N-term sums by about
+    1.44 N u and abs by 2 u, each relative to A.  Together |approx - exact|
+    <= u A (12.04 Theta + 2.88 N + 16), and delta = 64 eps A (Theta + N +
+    2), eps = 2u, covers that ten times over, with the rounding of
+    max(approx[:i]) - 2 delta besides.  Below 2^-1022 a float rounds by up
+    to 2^-1075 absolutely rather than relatively, so delta takes A +
+    2^-1022 in place of A.  When delta is not finite every row is a
+    candidate.
     """
     a = np.asarray(alphas, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
@@ -534,13 +592,27 @@ def limsup_exponential_sum(
         raise DomainError(f"unknown phase convention {convention!r}")
     if M * a.size > ENUM_BUDGET:
         raise BudgetError(f"progression scan size {M * a.size} exceeds {ENUM_BUDGET}")
+    reach = max(abs(start), abs(start + step * (M - 1)))
+    theta = c * float(np.abs(lam).max(initial=0.0)) * min(reach, 2.0**1023)
+    if not theta < 2.0**52:
+        raise DomainError(f"phases up to {theta:.4g} leave a float no fractional bits (need < 2^52)")
+    if not max(reach, step) < 2**62:
+        raise DomainError("progression leaves int64 arithmetic (need step and |start + step*m| < 2^62)")
 
-    def rows(s, e):
-        nu = (start + step * np.arange(s, e)).astype(float)
-        return np.exp(1j * c * np.outer(nu, lam))
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range keep every row
+        approx, delta = _rotated_moduli(a, lam, c, theta, start, step, M)
+        prior = np.maximum.accumulate(approx)
+        prior -= 2.0 * delta
+    keep = np.ones(M, dtype=bool)  # row 0 opens the running maximum
+    keep[1:] = ~(approx[1:] < prior[:-1])
 
-    running = _abs_products(rows, a, 0, M, np.empty(M), workers)
-    np.maximum.accumulate(running, out=running)
+    cuts = _cuts(0, M, _block_rows(a.size))
+    hit = np.logical_or.reduceat(keep, [s for s, _ in cuts])
+    exact_rows = np.concatenate([np.arange(*cut) for cut, h in zip(cuts, hit) if h])
+    exact = np.empty(exact_rows.size)
+    _abs_products(lambda s, e: _turns(c, lam, start + step * exact_rows[s:e]), a, 0, exact.size, exact, workers)
+    np.maximum.accumulate(exact, out=exact)
+    running = np.repeat(exact, np.diff(exact_rows, append=M))
     return running, float(running[-1])
 
 
@@ -551,7 +623,8 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
     Coefficients must be non-vanishing on the range (the sequence flag is
     required); linear independence of the frequencies is the caller's
     assertion.  S_J is non-decreasing in J and scale-invariant in the
-    coefficients.
+    coefficients.  The phases a J lambda_k must stay below 2^52 in size,
+    where a float still has fractional bits to measure.
 
     The terms j = 0..J are added in summation units: each ladder rung,
     cut every 2^22/N rows, which bounds the one reused buffer.  ``workers``
@@ -576,6 +649,9 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
         raise DomainError("A(x) must be positive")
     aa = spec.coeff_values() ** 2
     lam = spec.angular_freqs()
+    phase = a * ladder[-1] * float(np.abs(lam).max(initial=0.0))
+    if not phase < 2.0**52:
+        raise DomainError(f"phases up to {phase:.4g} leave a float no fractional bits (need < 2^52)")
 
     def rows(s, e):
         return np.cos(np.outer(np.arange(s, e, dtype=float) * a, lam))

@@ -235,8 +235,10 @@ def power_sum(spec: PolynomialSpec, p: int) -> float:
 
 def node_floor(spec: PolynomialSpec) -> float:
     """2 pi sum_{y<=k<=x} j_k a_k^2, the node floor of the periodic cyclic
-    rule (A times the Riemann-gap bound); 0 on the empty range."""
-    return 2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2))
+    rule (A times the Riemann-gap bound); 0 on the empty range, inf past
+    the float range (the grid rule then refuses it)."""
+    with np.errstate(over="ignore"):
+        return 2.0 * math.pi * float(np.sum(spec.freq_values() * spec.coeff_values() ** 2))
 
 
 class ModerateCondition(NamedTuple):

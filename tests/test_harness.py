@@ -877,8 +877,8 @@ class TestNamedDomainErrors:
     """Inputs outside a statement's domain end in one "domain error" line
     and exit 2, not in a traceback, a complex bound or a warning: the free
     constant C is positive, a rational companion needs N*L inside the float
-    range, a vanishing beta needs an infinite omega, lattice phases need
-    fractional bits, a density's mass is finite and positive, and a
+    range, a vanishing beta needs an infinite omega, lattice, limsup and
+    divergence phases need fractional bits, a density's mass is finite and positive, and a
     coefficient power sum is a finite float."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
@@ -894,6 +894,12 @@ class TestNamedDomainErrors:
         "beta_tiny": ("lattice-correlation", {"beta": "1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "beta_tiny_negative": ("lattice-correlation", {"beta": "-1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "huge_step": ("lattice-correlation", {"a": "1e300"}, "leave a float no fractional bits"),
+        "limsup_start_past_int64": ("limsup", {"start": "9223372036854775807"}, "leave a float no fractional bits"),
+        "limsup_phase_past_2_52": ("limsup", {"start": "9007199254740993"}, "leave a float no fractional bits"),
+        "limsup_progression_past_int64": (
+            "limsup", {"lambdas": "0 0 0", "start": "9223372036854775807"}, "progression leaves int64 arithmetic"
+        ),
+        "divergence_huge_step": ("divergence", {"a": "1e300"}, "leave a float no fractional bits"),
         "szego_zero_mass": ("szego", {"root_coeffs": "0", "floor": "0"}, "mass sum c_j^2 + floor = 0.0 is not"),
         "szego_mass_overflow": ("szego", {"root_coeffs": "1e300 1e300"}, "mass sum c_j^2 + floor = inf is not"),
         "divergence_power_sum": ("divergence", {"coeffs": "1e300 1e300 1 1"}, "sum of a_k^2 over [1, 4] is inf"),

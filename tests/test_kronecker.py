@@ -548,6 +548,147 @@ class TestScanPieces:
                 assert divergence_partial_sums(spec, 1.1, sorted(ladder), workers=workers) == ref_sums
 
 
+_R = kronecker._ROTATION_ROWS
+_C = {"2pi": 2.0 * math.pi, "2": 2.0}
+_A3 = [1.0, 0.6, 1.3]
+
+# (alphas, lambdas, start, step, M): inputs that stress the two-pass scan's candidate rule
+TWO_PASS_CASES = {
+    "integer_ties": (_A3, [1.0, 2.0, 5.0], 1, 1, 5000),  # with c = 2 pi every row ties at sum(alpha)
+    "integer_far": (_A3, [1.0, 2.0, 5.0], 10**9, 7, 5000),
+    "rational": ([0.9, 1.0, 1.1], [0.9, 1.7, 3.1], 1, 2, 20_000),  # periodic: every record recurs
+    "zero_frequencies": ([1.0, 0.5], [0.0, 0.0], 3, 1, 3000),  # every modulus is sum(alpha)
+    "one_frequency": ([1.3], [math.sqrt(2.0)], 1, 1, 3000),  # a constant modulus up to rounding
+    "one_row": (_A3, _ROOTS[:3], 1, 1, 1),
+    "table_minus_one": (_A3, _ROOTS[:3], 1, 1, _R - 1),
+    "table": (_A3, _ROOTS[:3], 1, 1, _R),
+    "table_plus_one": (_A3, _ROOTS[:3], 1, 1, _R + 1),
+    "negative_start": (_A3, _ROOTS[:3], -50_000, 3, 40_000),
+    "subnormal_amplitudes": ([3e-320, 1e-321, 2e-322], _ROOTS[:3], 1, 1, 30_000),  # rounding is absolute there
+}
+
+
+def _full_moduli(alphas, lambdas, start, step, M, c):
+    nu = (start + step * np.arange(M)).astype(float)
+    return np.abs(np.exp(1j * c * np.outer(nu, lambdas)) @ np.asarray(alphas, dtype=float))
+
+
+class TestTwoPassScan:
+    """limsup_exponential_sum evaluates exactly only the product blocks that
+    hold a candidate row of its rotated approximation, and still returns
+    the full scan's bytes."""
+
+    @pytest.mark.parametrize("convention", sorted(_C))
+    @pytest.mark.parametrize("case", sorted(TWO_PASS_CASES))
+    def test_matches_single_thread_loop(self, case, convention):
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        running, final = single_thread_limsup(alphas, lambdas, start, step, M, c=_C[convention])
+        for workers in (1, 2, 3):
+            got_running, got_final = limsup_exponential_sum(alphas, lambdas, start, step, M, convention, workers)
+            assert got_running.tobytes() == running.tobytes(), workers
+            assert repr(got_final) == repr(final), workers
+
+    @pytest.mark.parametrize("convention", sorted(_C))
+    @pytest.mark.parametrize("case", sorted(TWO_PASS_CASES))
+    def test_approximation_within_a_sixteenth_of_the_margin(self, case, convention):
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        c = _C[convention]
+        theta = c * max(map(abs, lambdas)) * max(abs(start), abs(start + step * (M - 1)))
+        approx, delta = kronecker._rotated_moduli(
+            np.asarray(alphas, dtype=float), np.asarray(lambdas, dtype=float), c, theta, start, step, M
+        )
+        assert approx.shape == (M,) and 0.0 < delta < math.inf
+        assert np.abs(approx - _full_moduli(alphas, lambdas, start, step, M, c)).max() <= delta / 16.0
+
+    @staticmethod
+    def _assert_full_scan_from(monkeypatch, case, approx, delta):
+        """The scan of a TWO_PASS_CASES case, given ``approx`` and ``delta``
+        as its approximate pass, returns the full scan's bytes."""
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        monkeypatch.setattr(kronecker, "_rotated_moduli", lambda *args: (approx, delta))
+        running, final = single_thread_limsup(alphas, lambdas, start, step, M)
+        got_running, got_final = limsup_exponential_sum(alphas, lambdas, start, step, M)
+        assert got_running.tobytes() == running.tobytes() and repr(got_final) == repr(final)
+
+    @pytest.mark.parametrize("case", ["rational", "negative_start", "table_plus_one"])
+    def test_any_approximation_within_the_margin_gives_the_full_scan(self, monkeypatch, case):
+        # the candidate rule needs only |approx - exact| <= delta: push every
+        # record down and every other row up by almost delta
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        exact = _full_moduli(alphas, lambdas, start, step, M, _C["2pi"])
+        records = np.ones(M, dtype=bool)
+        records[1:] = exact[1:] > np.maximum.accumulate(exact)[:-1]
+        delta = 2.0**-30
+        adversary = np.where(records, exact - 0.99 * delta, exact + 0.99 * delta)
+        self._assert_full_scan_from(monkeypatch, case, adversary, delta)
+
+    @pytest.mark.parametrize("case", ["rational", "negative_start"])
+    def test_errors_on_both_sides_need_twice_the_margin(self, monkeypatch, case):
+        # the record r with the smallest rise g over the record p before it:
+        # at delta = 2 g, r pushed down and p pushed up by 0.99 delta leave
+        # approx[r] 2.96 g below approx[p], inside 2 delta but outside delta
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        exact = _full_moduli(alphas, lambdas, start, step, M, _C["2pi"])
+        prior = np.maximum.accumulate(exact)
+        records = np.flatnonzero(exact[1:] > prior[:-1]) + 1
+        rises = exact[records] - prior[records - 1]
+        r = records[np.argmin(rises)]
+        p = np.flatnonzero(exact[:r] == prior[r - 1])[0]
+        delta = 2.0 * rises.min()
+        adversary = exact.copy()
+        adversary[r] -= 0.99 * delta
+        adversary[p] += 0.99 * delta
+        self._assert_full_scan_from(monkeypatch, case, adversary, delta)
+
+    def test_nan_approximation_keeps_the_rows_after_it(self, monkeypatch):
+        # no margin bounds a NaN: its row and every row after it stay candidates
+        alphas, lambdas, start, step, M = TWO_PASS_CASES["negative_start"]
+        adversary = _full_moduli(alphas, lambdas, start, step, M, _C["2pi"])
+        adversary[5] = math.nan
+        self._assert_full_scan_from(monkeypatch, "negative_start", adversary, 2.0**-30)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sums_match_the_full_scan(self):
+        # the sums pass the float range (numpy warns of it in the full scan
+        # too): the margin is inf, NaN moduli appear, and every row is kept
+        alphas = [1e308] * 3
+        running, final = single_thread_limsup(alphas, _ROOTS[:3], 1, 1, 3000)
+        got_running, got_final = limsup_exponential_sum(alphas, _ROOTS[:3], 1, 1, 3000)
+        assert math.isnan(final)
+        assert got_running.tobytes() == running.tobytes() and repr(got_final) == repr(final)
+
+    @staticmethod
+    def _exact_rows(monkeypatch, *args):
+        spy = mock.Mock(wraps=kronecker._abs_products)
+        monkeypatch.setattr(kronecker, "_abs_products", spy)
+        limsup_exponential_sum(*args)
+        [call] = spy.call_args_list
+        return call.args[3] - call.args[2]
+
+    def test_irrational_frequencies_skip_most_blocks(self, monkeypatch):
+        M = 200_000
+        rows = self._exact_rows(monkeypatch, _A3, _ROOTS[:3], 1, 2, M)
+        assert rows % kronecker._block_rows(3) == 0 and rows <= M // 20
+
+    def test_ties_evaluate_every_block(self, monkeypatch):
+        alphas, lambdas, start, step, M = TWO_PASS_CASES["integer_ties"]
+        assert self._exact_rows(monkeypatch, alphas, lambdas, start, step, M) == M
+
+    def test_phases_without_fractional_bits_rejected(self):
+        # convention "2", lambda = 1: Theta = 2 max|nu|
+        assert limsup_exponential_sum([1.0], [1.0], 2**51 - 1, 1, 1, "2")[1] == pytest.approx(1.0)
+        for start, M in ((2**51, 1), (2**51 - 2, 3), (-(2**51), 1)):
+            with pytest.raises(DomainError, match=r"leave a float no fractional bits \(need < 2\^52\)"):
+                limsup_exponential_sum([1.0], [1.0], start, 1, M, "2")
+
+    def test_progression_past_int64_rejected(self):
+        for start, step, M in ((2**62 - 1, 1, 1), (1 - 2**62, 2**62 - 1, 3)):
+            assert limsup_exponential_sum([1.0, 0.5], [0.0, 0.0], start, step, M)[1] == 1.5
+        for start, step, M in ((2**62, 1, 1), (-(2**62), 1, 1), (1, 2**61, 3), (2**63 + 5, 1, 2), (1, 2**70, 1)):
+            with pytest.raises(DomainError, match="int64"):
+                limsup_exponential_sum([1.0, 0.5], [0.0, 0.0], start, step, M)
+
+
 class TestLimsup:
     def test_single_term_constant_modulus(self):
         running, final = limsup_exponential_sum([1.0], [math.sqrt(2.0)], 1, 1, 200)
@@ -602,6 +743,15 @@ class TestDivergence:
         s1 = divergence_partial_sums(raw_spec([1.0, 0.5], lam), a=1.0, js=[500])
         s2 = divergence_partial_sums(raw_spec([3.0, 1.5], lam), a=1.0, js=[500])
         assert s1[0] == pytest.approx(s2[0], rel=1e-12)
+
+    @pytest.mark.parametrize("a, ladder", [(1e300, [10]), (2.0**42, [1024]), (math.inf, [3]), (math.nan, [3])])
+    def test_phases_without_fractional_bits_rejected(self, a, ladder):
+        with pytest.raises(DomainError, match=r"leave a float no fractional bits \(need < 2\^52\)"):
+            divergence_partial_sums(raw_spec([1.0, 0.5], [0.5, 1.0]), a=a, js=ladder)
+
+    def test_phase_guard_boundary(self):
+        # a J max|lambda| = 2^52 - 2^42 stays below the guard
+        assert len(divergence_partial_sums(raw_spec([1.0, 0.5], [0.5, 1.0]), a=2.0**42, js=[1023])) == 1
 
     def test_requires_nonvanishing_flag(self):
         spec = PolynomialSpec(

@@ -770,6 +770,17 @@ class TestGridSpec:
         "dense_inf_t1": lambda: GridSpec.dense(0.0, math.inf),
         "dense_nan_t0": lambda: GridSpec.dense(math.nan, 1.0),
         "cyclic_rule_inf_n": lambda: GridSpec.cyclic_rule(integer_spec(3), 0.5, n=math.inf),
+        # the node floor 2 pi sum j_k a_k^2 passes the float range without a warning
+        "cyclic_rule_huge_coefficient": lambda: GridSpec.cyclic_rule(
+            PolynomialSpec(
+                coeffs=CoefficientSeq.from_values([1e200, 1.0]),
+                freqs=FrequencySeq(kind="integer", rule=lambda k: k),
+                y=1,
+                x=2,
+                convention="2pi",
+            ),
+            0.5,
+        ),
     }
 
     @pytest.mark.filterwarnings("error")
