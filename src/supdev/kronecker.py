@@ -8,9 +8,12 @@ vector is approximated to 1/omega by some lattice point t in I intersected
 with h*N, and the number of such points admits explicit lower bounds.  The
 same machinery drives the running-maximum law for |sum alpha_k e^{i c nu
 lambda_k}| along arithmetic progressions and the divergence of the
-normalized absolute-covariance series; the running-maximum scan evaluates
-exactly only the product blocks that can hold a new maximum, which an
-anchored-rotation approximation of every sum picks out.
+normalized absolute-covariance series.  Both exponential-sum scans turn
+exact phases taken every few hundred rows through one rotation table
+(``_rotated_sums``): the running-maximum scan uses the rotated moduli to
+pick the product blocks that can hold a new maximum and evaluates only
+those exactly, and the divergence scan adds the rotated sums' real parts.
+Every function here runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from ._normal import ndtr
 from .bounds import BoundReport, _free_constant, _log, _product
 from .errors import BudgetError, DomainError
-from .mc import ordered_map
 from .spectrum import PolynomialSpec, power_sum
 
 __all__ = [
@@ -50,8 +52,8 @@ _SPARSE_SHARE = 0.35  # candidate share of a block at which lattice_search evalu
 _MAX_STEP = 32  # largest step q of the rotations lattice_search filters on
 _GEMV_VALUES = 1 << 11  # values per BLAS matrix-vector product, below OpenBLAS's threading size
 _ROW_ALIGN = 64  # product blocks hold a whole multiple of this many rows
-_PIECE_BLOCKS = 16  # product blocks per scan piece, the task a worker takes
-_ROTATION_ROWS = 512  # rows per rotation table of the limsup approximate pass
+_ROTATION_ROWS = 512  # rows per rotation table of the exponential-sum scans
+_SUM_ROWS = 1 << 16  # rows per divergence summation unit: a 1 MiB complex temporary
 
 
 def nearest_int_dist(u) -> np.ndarray:
@@ -59,6 +61,12 @@ def nearest_int_dist(u) -> np.ndarray:
     exact ties are measure zero)."""
     u = np.asarray(u, dtype=float)
     return np.abs(u - np.round(u))
+
+
+def _check_phases(value: float) -> None:
+    """Reject phases of size ``value`` (or NaN) at or past 2^52: no fractional bits left."""
+    if not value < 2.0**52:
+        raise DomainError(f"phases up to {value:.4g} leave a float no fractional bits (need < 2^52)")
 
 
 @dataclass(frozen=True)
@@ -89,9 +97,7 @@ class LatticeProblem:
             raise DomainError(f"interval [{lo}, {hi}] must be finite")
         if hi - lo <= self.h:
             raise DomainError(f"interval length {hi - lo} must exceed h={self.h}")
-        phase = max(map(abs, self.lambdas)) * max(abs(lo), abs(hi)) + max(map(abs, self.betas))
-        if not phase < 2.0**52:
-            raise DomainError(f"phases up to {phase:.4g} leave a float no fractional bits (need < 2^52)")
+        _check_phases(max(map(abs, self.lambdas)) * max(abs(lo), abs(hi)) + max(map(abs, self.betas)))
         if not 0.0 < self.c_o < 0.25:
             raise DomainError(f"c_o={self.c_o} outside (0, 1/4)")
 
@@ -460,56 +466,56 @@ def _block_rows(n_freq: int) -> int:
     return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
 
 
-def _abs_products(
-    rows: Callable, vector: np.ndarray, start: int, stop: int, out: np.ndarray, workers: int
-) -> np.ndarray:
-    """|rows(s, e) @ vector| for the rows [start, stop) of a scan, written
-    into ``out`` (row ``start`` at ``out[0]``).
-
-    ``rows(s, e)`` builds the matrix rows s..e-1.  The range is cut into
-    pieces of _PIECE_BLOCKS product blocks, counted from ``start``, and
-    ``workers`` threads of the shared pool (``mc.ordered_map``) each build a
-    piece's matrix and compute its product one block at a time, small
-    enough that OpenBLAS runs each product on the worker's own thread.  The
-    row values must equal those of one product over the whole range.  numpy
+def _abs_products(rows: Callable, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|rows(s, e) @ vector| for the rows [0, out.size) of a scan, written
+    into ``out`` one product block at a time: _block_rows(N) rows from row
+    0, small enough that OpenBLAS runs each product on the calling thread.
+    The values must equal those of one product over the whole range.  numpy
     sends a one-row product to a dot kernel, which rounds differently from
-    gemv, so a one-row tail joins the piece, and the block, before it.
-    Every block but the last holds a whole multiple of _ROW_ALIGN rows and
-    starts a whole number of blocks into the range, so a gemv kernel that
-    handles leftover rows separately meets them at the range's end, as in
-    one product.  The alignment is load-bearing: with OpenBLAS 0.3.31 (50 000
-    rows, N = 2-4, real and complex) SkylakeX and Haswell kernels differ only
-    on one-row products, but under Sandybridge, Nehalem and Prescott real
-    N = 4 rows differ at every unaligned block size tried (41% of rows at
-    block 2, 18% at 7, 2% at 63, 0.06% at 637; 64, 128 and 1000 match).
-    The cuts depend only on the range and the vector's length, never on workers.
+    gemv, so a one-row tail joins the block before it; every block but the
+    last holds a whole multiple of _ROW_ALIGN rows, so a gemv kernel that
+    handles leftover rows separately meets them at the range's end.  The
+    alignment is load-bearing: with OpenBLAS 0.3.31 (50 000 rows, N = 2-4,
+    real and complex) SkylakeX and Haswell kernels differ only on one-row
+    products, but Sandybridge, Nehalem and Prescott ones differ on real N =
+    4 rows at every unaligned block size tried (41% of rows at block 2, 18%
+    at 7, 2% at 63, 0.06% at 637; 64, 128 and 1000 match).
     """
-    block = _block_rows(vector.size)
-
-    def piece(cut):
-        s, e = cut
-        matrix = rows(s, e)
-        for lo, hi in _cuts(0, e - s, block):
-            np.abs(matrix[lo:hi] @ vector, out=out[s - start + lo : s - start + hi])
-
-    ordered_map(piece, _cuts(start, stop, _PIECE_BLOCKS * block), workers)
+    for lo, hi in _cuts(0, out.size, _block_rows(vector.size)):
+        np.abs(rows(lo, hi) @ vector, out=out[lo:hi])
     return out
 
 
 def _turns(c: float, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """The (len(nu), N) matrix e^{i c nu_m lambda_k} of the limsup scan."""
+    """The (len(nu), N) matrix e^{i c nu_m lambda_k} of the exponential-sum scans."""
     return np.exp(1j * c * np.outer(nu.astype(float), lam))
 
 
-def _rotated_moduli(a: np.ndarray, lam: np.ndarray, c: float, theta: float, start: int, step: int, M: int) -> tuple:
-    """(approx, delta): the approximate moduli of the limsup rows nu = start +
-    step*m, m < M, from exact phases every _ROTATION_ROWS rows turned by one
-    table, and the bound delta on their distance from the full scan's
-    moduli when theta bounds the phases (``limsup_exponential_sum``)."""
+def _rotated_sums(w: np.ndarray, lam: np.ndarray, c: float, start: int, step: int, M: int) -> np.ndarray:
+    """sum_k w_k e^{i c nu lambda_k} for the rows nu = start + step*m, m < M:
+    the exact phases of the anchors nu_a = start + step R a, every R =
+    _ROTATION_ROWS rows, weighted by w_k, times one R-row table of
+    e^{i c lambda_k step j}, j < R, in one complex GEMM (row a R + j is
+    nu_a + step j).
+
+    With u = 2^-53, W = sum|w_k| and Phi_a, Phi_t bounding the anchor and
+    table phases, each sum is within u W (3.01 (Phi_a + Phi_t) + 1.44 N + 9)
+    of the exact one: a phase fl(c fl(nu lambda_k)) rounds by 3.01 u of its
+    size, libm's cexp by 2.83 u in modulus, the weights by u, the complex
+    products by 2.24 u (sqrt(5) u) and the N-term sums by about 1.44 N u.
+    """
     rows = min(_ROTATION_ROWS, M)
     anchors = _turns(c, lam, start + step * (rows * np.arange(-(-M // rows))))
-    anchors *= a
-    approx = np.abs(anchors @ _turns(c, lam, step * np.arange(rows)).T).ravel()[:M]
+    anchors *= w
+    return (anchors @ _turns(c, lam, step * np.arange(rows)).T).ravel()[:M]
+
+
+def _rotated_moduli(a: np.ndarray, lam: np.ndarray, c: float, theta: float, start: int, step: int, M: int) -> tuple:
+    """(approx, delta): the moduli of ``_rotated_sums`` for the limsup rows
+    nu = start + step*m, m < M, and the bound delta on their distance from
+    the full scan's moduli when theta bounds the phases
+    (``limsup_exponential_sum``)."""
+    approx = np.abs(_rotated_sums(a, lam, c, start, step, M))
     return approx, 64.0 * np.finfo(float).eps * (float(a.sum()) + 2.0**-1022) * (theta + a.size + 2.0)
 
 
@@ -520,7 +526,6 @@ def limsup_exponential_sum(
     step: int,
     M: int,
     convention: str = "2pi",
-    workers: int = 1,
 ) -> tuple:
     """Running maximum of |sum_k alpha_k e^{i c nu lambda_k}| over the
     arithmetic progression nu = start + step*m, m = 0..M-1.
@@ -539,40 +544,33 @@ def limsup_exponential_sum(
     sums through ``_abs_products`` and takes one running maximum, but only
     the product blocks that can hold a new maximum are evaluated exactly.
 
-    Approximate pass.  Exact phases are taken at anchors nu_a = start +
-    step R a, every R = _ROTATION_ROWS rows, and one R-row table holds
-    e^{i c lambda_k step j}, j < R.  Since nu_a + step j is row a R + j, one
-    complex GEMM of the weighted anchors alpha_k e^{i c nu_a lambda_k} by
-    the table gives every row's sum, and approx its modulus.
-
-    Candidates.  If every approx is within delta of the full scan's modulus
-    exact, a row i with approx[i] < approx[j] - 2 delta for some j < i has
-    exact[i] < approx[i] + delta < approx[j] - delta <= exact[j], so it
-    cannot raise the running maximum.  The candidates are row 0 and the
-    rows with approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
+    Candidates.  approx is the modulus of every row's ``_rotated_sums``
+    (exact phases every _ROTATION_ROWS rows turned through one table).  If
+    every approx is within delta of the full scan's modulus exact, a row i
+    with approx[i] < approx[j] - 2 delta for some j < i has exact[i] <
+    approx[i] + delta < approx[j] - delta <= exact[j], so it cannot raise
+    the running maximum.  The candidates are row 0 and the rows with
+    approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
 
     Exact pass.  The product blocks that hold a candidate, cut as the full
     scan cuts them (_block_rows(N) rows from row 0, a one-row tail joined
-    to the block before it), are laid end to end and filled by ``workers``
-    threads of the shared pool through ``_abs_products``.  Every block but
-    the last holds exactly _block_rows(N) rows, so the joined range is cut
-    into the same blocks and each of its values is the full scan's, bit for
-    bit.  The running maximum over these rows, held across the rows left
-    out, is the full scan's running maximum, for any worker count.
+    to the block before it), are laid end to end and filled through
+    ``_abs_products``.  Every block but the last holds exactly
+    _block_rows(N) rows, so the joined range is cut into the same blocks
+    and each of its values is the full scan's, bit for bit.  The running
+    maximum over these rows, held across the rows left out, is the full
+    scan's running maximum.
 
-    Margin.  Let u = 2^-53 and A = sum(alpha_k).  Either pass computes a
-    phase as fl(c fl(nu lambda_k)), nu rounded to a float, within 3.01 u of
-    its size: at most Theta at an anchor or a full-scan row, 2 Theta in the
-    table (step j <= 2 max|nu|).  libm's cexp is within 1 ulp per
-    component, 2.83 u in modulus.  The amplitude weights round by u, the
-    GEMM's complex products by 2.24 u (sqrt(5) u), the N-term sums by about
-    1.44 N u and abs by 2 u, each relative to A.  Together |approx - exact|
-    <= u A (12.04 Theta + 2.88 N + 16), and delta = 64 eps A (Theta + N +
-    2), eps = 2u, covers that ten times over, with the rounding of
-    max(approx[:i]) - 2 delta besides.  Below 2^-1022 a float rounds by up
-    to 2^-1075 absolutely rather than relatively, so delta takes A +
-    2^-1022 in place of A.  When delta is not finite every row is a
-    candidate.
+    Margin.  Let u = 2^-53 and A = sum(alpha_k).  The anchor phases are at
+    most Theta in size and the table's 2 Theta (step j <= 2 max|nu|); a
+    full-scan row rounds its one phase, cexp, weights and sum as
+    ``_rotated_sums`` does, and abs rounds by u on each side.  Together
+    |approx - exact| <= u A (12.04 Theta + 2.88 N + 16), and delta = 64 eps
+    A (Theta + N + 2), eps = 2u, covers that ten times over, with the
+    rounding of max(approx[:i]) - 2 delta besides.  Below 2^-1022 a float
+    rounds by up to 2^-1075 absolutely rather than relatively, so delta
+    takes A + 2^-1022 in place of A.  When delta is not finite every row is
+    a candidate.
     """
     a = np.asarray(alphas, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
@@ -594,8 +592,7 @@ def limsup_exponential_sum(
         raise BudgetError(f"progression scan size {M * a.size} exceeds {ENUM_BUDGET}")
     reach = max(abs(start), abs(start + step * (M - 1)))
     theta = c * float(np.abs(lam).max(initial=0.0)) * min(reach, 2.0**1023)
-    if not theta < 2.0**52:
-        raise DomainError(f"phases up to {theta:.4g} leave a float no fractional bits (need < 2^52)")
+    _check_phases(theta)
     if not max(reach, step) < 2**62:
         raise DomainError("progression leaves int64 arithmetic (need step and |start + step*m| < 2^62)")
 
@@ -609,14 +606,13 @@ def limsup_exponential_sum(
     cuts = _cuts(0, M, _block_rows(a.size))
     hit = np.logical_or.reduceat(keep, [s for s, _ in cuts])
     exact_rows = np.concatenate([np.arange(*cut) for cut, h in zip(cuts, hit) if h])
-    exact = np.empty(exact_rows.size)
-    _abs_products(lambda s, e: _turns(c, lam, start + step * exact_rows[s:e]), a, 0, exact.size, exact, workers)
+    exact = _abs_products(lambda s, e: _turns(c, lam, start + step * exact_rows[s:e]), a, np.empty(exact_rows.size))
     np.maximum.accumulate(exact, out=exact)
     running = np.repeat(exact, np.diff(exact_rows, append=M))
     return running, float(running[-1])
 
 
-def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], workers: int = 1) -> list:
+def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -> list:
     """Partial sums S_J = (1/A) sum_{j=0}^{J} |sum_k a_k^2 cos(lambda_k j a)|
     for each requested J (ascending).
 
@@ -626,14 +622,21 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
     coefficients.  The phases a J lambda_k must stay below 2^52 in size,
     where a float still has fractional bits to measure.
 
-    The terms j = 0..J are added in summation units: each ladder rung,
-    cut every 2^22/N rows, which bounds the one reused buffer.  ``workers``
-    threads of the shared pool fill a unit's |cos(...) @ a^2| values
-    (``_abs_products``); each unit is then summed with one ``np.sum`` over
-    its values, and the unit sums are added in order.  Neither the units
-    nor the values depend on the worker count, so S_J is bit-identical for
-    any worker count.  A scan of (largest J + 1) * N values over
-    ENUM_BUDGET raises BudgetError before any term is added.
+    The term j is |Re| of sum_k a_k^2 e^{i a j lambda_k}, a row of
+    ``_rotated_sums``.  The terms are added in summation units, each ladder
+    rung cut every _SUM_ROWS rows to bound the complex temporary: one
+    ``np.sum`` per unit, and the unit sums in order.  A scan of (largest J
+    + 1) * N values over ENUM_BUDGET raises BudgetError before any term.
+
+    Error.  With u = 2^-53, A = sum a_k^2 and Theta = a J max|lambda_k|,
+    every phase up to row J is at most Theta, so each term is within
+    u A (6.02 Theta + 1.44 N + 9) of the exact |sum_k a_k^2 cos(j a
+    lambda_k)| (Re and abs round nothing).  limsup's per-term margin
+    delta = 64 eps (A + 2^-1022) (Theta + N + 2), eps = 2u, covers that
+    twenty times, so A S_J is within (J + 1) delta of its exact value, the
+    summation included while the units up to J number at most 300: np.sum
+    rounds a unit's sum by at most 34 u of it, and each unit's addition and
+    the division by A round by u of the total.
     """
     if a <= 0.0:
         raise DomainError(f"step a={a} must be positive")
@@ -649,22 +652,15 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int], w
         raise DomainError("A(x) must be positive")
     aa = spec.coeff_values() ** 2
     lam = spec.angular_freqs()
-    phase = a * ladder[-1] * float(np.abs(lam).max(initial=0.0))
-    if not phase < 2.0**52:
-        raise DomainError(f"phases up to {phase:.4g} leave a float no fractional bits (need < 2^52)")
+    _check_phases(a * ladder[-1] * float(np.abs(lam).max(initial=0.0)))
 
-    def rows(s, e):
-        return np.cos(np.outer(np.arange(s, e, dtype=float) * a, lam))
-
-    chunk = max(1, (1 << 22) // max(lam.size, 1))
-    values = np.empty(min(chunk, ladder[-1] + 1))
     sums = []
     running = 0.0
     cursor = 0
     for j_stop in ladder:
         while cursor <= j_stop:
-            stop = min(cursor + chunk, j_stop + 1)
-            running += float(np.sum(_abs_products(rows, aa, cursor, stop, values[: stop - cursor], workers)))
+            stop = min(cursor + _SUM_ROWS, j_stop + 1)
+            running += float(np.sum(np.abs(_rotated_sums(aa, lam, a, cursor, 1, stop - cursor).real)))
             cursor = stop
         sums.append(running / a2)
     return sums

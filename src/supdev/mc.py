@@ -54,11 +54,11 @@ the matrix bytes depend on neither the blocks nor the worker count.
 Thread pools are kept per worker count and reused across calls, and this
 module is the only one that builds them.  ``ordered_map`` runs a function
 over a list of tasks on the cached pool and returns the results in task
-order; ``_map_projected`` uses it for chunks of replications,
-``_design_matrix`` for blocks of terms, and the exponential-sum scans in
-``kronecker`` for their pieces.  Callers
-cut their tasks without regard to the worker count and merge results in
-task order, which keeps every result bit-identical for any worker count.
+order; ``_map_projected`` uses it for chunks of replications and
+``_design_matrix`` for blocks of terms, and no other module uses it (the
+lattice kernels in ``kronecker`` run on the calling thread).  Callers cut
+their tasks without regard to the worker count and merge results in task
+order, which keeps every result bit-identical for any worker count.
 """
 
 from __future__ import annotations

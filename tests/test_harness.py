@@ -349,7 +349,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", ["limsup", "divergence"])
     def test_scan_records_identical_at_one_and_eight_workers(self, kind):
-        # the exponential-sum scans run in pieces on the worker pool
+        # the exponential-sum scans run on one thread whatever the worker count
         cfg = default_config(kind, seed=3)
         texts = {strip_timing(records_to_csv([run_experiment(replace(cfg, workers=w))])) for w in (1, 8)}
         assert len(texts) == 1
@@ -423,6 +423,11 @@ class TestAllKinds:
 # every default config, then configs whose rows fail with a negative margin at seed 0
 VERDICT_CASES = [pytest.param(kind, {}, id=kind) for kind in EXPERIMENT_KINDS] + [
     pytest.param("divergence", {"growth": 5.0}, id="divergence-growth-5"),
+    pytest.param(
+        "divergence",
+        {"coeffs": (1.0, 0.8337174859600163), "lambdas": (0.01266766781473308, 0.04602212255369406), "ladder": (50,)},
+        id="divergence-slow-growth",  # S_100 / S_50 = 1.079 < 1 + 0.1, the paper's growth
+    ),
     pytest.param("kronecker-search", {"t_hi": 5.0}, id="kronecker-search-short-interval"),
     pytest.param("limsup", {"max_terms": 10, "target_frac": 0.99}, id="limsup-few-terms"),
 ]
@@ -439,6 +444,24 @@ class TestVerdictRule:
             assert row.passed == (row.margin >= 0), row.name
         if params:
             assert any(row.margin < 0 and row.passed is False for row in rows)
+
+    @staticmethod
+    def _final_le_total(monkeypatch=None, scale=None):
+        # one term of amplitude 2.6e11: the modulus rounds 2 ulps (6.1e-5) past the total
+        cfg = default_config("limsup")
+        params = {**cfg.params, "alphas": [264690385294.98776], "lambdas": [2.8198310289464494], "max_terms": 2000}
+        if scale is not None:
+            monkeypatch.setattr(harness, "limsup_exponential_sum", lambda alphas, *args, **kw: ([], sum(alphas) * scale))
+        [row] = [row for row in run_experiment(replace(cfg, params=params), seed=0).checks if row.name == "final_le_total"]
+        return row
+
+    def test_total_row_allows_the_rounding_of_a_large_total(self):
+        row = self._final_le_total()
+        assert -1e-4 < row.margin < 0.0 and row.passed is True
+
+    def test_total_row_fails_past_the_rounding(self, monkeypatch):
+        row = self._final_le_total(monkeypatch, scale=1.0 + 1e-9)
+        assert row.margin < 0.0 and row.passed is False
 
     def test_correlation_cap_with_one_point_passes_without_margin(self):
         cfg = default_config("lattice-correlation")

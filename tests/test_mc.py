@@ -814,9 +814,10 @@ def test_chunking_stays_in_mc():
 
 
 def test_one_thread_pool():
-    """Only ``mc`` builds a pool: the scans and estimators elsewhere share its
-    cached executors through ``ordered_map``."""
-    pools = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+    """Only ``mc`` builds a pool or hands work to one: Monte Carlo chunks and
+    design-matrix fills go through its cached executors, and the scans in
+    ``kronecker`` run on the calling thread."""
+    pools = {"ThreadPoolExecutor", "ProcessPoolExecutor", "ordered_map"}
     for path in sorted(Path(supdev.__file__).parent.glob("*.py")):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
