@@ -489,15 +489,23 @@ def _run_limsup(cfg: ExperimentConfig, seed: int) -> list:
     ]
 
 
-def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
-    p = cfg.params
-    spec = PolynomialSpec(
-        coeffs=CoefficientSeq.from_values(p["coeffs"], nonvanishing=True),
-        freqs=FrequencySeq.reals(p["lambdas"]),
+def _explicit_spec(coeffs, lambdas) -> PolynomialSpec:
+    """The raw-convention sum of a_k cos(lambda_k u), k = 1..len(coeffs), with
+    non-vanishing coefficients; the two lists must be of one length."""
+    if len(coeffs) != len(lambdas):
+        raise DomainError(f"{len(coeffs)} coefficients for {len(lambdas)} frequencies")
+    return PolynomialSpec(
+        coeffs=CoefficientSeq.from_values(coeffs, nonvanishing=True),
+        freqs=FrequencySeq.reals(lambdas),
         y=1,
-        x=len(p["coeffs"]),
+        x=len(coeffs),
         convention="raw",
     )
+
+
+def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
+    p = cfg.params
+    spec = _explicit_spec(p["coeffs"], p["lambdas"])
     ladder = sorted(set(p["ladder"]))
     js = sorted(set(ladder) | {2 * j for j in ladder})
     sums = dict(zip(js, divergence_partial_sums(spec, p["a"], js)))
@@ -511,13 +519,7 @@ def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
 def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
     lambdas = tuple(p["lambdas"])
-    spec = PolynomialSpec(
-        coeffs=CoefficientSeq.from_values(p["coeffs"], nonvanishing=True),
-        freqs=FrequencySeq.reals(lambdas),
-        y=1,
-        x=len(lambdas),
-        convention="raw",
-    )
+    spec = _explicit_spec(p["coeffs"], lambdas)
     omega = p["omega"]
     beta = p["beta"]
     # sine-form filter at 1/omega needs integer-distance precision pi*omega

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -324,10 +324,10 @@ def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     near the 2^52 phase guard.  When no rotation turns once per block
     (h lambda_j an integer, or all its multiples nearly integers) or the
     target itself is that wide, the whole scan runs this way, on the first
-    frequency, in blocks of _SCAN_CHUNK points.  The block arrays (m, t,
-    the filter distance and its rounding) live in four buffers that every
-    block reuses through ``out=``, so the cost of a block does not depend
-    on how the allocator was left by earlier work.
+    frequency, in blocks of _SCAN_CHUNK points.  Both kinds of block take
+    the filter distance through one expression on their points t: the
+    candidates, or every point of the block, of which those within thr go
+    on to the other frequencies.  A widening thr recomputes the filter.
     """
     m_lo, m_hi = _lattice_range(problem)
     count = m_hi - m_lo + 1
@@ -360,33 +360,25 @@ def lattice_search(problem: LatticeProblem) -> LatticeSearch:
     best_m = m_lo
     hit_chunks = []
     block = window if sparse else max(1, min(count, _SCAN_CHUNK))
-    offsets = np.arange(block)
-    ms_buf, ts_buf, first_buf, round_buf = np.empty_like(offsets), np.empty(block), np.empty(block), np.empty(block)
     for start in range(m_lo, m_hi + 1, block):
         size = min(block, m_hi + 1 - start)
         thr = target if best == math.inf else max(target, best)
-        scanned = False
         while True:
-            if sparse and 2.0 * (thr + margin) < _SPARSE_SHARE:
+            every = not (sparse and 2.0 * (thr + margin) < _SPARSE_SHARE)
+            if every:
+                t_cand = problem.h * np.arange(start, start + size)
+            else:
                 # a superset of the points within thr, evaluated whole
                 phases = _frac(sign * (bet[j] - turns[j] * (start + classes)))
                 near = _candidates(size, q + 1, alpha, phases, thr + margin)
                 t_cand = problem.h * (near + start)
-                dist = t_cand * lam[j]
-                dist -= bet[j]
-                dist -= np.round(dist)
-                np.abs(dist, out=dist)
-            else:
-                if not scanned:
-                    ms = np.add(offsets[:size], start, out=ms_buf[:size])
-                    ts = np.multiply(problem.h, ms, out=ts_buf[:size])
-                    first = np.multiply(ts, lam[j], out=first_buf[:size])
-                    first -= bet[j]
-                    first -= np.round(first, out=round_buf[:size])
-                    np.abs(first, out=first)
-                    scanned = True
-                near = np.flatnonzero(first <= thr)
-                t_cand, dist = ts[near], first[near]
+            dist = t_cand * lam[j]
+            dist -= bet[j]
+            dist -= np.round(dist)
+            np.abs(dist, out=dist)
+            if every:
+                near = np.flatnonzero(dist <= thr)
+                t_cand, dist = t_cand[near], dist[near]
             for lam_i, bet_i in others:
                 dist = np.maximum(dist, nearest_int_dist(t_cand * lam_i - bet_i))
             lowest = dist.min(initial=math.inf)
@@ -396,8 +388,7 @@ def lattice_search(problem: LatticeProblem) -> LatticeSearch:
         if lowest < best:
             best = float(lowest)
             best_m = start + int(near[dist == lowest].min())
-        hits = t_cand[dist <= target]
-        hit_chunks.append(np.sort(hits) if sparse else hits)
+        hit_chunks.append(np.sort(t_cand[dist <= target]))
     return LatticeSearch(
         t_best=problem.h * best_m,
         achieved=best,
@@ -462,28 +453,22 @@ def _cuts(start: int, stop: int, size: int) -> list:
 
 
 def _block_rows(n_freq: int) -> int:
-    """Rows per matrix-vector product of a scan with n_freq frequencies."""
-    return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    """Rows per matrix-vector product of a scan with n_freq frequencies:
+    small enough that OpenBLAS runs each product on the calling thread.
 
-
-def _abs_products(rows: Callable, vector: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|rows(s, e) @ vector| for the rows [0, out.size) of a scan, written
-    into ``out`` one product block at a time: _block_rows(N) rows from row
-    0, small enough that OpenBLAS runs each product on the calling thread.
-    The values must equal those of one product over the whole range.  numpy
+    A scan cuts its rows with ``_cuts(0, rows, _block_rows(N))``, and its
+    values must equal those of one product over the whole range.  numpy
     sends a one-row product to a dot kernel, which rounds differently from
-    gemv, so a one-row tail joins the block before it; every block but the
-    last holds a whole multiple of _ROW_ALIGN rows, so a gemv kernel that
-    handles leftover rows separately meets them at the range's end.  The
-    alignment is load-bearing: with OpenBLAS 0.3.31 (50 000 rows, N = 2-4,
-    real and complex) SkylakeX and Haswell kernels differ only on one-row
-    products, but Sandybridge, Nehalem and Prescott ones differ on real N =
-    4 rows at every unaligned block size tried (41% of rows at block 2, 18%
-    at 7, 2% at 63, 0.06% at 637; 64, 128 and 1000 match).
+    gemv, so ``_cuts`` joins a one-row tail to the block before it; every
+    block but the last holds a whole multiple of _ROW_ALIGN rows, so a gemv
+    kernel that handles leftover rows separately meets them at the range's
+    end.  The alignment is load-bearing: with OpenBLAS 0.3.31 (50 000 rows,
+    N = 2-4, real and complex) SkylakeX and Haswell kernels differ only on
+    one-row products, but Sandybridge, Nehalem and Prescott ones differ on
+    real N = 4 rows at every unaligned block size tried (41% of rows at
+    block 2, 18% at 7, 2% at 63, 0.06% at 637; 64, 128 and 1000 match).
     """
-    for lo, hi in _cuts(0, out.size, _block_rows(vector.size)):
-        np.abs(rows(lo, hi) @ vector, out=out[lo:hi])
-    return out
+    return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
 
 
 def _turns(c: float, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -540,9 +525,10 @@ def limsup_exponential_sum(
     2^62, as must step, so that the progression's int64 arithmetic cannot
     wrap.
 
-    The result equals that of a full scan, which fills the moduli of all M
-    sums through ``_abs_products`` and takes one running maximum, but only
-    the product blocks that can hold a new maximum are evaluated exactly.
+    The result equals that of a full scan, which takes the moduli of all M
+    sums one product block at a time (``_block_rows``) and one running
+    maximum, but only the product blocks that can hold a new maximum are
+    evaluated exactly.
 
     Candidates.  approx is the modulus of every row's ``_rotated_sums``
     (exact phases every _ROTATION_ROWS rows turned through one table).  If
@@ -552,12 +538,10 @@ def limsup_exponential_sum(
     the running maximum.  The candidates are row 0 and the rows with
     approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
 
-    Exact pass.  The product blocks that hold a candidate, cut as the full
-    scan cuts them (_block_rows(N) rows from row 0, a one-row tail joined
-    to the block before it), are laid end to end and filled through
-    ``_abs_products``.  Every block but the last holds exactly
-    _block_rows(N) rows, so the joined range is cut into the same blocks
-    and each of its values is the full scan's, bit for bit.  The running
+    Exact pass.  The rows are cut as the full scan cuts them
+    (_block_rows(N) rows from row 0, a one-row tail joined to the block
+    before it), and each block that holds a candidate is one product, so
+    each of its values is the full scan's, bit for bit.  The running
     maximum over these rows, held across the rows left out, is the full
     scan's running maximum.
 
@@ -605,8 +589,9 @@ def limsup_exponential_sum(
 
     cuts = _cuts(0, M, _block_rows(a.size))
     hit = np.logical_or.reduceat(keep, [s for s, _ in cuts])
-    exact_rows = np.concatenate([np.arange(*cut) for cut, h in zip(cuts, hit) if h])
-    exact = _abs_products(lambda s, e: _turns(c, lam, start + step * exact_rows[s:e]), a, np.empty(exact_rows.size))
+    blocks = [np.arange(*cut) for cut, h in zip(cuts, hit) if h]
+    exact = np.concatenate([np.abs(_turns(c, lam, start + step * rows) @ a) for rows in blocks])
+    exact_rows = np.concatenate(blocks)
     np.maximum.accumulate(exact, out=exact)
     running = np.repeat(exact, np.diff(exact_rows, append=M))
     return running, float(running[-1])

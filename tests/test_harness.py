@@ -901,8 +901,9 @@ class TestNamedDomainErrors:
     and exit 2, not in a traceback, a complex bound or a warning: the free
     constant C is positive, a rational companion needs N*L inside the float
     range, a vanishing beta needs an infinite omega, lattice, limsup and
-    divergence phases need fractional bits, a density's mass is finite and positive, and a
-    coefficient power sum is a finite float."""
+    divergence phases need fractional bits, a density's mass is finite and positive, a
+    coefficient power sum is a finite float, and explicit coefficients and
+    frequencies come in lists of one length."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -927,6 +928,8 @@ class TestNamedDomainErrors:
         "szego_mass_overflow": ("szego", {"root_coeffs": "1e300 1e300"}, "mass sum c_j^2 + floor = inf is not"),
         "divergence_power_sum": ("divergence", {"coeffs": "1e300 1e300 1 1"}, "sum of a_k^2 over [1, 4] is inf"),
         "correlation_power_sum": ("lattice-correlation", {"coeffs": "1e300 1e300"}, "sum of a_k^2 over [1, 2] is inf"),
+        "divergence_lengths": ("divergence", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 4 frequencies"),
+        "correlation_lengths": ("lattice-correlation", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 2 frequencies"),
     }
 
     @pytest.mark.filterwarnings("error")

@@ -513,7 +513,7 @@ class TestScanPieces:
         for rows in (1, 2, block + 1, 16 * block + 1, 65 * block + 1, 64 * block + 3):
             matrix = rng.standard_normal((rows, n_freq)).astype(dtype)
             vector = rng.uniform(0.2, 1.5, n_freq)
-            got = kronecker._abs_products(lambda s, e: matrix[s:e], vector, np.empty(rows))
+            got = np.concatenate([np.abs(matrix[s:e] @ vector) for s, e in kronecker._cuts(0, rows, block)])
             assert got.tobytes() == np.abs(matrix @ vector).tobytes(), rows
 
     @given(
@@ -643,11 +643,18 @@ class TestTwoPassScan:
 
     @staticmethod
     def _exact_rows(monkeypatch, *args):
-        spy = mock.Mock(wraps=kronecker._abs_products)
-        monkeypatch.setattr(kronecker, "_abs_products", spy)
+        # the rows the exact pass hands to _turns; the approximate pass calls the unspied one
+        turns, rotated_sums = kronecker._turns, kronecker._rotated_sums
+        spy = mock.Mock(wraps=turns)
+
+        def unspied_rotated_sums(*sums_args):
+            with mock.patch.object(kronecker, "_turns", turns):
+                return rotated_sums(*sums_args)
+
+        monkeypatch.setattr(kronecker, "_turns", spy)
+        monkeypatch.setattr(kronecker, "_rotated_sums", unspied_rotated_sums)
         limsup_exponential_sum(*args)
-        [call] = spy.call_args_list
-        return call.args[2].size
+        return sum(call.args[2].size for call in spy.call_args_list)
 
     def test_irrational_frequencies_skip_most_blocks(self, monkeypatch):
         M = 200_000
