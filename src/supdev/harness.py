@@ -518,6 +518,10 @@ def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
 
 def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
+    if p["max_points"] < 1:
+        raise DomainError(f"max_points={p['max_points']} must be at least 1")
+    if p["a"] <= 0.0:
+        raise DomainError(f"step a={p['a']} must be positive")
     lambdas = tuple(p["lambdas"])
     spec = _explicit_spec(p["coeffs"], lambdas)
     omega = p["omega"]

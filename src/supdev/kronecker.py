@@ -11,8 +11,9 @@ lambda_k}| along arithmetic progressions and the divergence of the
 normalized absolute-covariance series.  Both exponential-sum scans turn
 exact phases taken every few hundred rows through one rotation table
 (``_rotated_sums``): the running-maximum scan uses the rotated moduli to
-pick the product blocks that can hold a new maximum and evaluates only
-those exactly, and the divergence scan adds the rotated sums' real parts.
+pick the rows that can hold a new maximum and evaluates only those
+exactly, each by its own N-term sum, and the divergence scan adds the
+rotated sums' real parts.
 Every function here runs on the calling thread.
 """
 
@@ -50,8 +51,6 @@ _SCAN_CHUNK = 1 << 14  # lattice points per every-point lattice_search block: a 
 _SEARCH_WINDOW = 1 << 17  # lattice points per candidate lattice_search block
 _SPARSE_SHARE = 0.35  # candidate share of a block at which lattice_search evaluates every point
 _MAX_STEP = 32  # largest step q of the rotations lattice_search filters on
-_GEMV_VALUES = 1 << 11  # values per BLAS matrix-vector product, below OpenBLAS's threading size
-_ROW_ALIGN = 64  # product blocks hold a whole multiple of this many rows
 _ROTATION_ROWS = 512  # rows per rotation table of the exponential-sum scans
 _SUM_ROWS = 1 << 16  # rows per divergence summation unit: a 1 MiB complex temporary
 
@@ -443,34 +442,6 @@ def solution_count(problem: LatticeProblem, search: LatticeSearch, xi_rep: XiRep
     return SolutionCount(int(search.hits.size), lower_ii, lower_iii, k)
 
 
-def _cuts(start: int, stop: int, size: int) -> list:
-    """[start, stop) cut every ``size`` rows from ``start``; a one-row tail
-    joins the cut before it."""
-    edges = [*range(start, stop, size), stop]
-    if len(edges) > 2 and stop - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _block_rows(n_freq: int) -> int:
-    """Rows per matrix-vector product of a scan with n_freq frequencies:
-    small enough that OpenBLAS runs each product on the calling thread.
-
-    A scan cuts its rows with ``_cuts(0, rows, _block_rows(N))``, and its
-    values must equal those of one product over the whole range.  numpy
-    sends a one-row product to a dot kernel, which rounds differently from
-    gemv, so ``_cuts`` joins a one-row tail to the block before it; every
-    block but the last holds a whole multiple of _ROW_ALIGN rows, so a gemv
-    kernel that handles leftover rows separately meets them at the range's
-    end.  The alignment is load-bearing: with OpenBLAS 0.3.31 (50 000 rows,
-    N = 2-4, real and complex) SkylakeX and Haswell kernels differ only on
-    one-row products, but Sandybridge, Nehalem and Prescott ones differ on
-    real N = 4 rows at every unaligned block size tried (41% of rows at
-    block 2, 18% at 7, 2% at 63, 0.06% at 637; 64, 128 and 1000 match).
-    """
-    return max(_ROW_ALIGN, _GEMV_VALUES // max(n_freq, 1) // _ROW_ALIGN * _ROW_ALIGN)
-
-
 def _turns(c: float, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """The (len(nu), N) matrix e^{i c nu_m lambda_k} of the exponential-sum scans."""
     return np.exp(1j * c * np.outer(nu.astype(float), lam))
@@ -525,10 +496,10 @@ def limsup_exponential_sum(
     2^62, as must step, so that the progression's int64 arithmetic cannot
     wrap.
 
-    The result equals that of a full scan, which takes the moduli of all M
-    sums one product block at a time (``_block_rows``) and one running
-    maximum, but only the product blocks that can hold a new maximum are
-    evaluated exactly.
+    The result equals that of a full scan, which takes the modulus of each
+    row's sum of its N terms alpha_k e^{i c nu lambda_k}, added along the
+    row (``(_turns(...) * alpha).sum(axis=1)``), and one running maximum,
+    but only the rows that can hold a new maximum are evaluated exactly.
 
     Candidates.  approx is the modulus of every row's ``_rotated_sums``
     (exact phases every _ROTATION_ROWS rows turned through one table).  If
@@ -538,23 +509,23 @@ def limsup_exponential_sum(
     the running maximum.  The candidates are row 0 and the rows with
     approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
 
-    Exact pass.  The rows are cut as the full scan cuts them
-    (_block_rows(N) rows from row 0, a one-row tail joined to the block
-    before it), and each block that holds a candidate is one product, so
-    each of its values is the full scan's, bit for bit.  The running
-    maximum over these rows, held across the rows left out, is the full
-    scan's running maximum.
+    Exact pass.  Each candidate row is summed by itself, as the full scan
+    sums it.  A row's N terms are added in an order that depends on N
+    alone, not on the row's place or on the other rows evaluated with it,
+    so each value is the full scan's, bit for bit, and no BLAS kernel takes
+    part.  The running maximum over the candidates, held across the rows
+    left out, is the full scan's running maximum.
 
     Margin.  Let u = 2^-53 and A = sum(alpha_k).  The anchor phases are at
     most Theta in size and the table's 2 Theta (step j <= 2 max|nu|); a
-    full-scan row rounds its one phase, cexp, weights and sum as
-    ``_rotated_sums`` does, and abs rounds by u on each side.  Together
-    |approx - exact| <= u A (12.04 Theta + 2.88 N + 16), and delta = 64 eps
-    A (Theta + N + 2), eps = 2u, covers that ten times over, with the
-    rounding of max(approx[:i]) - 2 delta besides.  Below 2^-1022 a float
-    rounds by up to 2^-1075 absolutely rather than relatively, so delta
-    takes A + 2^-1022 in place of A.  When delta is not finite every row is
-    a candidate.
+    full-scan row rounds its one phase, cexp, weights and N-term sum as
+    ``_rotated_sums`` does, with no complex product, and abs rounds by u on
+    each side.  Together |approx - exact| <= u A (12.04 Theta + 2.88 N +
+    16), and delta = 64 eps A (Theta + N + 2), eps = 2u, covers that ten
+    times over, with the rounding of max(approx[:i]) - 2 delta besides.
+    Below 2^-1022 a float rounds by up to 2^-1075 absolutely rather than
+    relatively, so delta takes A + 2^-1022 in place of A.  When delta is
+    not finite every row is a candidate.
     """
     a = np.asarray(alphas, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
@@ -587,11 +558,8 @@ def limsup_exponential_sum(
     keep = np.ones(M, dtype=bool)  # row 0 opens the running maximum
     keep[1:] = ~(approx[1:] < prior[:-1])
 
-    cuts = _cuts(0, M, _block_rows(a.size))
-    hit = np.logical_or.reduceat(keep, [s for s, _ in cuts])
-    blocks = [np.arange(*cut) for cut, h in zip(cuts, hit) if h]
-    exact = np.concatenate([np.abs(_turns(c, lam, start + step * rows) @ a) for rows in blocks])
-    exact_rows = np.concatenate(blocks)
+    exact_rows = np.flatnonzero(keep)
+    exact = np.abs((_turns(c, lam, start + step * exact_rows) * a).sum(axis=1))
     np.maximum.accumulate(exact, out=exact)
     running = np.repeat(exact, np.diff(exact_rows, append=M))
     return running, float(running[-1])

@@ -901,9 +901,10 @@ class TestNamedDomainErrors:
     and exit 2, not in a traceback, a complex bound or a warning: the free
     constant C is positive, a rational companion needs N*L inside the float
     range, a vanishing beta needs an infinite omega, lattice, limsup and
-    divergence phases need fractional bits, a density's mass is finite and positive, a
-    coefficient power sum is a finite float, and explicit coefficients and
-    frequencies come in lists of one length."""
+    divergence phases need fractional bits, a lattice correlation needs a
+    positive step a and at least one point, a density's mass is finite and
+    positive, a coefficient power sum is a finite float, and explicit
+    coefficients and frequencies come in lists of one length."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -918,6 +919,10 @@ class TestNamedDomainErrors:
         "beta_tiny": ("lattice-correlation", {"beta": "1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "beta_tiny_negative": ("lattice-correlation", {"beta": "-1e-300"}, "12 pi / (c (pi beta)^2) = inf"),
         "huge_step": ("lattice-correlation", {"a": "1e300"}, "leave a float no fractional bits"),
+        "correlation_step_zero": ("lattice-correlation", {"a": "0"}, "step a=0.0 must be positive"),
+        "correlation_step_negative": ("lattice-correlation", {"a": "-1"}, "step a=-1.0 must be positive"),
+        "correlation_no_points": ("lattice-correlation", {"max_points": "0"}, "max_points=0 must be at least 1"),
+        "correlation_negative_points": ("lattice-correlation", {"max_points": "-3"}, "max_points=-3 must be at least 1"),
         "limsup_start_past_int64": ("limsup", {"start": "9223372036854775807"}, "leave a float no fractional bits"),
         "limsup_phase_past_2_52": ("limsup", {"start": "9007199254740993"}, "leave a float no fractional bits"),
         "limsup_progression_past_int64": (

@@ -20,13 +20,14 @@ SRC = Path(supdev.__file__).resolve().parent.parent
 LATTICE_KINDS = ("kronecker-search", "lattice-correlation", "limsup", "divergence")
 
 
-def fresh(code: str):
-    """Run ``code`` in a new interpreter that imports supdev from this tree;
-    return the JSON value it prints on its last line."""
+def fresh(code: str, **env: str):
+    """Run ``code`` in a new interpreter that imports supdev from this tree,
+    with ``env`` added to its environment; return the JSON value it prints
+    on its last line."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
         timeout=180,
