@@ -504,6 +504,26 @@ class TestScanPieces:
         spec = raw_spec(coeffs, sorted(lambdas))
         assert_divergence_within_bound(spec, 0.9, ladder)
 
+    @pytest.mark.parametrize("n_freq", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocked_products_equal_one_product(self, n_freq, dtype):
+        # limsup's exact pass sums only the candidate rows; each row must read
+        # the same as in one sum over every row, wherever the row sits.  The
+        # scans' outputs (a running maximum) can hide a last-bit change in one
+        # row, so compare the row values themselves
+        rng = np.random.default_rng(n_freq)
+        for rows in (1, 2, 65, 641, 10_241, 40_963):
+            matrix = rng.standard_normal((rows, n_freq)).astype(dtype)
+            vector = rng.uniform(0.2, 1.5, n_freq)
+            whole = np.abs((matrix * vector).sum(axis=1))
+            for block in (1, 7, 64, 640):
+                cuts = range(0, rows, block)
+                got = np.concatenate([np.abs((matrix[s : s + block] * vector).sum(axis=1)) for s in cuts])
+                assert got.tobytes() == whole.tobytes(), (rows, block)
+            picked = np.flatnonzero(rng.random(rows) < 0.01)
+            got = np.abs((matrix[picked] * vector).sum(axis=1))
+            assert got.tobytes() == whole[picked].tobytes(), rows
+
     @given(
         st.integers(1, 6),
         st.integers(0, 5),
