@@ -29,14 +29,13 @@ import program  # noqa: E402  (pins thread pools before numpy is imported)
 program.load()
 
 import cases  # noqa: E402
-from supdev.harness import records_to_csv  # noqa: E402
+from supdev.harness import csv_without_timing  # noqa: E402
 
 
 def case_text(result) -> str:
     """A case's output bytes, timing columns aside."""
     if hasattr(result, "checks"):
-        rows = (line.split(",") for line in records_to_csv([result]).splitlines())
-        return "\n".join(",".join(cells[:12] + cells[14:]) for cells in rows)
+        return csv_without_timing([result]).rstrip("\n")
     return repr((result.estimate, result.half_width, result.reps, result.seed))
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "KINDS",
     "calibrate",
     "check_seed",
+    "csv_without_timing",
     "default_config",
     "emit",
     "load_config",
@@ -294,25 +295,27 @@ class ResultRecord:
         return all(row.passed for row in self.checks if row.passed is not None)
 
 
-def _row(name, margin=None, est=None, mc=None, bound=None, x=None) -> CheckRow:
-    """A row passes iff its margin is >= 0; without a margin it is
-    informational.  ``est`` (an McEstimate) fills ``mc`` and its interval."""
+def _row(name, margin=None, est=None, mc=None, bound=None, x=None, passed=None) -> CheckRow:
+    """A row passes iff its margin is >= 0, unless ``passed`` gives its
+    verdict; with neither it is informational.  ``est`` (an McEstimate)
+    fills ``mc`` and its interval."""
     lo = hi = None
     if est is not None:
         mc, lo, hi = est.estimate, est.estimate - est.half_width, est.estimate + est.half_width
-    passed = None if margin is None else bool(margin >= 0.0)
-    return CheckRow(name, passed, mc, lo, hi, bound, margin, x)
+    if passed is None and margin is not None:
+        passed = margin >= 0.0
+    return CheckRow(name, None if passed is None else bool(passed), mc, lo, hi, bound, margin, x)
 
 
-def _row_from_estimate(name, est, bound, x=None, direction="le"):
-    """Assertion row for mc <= bound + cushion (or >= bound - cushion), with
-    a cushion of three half-widths."""
-    cushion = 3.0 * est.half_width
-    if direction == "le":
-        margin = bound + cushion - est.estimate
-    else:
-        margin = est.estimate - (bound - cushion)
-    return _row(name, margin, est=est, bound=bound, x=x)
+def _cushion(*estimates) -> float:
+    """The Monte Carlo allowance of a comparison: three half-widths of each
+    estimate it reads."""
+    return 3.0 * sum(est.half_width for est in estimates)
+
+
+def _row_from_estimate(name, est, bound, x=None):
+    """Assertion row for mc <= bound + cushion."""
+    return _row(name, bound + _cushion(est) - est.estimate, est=est, bound=bound, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +368,7 @@ def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
     cov = CovarianceSpec.stationary(gammas)
     est = mc_vector_sup_prob(cov, z, cfg.reps, seed, workers=cfg.workers, absolute=True)
     return [
-        _row_from_estimate("sandwich_lower_le_mc", est, sz.lower, x=z, direction="ge"),
+        _row("sandwich_lower_le_mc", est.estimate - (sz.lower - _cushion(est)), est=est, bound=sz.lower, x=z),
         _row_from_estimate("mc_le_sandwich_upper", est, sz.upper, x=z),
         _row("spectral_geometric_mean", bound=sz.g_value),
     ]
@@ -411,10 +414,9 @@ def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
 
 def _run_cyclic_transfer(cfg: ExperimentConfig, seed: int) -> list:
     tb, est_x, est_perp, theta, h = _transfer_pieces(cfg.params, cfg.reps, seed, cfg.workers)
-    cushion = 3.0 * (est_x.half_width + est_perp.half_width)
     rhs = est_perp.estimate + tb.error_term
     return [
-        _row("transfer_inequality", rhs + cushion - est_x.estimate, est=est_x, bound=rhs, x=theta),
+        _row("transfer_inequality", rhs + _cushion(est_x, est_perp) - est_x.estimate, est=est_x, bound=rhs, x=theta),
         _row("companion_sup_prob", est=est_perp),
         _row("transfer_error_term", bound=tb.error_term),
         _row("delta", bound=tb.delta_report.delta),
@@ -424,7 +426,13 @@ def _run_cyclic_transfer(cfg: ExperimentConfig, seed: int) -> list:
 
 def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
-    CovarianceSpec.check_dimension(p["ou_n"])  # before any Monte Carlo work
+    n_ou, tol = p["ou_n"], 1e-3
+    CovarianceSpec.check_dimension(n_ou)  # before any Monte Carlo work
+    # the middle row of the n_ou x n_ou OU covariance misses the two-sided sum
+    # by (r^(a+1) + r^(b+1)) / (1 - r), r = e^(-1/2), a + b = n_ou - 1
+    r, a = math.exp(-0.5), (n_ou - 1) // 2
+    if n_ou < 1 or (r ** (a + 1) + r ** (n_ou - a)) / (1.0 - r) > tol:
+        raise DomainError(f"ou_n={n_ou} leaves the OU row sum more than {tol} below its limit")
     rows = []
     cov = CovarianceSpec.equicorrelated(p["n"], p["lam"])
     p_x = decoupling_coeff_vector(cov).p_value
@@ -432,13 +440,12 @@ def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     chk = verify_decoupling_mc(cov, p["beta"] * p_x, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers)
     rows.append(_row_from_estimate("product_indicator_le_pnorm_bound", chk.lhs, chk.rhs))
     gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, seed, workers=cfg.workers)
-    hw = gn.lhs.half_width
     for name, rhs in (("correlation_l2_bound", gn.gebelein_rhs), ("hypercontractive_bound", gn.nelson_rhs)):
-        rows.append(_row(name, rhs + 3.0 * hw - abs(gn.lhs.estimate), est=gn.lhs, bound=rhs))
-    gammas = np.exp(-0.5 * np.arange(p["ou_n"]))
+        rows.append(_row(name, rhs + _cushion(gn.lhs) - abs(gn.lhs.estimate), est=gn.lhs, bound=rhs))
+    gammas = np.exp(-0.5 * np.arange(n_ou))
     p_ou = decoupling_coeff_vector(CovarianceSpec.stationary(gammas)).p_value
     exact = (math.sqrt(math.e) + 1.0) / (math.sqrt(math.e) - 1.0)
-    rows.append(_row("ou_decoupling_constant", 1e-3 - abs(p_ou - exact), mc=p_ou, bound=exact))
+    rows.append(_row("ou_decoupling_constant", tol - abs(p_ou - exact), mc=p_ou, bound=exact))
     return rows
 
 
@@ -479,12 +486,11 @@ def _run_limsup(cfg: ExperimentConfig, seed: int) -> list:
     # rounding alone parts the modulus of N terms from the total by up to (2.5 N + 5) u
     # sum(alpha), u = 2^-53: the verdict allows 4 (N + 4) ulps, which the pinned margin leaves out
     slack = 4.0 * (len(p["alphas"]) + 4) * float(np.spacing(total))
-    monotone = bool(np.all(np.diff(running) >= 0.0))
+    monotone = np.all(np.diff(running) >= 0.0)
     target = p["target_frac"] * total
     return [
-        CheckRow(name="running_max_monotone", passed=monotone),
-        CheckRow(name="final_le_total", passed=bool(final <= total + slack), mc=final, bound=total,
-                 margin=total - final),
+        _row("running_max_monotone", passed=monotone),
+        _row("final_le_total", total - final, mc=final, bound=total, passed=final <= total + slack),
         _row("final_ge_target", final - target, mc=final, bound=target, x=float(p["max_terms"])),
     ]
 
@@ -505,8 +511,10 @@ def _explicit_spec(coeffs, lambdas) -> PolynomialSpec:
 
 def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
     p = cfg.params
-    spec = _explicit_spec(p["coeffs"], p["lambdas"])
     ladder = sorted(set(p["ladder"]))
+    if ladder and ladder[0] < 1:
+        raise DomainError(f"ladder rung J={ladder[0]} must be at least 1")
+    spec = _explicit_spec(p["coeffs"], p["lambdas"])
     js = sorted(set(ladder) | {2 * j for j in ladder})
     sums = dict(zip(js, divergence_partial_sums(spec, p["a"], js)))
     rows = []
@@ -550,19 +558,19 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
         if len(ts) >= p["max_points"]:
             break
     if not ts:
-        return [CheckRow(name="lattice_points_found", passed=False)]
+        return [_row("lattice_points_found", passed=False)]
     res = lattice_correlation(spec, p["a"], omega, beta, p["c"], ts)
     finite = math.isfinite(res.max_offdiag_corr)
     return [
-        CheckRow(name="lattice_points_found", passed=True, bound=float(len(res.accepted_ts))),
-        # hand-built: with fewer than two accepted points the correlation is
-        # -inf, so the cap passes with no margin
-        CheckRow(
-            name="correlation_cap",
-            passed=bool(res.max_offdiag_corr <= res.eta),
+        _row("lattice_points_found", bound=float(len(res.accepted_ts)), passed=True),
+        # with fewer than two accepted points the correlation is -inf, so the
+        # cap passes with no margin
+        _row(
+            "correlation_cap",
+            (res.eta - res.max_offdiag_corr) if finite else None,
             mc=res.max_offdiag_corr if finite else None,
             bound=res.eta,
-            margin=(res.eta - res.max_offdiag_corr) if finite else None,
+            passed=res.max_offdiag_corr <= res.eta,
         ),
         _row("variance_floor", res.var_ratio_min - res.eta, mc=res.var_ratio_min, bound=res.eta),
     ]
@@ -572,8 +580,7 @@ def _calibrate_transfer(cfg: ExperimentConfig, seed: int) -> dict:
     """The largest C for which the transfer comparison still passes (the
     error term decays in C, so admissible C form an interval (0, C_max])."""
     tb, est_x, est_perp, theta, h = _transfer_pieces(cfg.params, cfg.reps, seed, cfg.workers)
-    cushion = 3.0 * (est_x.half_width + est_perp.half_width)
-    deficit = est_x.estimate - est_perp.estimate - cushion
+    deficit = est_x.estimate - est_perp.estimate - _cushion(est_x, est_perp)
     d = tb.delta_report.delta
     if d == 0.0 or deficit <= 0.0:
         c_max = math.inf
@@ -802,6 +809,15 @@ def records_to_csv(records) -> str:
                 )
             )
     return "\n".join(lines) + "\n"
+
+
+def csv_without_timing(records) -> str:
+    """``records_to_csv`` without its ``wall_time_s`` and ``timestamp``
+    columns: the bytes that a rerun with the same config and seed
+    reproduces, for any worker count."""
+    keep = [i for i, name in enumerate(CSV_HEADER.split(",")) if name not in ("wall_time_s", "timestamp")]
+    rows = (line.split(",") for line in records_to_csv(records).splitlines())
+    return "".join(",".join(cells[i] for i in keep) + "\n" for cells in rows)
 
 
 def records_to_json(records) -> str:

@@ -276,6 +276,8 @@ class GridSpec:
     def dense(cls, t0: float, t1: float, per_unit: int = 1024) -> "GridSpec":
         """Default density for continuous-supremum surrogates on [t0, t1]:
         per_unit nodes per unit length (override for high frequencies)."""
+        if per_unit < 1:
+            raise DomainError(f"per_unit={per_unit} must be at least 1")
         _require_finite(t0=t0, t1=t1, span=t1 - t0)
         n = int(math.ceil((t1 - t0) * per_unit)) + 1
         return cls.uniform(t0, t1, n)
@@ -341,7 +343,10 @@ def _design_matrix(
     cosines and sines straight into its interleaved rows and scales them by
     a_k in place.  Every element is the same expression as a_k * cos(w_k u)
     evaluated on its own, so the bytes depend on neither the block size nor
-    the worker count.
+    the worker count.  The pool is kept for speed, not for the bytes: a
+    serial fill gave the same path-sweep digests but lost all 8 alternating
+    10 s path-sweep benchmark pairs (2 cores; cases_per_s 107.2 -> 100.0,
+    case_ms_p50 8.18 -> 8.63 ms, case_ms_p90 16.7 -> 18.0 ms).
     """
     m = spec.n_terms
     _check_design_budget(m, nodes.size)

@@ -20,7 +20,7 @@ from supdev.decoupling import (
     mechanical_quadrature_check,
     riemann_gap,
 )
-from supdev.harness import default_config, parse_config, records_to_csv, run_experiment
+from supdev.harness import csv_without_timing, default_config, parse_config, run_experiment
 from supdev.kronecker import (
     LatticeProblem,
     lattice_search,
@@ -343,15 +343,6 @@ theta = 1.9
 """
 
 
-def _strip_timing(csv_text):
-    rows = []
-    for line in csv_text.strip().split("\n"):
-        cells = line.split(",")
-        del cells[12:14]  # wall_time_s, timestamp
-        rows.append(",".join(cells))
-    return "\n".join(rows)
-
-
 def test_14_determinism_across_workers():
     from dataclasses import replace
 
@@ -364,6 +355,6 @@ def test_14_determinism_across_workers():
         for workers in (1, 8):
             for _ in range(2):
                 rec = run_experiment(replace(cfg, workers=workers))
-                texts.add(_strip_timing(records_to_csv([rec])))
+                texts.add(csv_without_timing([rec]))
         assert len(texts) == 1, f"{cfg.kind}: outputs differ across reruns/workers"
     report(14, "byte-identical reruns", "1 and 8 workers, timing columns excluded")

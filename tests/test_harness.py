@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import os
@@ -19,6 +20,7 @@ from supdev.harness import (
     KINDS,
     ExperimentConfig,
     calibrate,
+    csv_without_timing,
     default_config,
     emit,
     load_config,
@@ -43,16 +45,6 @@ n = 6
 lam = 0.25
 theta = 1.8
 """
-
-
-def strip_timing(csv_text: str) -> str:
-    # drop the wall-time and timestamp columns before comparing bytes
-    rows = []
-    for line in csv_text.strip().split("\n"):
-        cells = line.split(",")
-        del cells[12:14]
-        rows.append(",".join(cells))
-    return "\n".join(rows)
 
 
 class TestConfigParsing:
@@ -351,7 +343,7 @@ class TestRunExperiment:
     def test_scan_records_identical_at_one_and_eight_workers(self, kind):
         # the exponential-sum scans run on one thread whatever the worker count
         cfg = default_config(kind, seed=3)
-        texts = {strip_timing(records_to_csv([run_experiment(replace(cfg, workers=w))])) for w in (1, 8)}
+        texts = {csv_without_timing([run_experiment(replace(cfg, workers=w))]) for w in (1, 8)}
         assert len(texts) == 1
 
     def test_decoupling_violations_keep_their_numbers(self, monkeypatch):
@@ -469,6 +461,18 @@ class TestVerdictRule:
         [cap] = [row for row in record.checks if row.name == "correlation_cap"]
         assert cap.passed is True and cap.margin is None and cap.mc is None
 
+    def test_rows_are_built_and_cushioned_in_one_place(self):
+        # every runner judges its rows through _row, and every Monte Carlo
+        # comparison takes its cushion from _cushion
+        sites = {"CheckRow": set(), "half_width": set()}
+        for node in ast.parse(Path(harness.__file__).read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "CheckRow":
+                    sites["CheckRow"].add(getattr(node, "name", "<module>"))
+                if isinstance(sub, ast.Attribute) and sub.attr == "half_width":
+                    sites["half_width"].add(getattr(node, "name", "<module>"))
+        assert sites == {"CheckRow": {"_row", "load_records_json"}, "half_width": {"_row", "_cushion"}}
+
 
 class TestEmission:
     def test_header_only_for_empty(self):
@@ -504,10 +508,21 @@ class TestEmission:
         with pytest.raises(ConfigError):
             emit([rec], "xml", str(tmp_path / "r.xml"))
 
+    def test_csv_without_timing_drops_the_two_timing_columns(self):
+        rec = run_experiment(parse_config(EQUI_INI))
+        header = CSV_HEADER.split(",")
+        kept = [name for name in header if name not in ("wall_time_s", "timestamp")]
+        assert len(kept) == len(header) - 2
+        full = [dict(zip(header, line.split(","))) for line in records_to_csv([rec]).splitlines()]
+        text = csv_without_timing([rec])
+        assert text == "".join(",".join(row[name] for name in kept) + "\n" for row in full)
+        assert csv_without_timing([replace(rec, wall_time_s=1.5, timestamp="then")]) == text
+        assert csv_without_timing([replace(rec, seed=rec.seed + 1)]) != text
+
     def test_csv_determinism_modulo_timing(self):
-        a = records_to_csv([run_experiment(parse_config(EQUI_INI))])
-        b = records_to_csv([run_experiment(parse_config(EQUI_INI))])
-        assert strip_timing(a) == strip_timing(b)
+        a = csv_without_timing([run_experiment(parse_config(EQUI_INI))])
+        b = csv_without_timing([run_experiment(parse_config(EQUI_INI))])
+        assert a == b
 
 
 class TestCalibrate:
@@ -903,8 +918,11 @@ class TestNamedDomainErrors:
     range, a vanishing beta needs an infinite omega, lattice, limsup and
     divergence phases need fractional bits, a lattice correlation needs a
     positive step a and at least one point, a density's mass is finite and
-    positive, a coefficient power sum is a finite float, and explicit
-    coefficients and frequencies come in lists of one length."""
+    positive, a coefficient power sum is a finite float, explicit
+    coefficients and frequencies come in lists of one length, divergence
+    rungs are at least 1, a transfer grid has at least one node per unit,
+    and the OU covariance is large enough for its row sum to reach the
+    limit within the row's tolerance."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -935,6 +953,10 @@ class TestNamedDomainErrors:
         "correlation_power_sum": ("lattice-correlation", {"coeffs": "1e300 1e300"}, "sum of a_k^2 over [1, 2] is inf"),
         "divergence_lengths": ("divergence", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 4 frequencies"),
         "correlation_lengths": ("lattice-correlation", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 2 frequencies"),
+        "divergence_rung_zero": ("divergence", {"ladder": "0 100"}, "ladder rung J=0 must be at least 1"),
+        "transfer_grid_empty": ("cyclic-transfer", {"grid_per_unit": "0"}, "per_unit=0 must be at least 1"),
+        "transfer_grid_negative": ("cyclic-transfer", {"grid_per_unit": "-5"}, "per_unit=-5 must be at least 1"),
+        "ou_row_sum_short": ("decoupling", {"ou_n": "33"}, "ou_n=33 leaves the OU row sum more than 0.001 below"),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -956,6 +978,8 @@ class TestNamedDomainErrors:
             ("cyclic-transfer", {"x": "600"}, "delta: bound=6.28148"),
             # both count bounds read inf past the float range
             ("kronecker-search", dict(THREE, C="1e300"), "count_lower_iii: bound=inf"),
+            # the smallest OU covariance whose row sum reaches the limit within 1e-3
+            ("decoupling", {"ou_n": "34"}, "ou_decoupling_constant: mc=4.08216 bound=4.08299 margin=0.000169241 PASS"),
         ],
     )
     def test_cli_ends_in_a_record(self, kind, overrides, shown, capsys, tmp_path, deadline):
