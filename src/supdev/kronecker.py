@@ -594,7 +594,9 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
     if a <= 0.0:
         raise DomainError(f"step a={a} must be positive")
     ladder = [int(j) for j in js]
-    if not ladder or any(j < 0 for j in ladder) or sorted(ladder) != ladder:
+    if not ladder:
+        raise DomainError("J ladder is empty: give at least one J")
+    if any(j < 0 for j in ladder) or sorted(ladder) != ladder:
         raise DomainError("J ladder must be a nondecreasing list of nonnegative integers")
     if not spec.coeffs.nonvanishing:
         raise DomainError("divergence sums require a non-vanishing coefficient sequence flag")

@@ -4,11 +4,14 @@ Reproducibility contract: a Philox stream keyed by the 64-bit seed is laid
 out as a fixed table of raw 64-bit draws; replication ``r`` owns the rows
 ``[r * pad, (r + 1) * pad)`` where ``pad`` is the per-replication draw count
 rounded up to the 4-draw Philox block.  Uniforms are ``((raw >> 11) + 0.5) *
-2^-53`` (strictly inside (0, 1)) and normals go through the inverse CDF, so
-every replication consumes a fixed, known number of draws.  The inverse CDF
-is ``scipy.special.ndtri``, which ``_normal`` imports at the first draw:
-importing this module loads no scipy.  Path draws come
-in the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
+2^-53`` (strictly inside (0, 1)), computed as ``Generator(Philox).random() +
+2^-54``: ``random()`` reads the same raw stream and returns (raw >> 11) *
+2^-53, and scaling by a power of two commutes with rounding (no value is
+subnormal), so the two forms agree bit for bit.  Normals go through the
+inverse CDF, so every replication consumes a fixed, known number of draws.
+The inverse CDF is ``scipy.special.ndtri``, which ``_normal`` imports at
+the first draw: importing this module loads no scipy.  Path draws come in
+the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
 rows interleaved the same way (a_k cos(w_k u), a_k sin(w_k u)), so a chunk of
 paths is one GEMM of its draws against that matrix.  The replication range
 is split into chunks whose size depends only on the replication count and
@@ -30,7 +33,7 @@ single GEMM against the concatenated matrices would round differently):
 on one draw table, and ``mc_sup_prob`` is its one-spec case.  Estimates
 count in chunk order, or add chunk sums in chunk order.  The map rejects
 reps < 1 before any draw, and ``normal_draws`` rejects seeds outside
-[0, 2^64).
+[0, 2^64) and negative replication ranges or widths.
 
 Sup probabilities project the folded half grid.  A grid is an arithmetic
 progression, so its nodes are c -+ s_j about its midpoint c, and
@@ -105,21 +108,37 @@ _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 81
 def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> np.ndarray:
     """Standard normals for replications [rep_start, rep_start + n_reps).
 
-    Shape (n_reps, draws_per_rep).  The draw table depends only on the seed,
-    so any partition of the replication range reproduces the same values.
+    Shape (n_reps, draws_per_rep), C-contiguous.  The draw table depends
+    only on the seed, so any partition of the replication range reproduces
+    the same values.  A seed outside [0, 2^64) or a negative start, count
+    or width is a domain error before any draw.
+
+    The uniforms come from ``Generator(Philox).random()``, which reads the
+    same raw 64-bit stream as ``random_raw`` and returns k * 2^-53 with
+    k = raw >> 11, in one pass and one (n_reps, pad) array.  Adding 2^-54
+    gives the contract's ((raw >> 11) + 0.5) * 2^-53 bit for bit: scaling by
+    a power of two commutes with rounding and no value is subnormal, so
+    fl(k * 2^-53 + 2^-54) = fl(k + 1/2) * 2^-53, also for k >= 2^52, where
+    k + 1/2 rounds to even.  The offset copies the leading draws_per_rep
+    columns into the returned array (in place when the width needs no
+    padding), and ``ndtri`` runs on it in place.
     """
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed {seed} outside [0, 2**64)")
+    if rep_start < 0 or n_reps < 0 or draws_per_rep < 0:
+        raise DomainError(
+            f"draw range needs rep_start, n_reps and draws_per_rep >= 0, got {rep_start}, {n_reps}, {draws_per_rep}"
+        )
     if draws_per_rep == 0 or n_reps == 0:
         return np.zeros((n_reps, draws_per_rep))
     pad = 4 * ((draws_per_rep + 3) // 4)
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(rep_start * pad // 4)
-    raw = bg.random_raw(n_reps * pad).reshape(n_reps, pad)[:, :draws_per_rep]
-    u = (raw >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    u = np.random.Generator(bg).random(n_reps * pad).reshape(n_reps, pad)
+    z = u if pad == draws_per_rep else np.empty((n_reps, draws_per_rep))
+    np.add(u[:, :draws_per_rep], 2.0**-54, out=z)
+    del u
+    return ndtri(z, out=z)
 
 
 def wilson_half_width(successes: int, reps: int, z: float = Z95) -> float:

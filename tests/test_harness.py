@@ -954,6 +954,7 @@ class TestNamedDomainErrors:
         "divergence_lengths": ("divergence", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 4 frequencies"),
         "correlation_lengths": ("lattice-correlation", {"coeffs": "1 0.8 0.6"}, "3 coefficients for 2 frequencies"),
         "divergence_rung_zero": ("divergence", {"ladder": "0 100"}, "ladder rung J=0 must be at least 1"),
+        "divergence_ladder_empty": ("divergence", {"ladder": ""}, "J ladder is empty"),
         "transfer_grid_empty": ("cyclic-transfer", {"grid_per_unit": "0"}, "per_unit=0 must be at least 1"),
         "transfer_grid_negative": ("cyclic-transfer", {"grid_per_unit": "-5"}, "per_unit=-5 must be at least 1"),
         "ou_row_sum_short": ("decoupling", {"ou_n": "33"}, "ou_n=33 leaves the OU row sum more than 0.001 below"),

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -92,6 +93,44 @@ class TestDraws:
         z = normal_draws(seed=11, rep_start=0, n_reps=200000, draws_per_rep=1).ravel()
         assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
         assert abs(z.std() - 1.0) < 4.0 / math.sqrt(z.size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("advance", [0, 1, 2**40])
+    @pytest.mark.parametrize("n", [1, 3, 6, 4097])
+    def test_generator_uniforms_equal_raw_formula(self, seed, advance, n):
+        """random() + 2^-54 is ((raw >> 11) + 0.5) * 2^-53 byte for byte: the
+        same 64-bit stream, and scaling by 2^-53 commutes with rounding."""
+        fused, raw = (np.random.Philox(key=np.uint64(seed)) for _ in range(2))
+        fused.advance(advance)
+        raw.advance(advance)
+        got = np.random.Generator(fused).random(n) + 2.0**-54
+        ref = ((raw.random_raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 8])
+    def test_one_chunk_array_beside_the_result(self, width):
+        """A chunk holds one (rows, pad) uniform array and the contiguous
+        (rows, width) result, one array when the width needs no padding."""
+        rows, pad = 1 << 16, 4 * ((width + 3) // 4)
+        normal_draws(seed=2, rep_start=0, n_reps=1, draws_per_rep=width)  # load ndtri outside the trace
+        tracemalloc.start()
+        try:
+            z = normal_draws(seed=2, rep_start=7, n_reps=rows, draws_per_rep=width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.flags.c_contiguous and z.shape == (rows, width)
+        arrays = pad if pad == width else pad + width
+        assert peak <= (arrays + 0.5) * rows * 8, peak / (rows * 8)
+
+    @pytest.mark.parametrize("rep_start, n_reps, draws_per_rep", [(-1, 3, 3), (0, 3, -2), (0, -2, 3)])
+    def test_negative_range_rejected_before_any_draw(self, rep_start, n_reps, draws_per_rep, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the range")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(DomainError, match="draw range"):
+            normal_draws(seed=1, rep_start=rep_start, n_reps=n_reps, draws_per_rep=draws_per_rep)
 
 
 class TestWilson:
