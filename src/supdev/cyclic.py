@@ -88,7 +88,7 @@ class TestSequence:
 
     def values(self, y: int, x: int) -> list:
         """N_y..N_x as exact Python integers (they can exceed 64 bits)."""
-        return _nondecreasing([self.value(k) for k in range(y, x + 1)] if x >= y else [], y)
+        return _nondecreasing([self.value(k) for k in range(y, x + 1)], y)
 
     def inverse_squares(self, y: int, x: int) -> np.ndarray:
         """1/N_k^2 as floats, by exact integer division: correctly rounded,
@@ -183,7 +183,7 @@ def perp_process(spec: PolynomialSpec, ts: TestSequence) -> PolynomialSpec:
     pairs = [rational_freq(float(L), N) for L, N in zip(spec.freq_values(), ts.values(spec.y, spec.x))]
     return PolynomialSpec(
         coeffs=spec.coeffs,
-        freqs=FrequencySeq.rationals(pairs) if pairs else FrequencySeq.rationals(((1, 1),)),
+        freqs=FrequencySeq.rationals(pairs),
         y=spec.y,
         x=spec.x,
         convention="raw",
@@ -226,7 +226,7 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
     y, x = spec.y, spec.x
     a = spec.coeff_values()
     inv_sq = ts.inverse_squares(y, x)
-    inv2 = float(np.sum(inv_sq)) if inv_sq.size else 0.0
+    inv2 = float(np.sum(inv_sq))
     a2 = power_sum(spec, 2)
     base = math.sqrt(inv2) * math.sqrt(a2)
     walk = _walk(ts, U)
@@ -248,15 +248,11 @@ def delta_term(spec: PolynomialSpec, ts: TestSequence, U: float) -> DeltaReport:
 
     # largest kappa with N_kappa <= U: the walk ends at the first N_k > U
     kappa_star = len(walk) - (walk[-1] > U)
-    if kappa_star >= 2 and kappa_star > y:
-        hi = min(kappa_star - 1, x)
-        second = float(np.sum(np.abs(a[: hi - y + 1]))) if hi >= y else 0.0
-    else:
-        second = 0.0
+    second = float(np.sum(np.abs(a[: max(kappa_star - y, 0)])))  # |a_k| for y <= k < kappa*, k <= x
 
     third = 0.0
-    tail_inv2 = np.concatenate([np.cumsum(inv_sq[::-1])[::-1], [0.0]]) if inv_sq.size else np.zeros(1)
-    tail_a2 = np.concatenate([np.cumsum((a**2)[::-1])[::-1], [0.0]]) if a.size else np.zeros(1)
+    tail_inv2 = np.concatenate([np.cumsum(inv_sq[::-1])[::-1], [0.0]])
+    tail_a2 = np.concatenate([np.cumsum((a**2)[::-1])[::-1], [0.0]])
     for kappa, n_kappa in enumerate(walk[:kappa_star], start=1):
         if n_kappa < y or kappa > x:
             continue  # outside [y, U], or empty tail sums that contribute 0 to the sup

@@ -110,7 +110,7 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
     def phi_abs(u: np.ndarray) -> np.ndarray:
         return np.abs(np.cos(2.0 * math.pi * u[:, None] * jk[None, :]) @ aa)
 
-    panels = int(max(16, 4 * jk.max())) if jk.size else 16
+    panels = int(max(16, 4 * jk.max(initial=0)))
     integral = adaptive_simpson(phi_abs, 0.0, 1.0, tol=tol, n_panels=panels)
     integral_term = n * integral / a2
     floor = node_floor(spec)

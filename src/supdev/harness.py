@@ -400,9 +400,12 @@ def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
     step = p["freq_step"]
     freqs = FrequencySeq(kind="real", rule=lambda k: step * k)
     spec = PolynomialSpec(coeffs=coeffs, freqs=freqs, y=p["y"], x=p["x"], convention="raw")
+    a2 = power_sum(spec, 2)
+    if a2 == 0.0:
+        why = "the range is empty" if spec.n_terms == 0 else "every coefficient on it vanishes"
+        raise DomainError(f"A(x) = sum of a_k^2 over [{spec.y}, {spec.x}] is 0: {why}")
     ts = TestSequence(kind=p["ts_kind"])
     perp = perp_process(spec, ts)
-    a2 = power_sum(spec, 2)
     theta = 2.0 * p["H"] * math.sqrt(a2)
     h = p["H"] * math.sqrt(a2)
     tb = transfer_bound(spec, ts, p["U"], theta, h, C=p["C"])

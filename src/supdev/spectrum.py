@@ -158,7 +158,7 @@ class FrequencySeq:
     def values(self, y: int, x: int) -> np.ndarray:
         """Frequencies y..x as floats (empty array when x < y)."""
         out = np.array([self.value(k) for k in range(y, x + 1)], dtype=float)
-        if self.kind in ("integer", "real") and out.size > 1 and not np.all(np.diff(out) > 0):
+        if self.kind in ("integer", "real") and not np.all(np.diff(out) > 0):
             raise DomainError(f"{self.kind} frequencies must be strictly increasing on [{y}, {x}]")
         return out
 
@@ -224,8 +224,6 @@ def power_sum(spec: PolynomialSpec, p: int) -> float:
     if p not in (2, 4):
         raise DomainError(f"power_sum expects p in {{2, 4}}, got {p}")
     a = spec.coeff_values()
-    if a.size == 0:
-        return 0.0
     with np.errstate(over="ignore"):
         total = float(np.sum(a**p))
     if not math.isfinite(total):

@@ -20,6 +20,11 @@ for an integer-frequency spec on its cyclic-rule grid, a real-frequency
 transfer spec and its rational companion on [1, U], and an empty range;
 and the ``repr`` of ``mc_sup_prob`` for a transfer spec and its companion
 over several chunks.
+
+The pins belong to a BLAS kernel and a BLAS thread count.  With OpenBLAS
+at one thread the CSV, ``DIRECT`` and ``PATH_PROBS`` pins still hold and
+are checked in a fresh process; three ``PATH_BYTES`` path pins do not, as
+their GEMM sums in another order.
 """
 
 import hashlib
@@ -45,6 +50,7 @@ from supdev.mc import (
     _design_matrix,
 )
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
+from test_imports import fresh
 
 GOLDEN = Path(__file__).parent / "golden"
 KINDS = (
@@ -252,3 +258,26 @@ def test_path_prob_estimates(name):
     run, estimate, half_width = PATH_PROBS[name]
     est = run()
     assert (repr(est.estimate), repr(est.half_width)) == (estimate, half_width)
+
+
+ONE_THREAD_PINS = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import test_golden as g
+
+failed = [
+    kind for kind in g.KINDS
+    if g.csv_without_timing([g.run_experiment(g.default_config(kind), seed=0)])
+    != (g.GOLDEN / f"{{kind}}.csv").read_text(encoding="utf-8")
+]
+for name, (run, estimate, half_width) in {{**g.DIRECT, **g.PATH_PROBS}}.items():
+    est = run()
+    if (repr(est.estimate), repr(est.half_width)) != (estimate, half_width):
+        failed.append(name)
+print(json.dumps(failed))
+"""
+
+
+def test_csv_and_estimate_pins_hold_with_one_blas_thread():
+    # OpenBLAS reads its thread count when numpy loads it, so the run gets its own process
+    assert fresh(ONE_THREAD_PINS, OPENBLAS_NUM_THREADS="1") == []

@@ -921,8 +921,9 @@ class TestNamedDomainErrors:
     positive, a coefficient power sum is a finite float, explicit
     coefficients and frequencies come in lists of one length, divergence
     rungs are at least 1, a transfer grid has at least one node per unit,
-    and the OU covariance is large enough for its row sum to reach the
-    limit within the row's tolerance."""
+    the OU covariance is large enough for its row sum to reach the limit
+    within the row's tolerance, and a zero A(x) names its cause: an empty
+    transfer range, or divergence coefficients whose squares underflow."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -958,6 +959,10 @@ class TestNamedDomainErrors:
         "transfer_grid_empty": ("cyclic-transfer", {"grid_per_unit": "0"}, "per_unit=0 must be at least 1"),
         "transfer_grid_negative": ("cyclic-transfer", {"grid_per_unit": "-5"}, "per_unit=-5 must be at least 1"),
         "ou_row_sum_short": ("decoupling", {"ou_n": "33"}, "ou_n=33 leaves the OU row sum more than 0.001 below"),
+        "transfer_empty_range": ("cyclic-transfer", {"y": "5", "x": "4"}, "over [5, 4] is 0: the range is empty"),
+        "divergence_underflow": (
+            "divergence", {"coeffs": "1e-200 1e-200 1e-200 1e-200"}, "over [1, 4] is 0: the coefficients are nonzero"
+        ),
     }
 
     @pytest.mark.filterwarnings("error")

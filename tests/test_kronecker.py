@@ -39,17 +39,21 @@ def counted(problem, C=1.0):
 
 
 def brute_force_xi(problem, radius):
-    """Reference Xi: every row nu_1 = -m..m evaluated exactly, in scan order."""
+    """Reference Xi: every row nu_1 = -m..m evaluated exactly, in scan order.
+    The inner sums are left-to-right sums over nu_2..nu_N (no BLAS call), in
+    the order of the index table, which marks the zero vector and names the
+    argmin."""
     m, n = radius, problem.n_freq
     lam = np.asarray(problem.lambdas, dtype=float)
     side = np.arange(-m, m + 1)
+    inner = np.zeros(1)
+    for lam_l in lam[1:]:
+        inner = np.add.outer(inner, side * lam_l).ravel()
     if n == 1:
-        inner = np.zeros(1)
         combos = np.zeros((1, 0), dtype=np.int64)
     else:
         grids = np.meshgrid(*([side] * (n - 1)), indexing="ij")
         combos = np.stack([g.ravel() for g in grids], axis=1)
-        inner = combos @ lam[1:]
     best, best_vec = math.inf, None
     for nu1 in side:
         dists = nearest_int_dist(problem.h * (nu1 * lam[0] + inner))
@@ -687,24 +691,30 @@ class TestTwoPassScan:
                 limsup_exponential_sum([1.0, 0.5], [0.0, 0.0], start, step, M)
 
 
-LIMSUP_DIGESTS = """
+SCAN_DIGESTS = """
 import hashlib, json, math
-from supdev.kronecker import limsup_exponential_sum
+from supdev.kronecker import LatticeProblem, limsup_exponential_sum, xi
 
 lambdas = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17)]
 digests = []
 for n in (3, 4, 7):
     running, _ = limsup_exponential_sum([1.0 + 0.1 * k for k in range(n)], lambdas[:n], 1, 1, 20_000)
     digests.append(hashlib.sha256(running.tobytes()).hexdigest())
-print(json.dumps(digests))
+# benchmark case kronecker-search.1.013 of seed 1: an N = 3 Xi whose inner sums a gemv would fuse differently
+rep = xi(LatticeProblem(
+    lambdas=(0.9741134177339703, 2.0141114522482786, 3.1518055994848915),
+    betas=(0.22357466304521478, 0.3221921619808735, 0.9593860349469683),
+    omega=5, h=1.0, interval=(1.0, 5.0e5), c_o=0.125,
+))
+print(json.dumps([digests, rep.xi.hex(), rep.argmin]))
 """
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64's")
-def test_limsup_bytes_do_not_depend_on_the_blas_kernel(monkeypatch):
+def test_scan_bytes_do_not_depend_on_the_blas_kernel(monkeypatch):
     # OpenBLAS reads the core type when numpy loads it, so each kernel gets its own process
     monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
-    assert fresh(LIMSUP_DIGESTS, OPENBLAS_CORETYPE="Nehalem") == fresh(LIMSUP_DIGESTS)
+    assert fresh(SCAN_DIGESTS, OPENBLAS_CORETYPE="Nehalem") == fresh(SCAN_DIGESTS)
 
 
 class TestLimsup:
