@@ -25,13 +25,7 @@ import numpy as np
 
 from ._normal import ndtr
 from .errors import DomainError
-from .spectrum import (
-    PolynomialSpec,
-    SpectralDensity,
-    check_moderate_condition,
-    power_sum,
-    spectral_geometric_mean,
-)
+from .spectrum import PolynomialSpec, check_moderate_condition, power_sum, spectral_geometric_mean
 
 __all__ = [
     "BoundReport",
@@ -245,7 +239,7 @@ class SzegoBounds(NamedTuple):
     vacuous_upper: bool
 
 
-def szego_bounds(density: SpectralDensity, n: int, z: float, tol: float = 1e-10) -> SzegoBounds:
+def szego_bounds(density: Callable[[np.ndarray], np.ndarray], n: int, z: float) -> SzegoBounds:
     """Two-sided bounds for P{max_j |X_j| <= z} of a stationary sequence in
     terms of the spectral geometric mean G.
 
@@ -256,7 +250,7 @@ def szego_bounds(density: SpectralDensity, n: int, z: float, tol: float = 1e-10)
         raise DomainError(f"n={n} < 1")
     if z <= 0.0:
         raise DomainError(f"z={z} must be positive")
-    g = spectral_geometric_mean(density, tol=tol)
+    g = spectral_geometric_mean(density)
     lower = float(2.0 * ndtr(z) - 1.0) ** n
     if g.value == 0.0:
         return SzegoBounds(lower, 1.0, 0.0, True)

@@ -177,13 +177,14 @@ def kappa_count(ts: TestSequence, lo: float, hi: float) -> int:
 
 def perp_process(spec: PolynomialSpec, ts: TestSequence) -> PolynomialSpec:
     """The rational-frequency companion: same coefficients and range,
-    frequency k replaced by floor(N_k L_k) / N_k stored exactly."""
+    frequency k replaced by floor(N_k L_k) / N_k stored exactly, the pair
+    of k = y first."""
     if spec.convention != "raw":
         raise DomainError("the rational-frequency companion applies to raw-convention specs")
     pairs = [rational_freq(float(L), N) for L, N in zip(spec.freq_values(), ts.values(spec.y, spec.x))]
     return PolynomialSpec(
         coeffs=spec.coeffs,
-        freqs=FrequencySeq.rationals(pairs),
+        freqs=FrequencySeq(kind="rational", explicit=tuple(pairs), first=spec.y),
         y=spec.y,
         x=spec.x,
         convention="raw",

@@ -23,7 +23,7 @@ from .bounds import BoundReport
 from .errors import BudgetError, DomainError
 from .mc import CovarianceSpec, McEstimate, _map_projected, _mean_estimate, _prob_estimate
 from .quadrature import adaptive_simpson
-from .spectrum import PolynomialSpec, node_floor, power_sum
+from .spectrum import PolynomialSpec, node_floor, power_sum, variance
 
 __all__ = [
     "DecouplingReport",
@@ -74,9 +74,7 @@ def decoupling_coeff_cyclic(spec: PolynomialSpec, n: int) -> DecouplingReport:
         raise DomainError("cyclic decoupling coefficient requires integer frequencies")
     if n * spec.n_terms > mc.GRID_BUDGET:
         raise BudgetError(f"cosine matrix {n} x {spec.n_terms} exceeds {mc.GRID_BUDGET} entries")
-    a2 = power_sum(spec, 2)
-    if a2 <= 0.0:
-        raise DomainError(f"A(y,x)={a2} must be positive")
+    a2 = variance(spec)
     aa = spec.coeff_values() ** 2
     jk = spec.freq_values()
     j = np.arange(n)
@@ -92,7 +90,7 @@ class RiemannGap(NamedTuple):
     upper_bound: float  # (1/A) (n (sum a^4)^{1/2} + 2 pi sum j_k a_k^2)
 
 
-def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
+def riemann_gap(spec: PolynomialSpec, n: int) -> RiemannGap:
     """Distance between the cyclic coefficient and its L1-integral version.
 
     The L1 norm of the cosine sum over one period is computed by adaptive
@@ -100,7 +98,8 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
     integrand is piecewise smooth with kinks at its sign changes).  The gap
     against (n/A) * integral and its derivative bound are returned, with
     the coefficient and its fourth-moment upper bound; the caller compares
-    them.  The quadrature adds at most about 10 tol n / A to the gap.
+    them.  The quadrature adds at most about 10 tol n / A to the gap, tol =
+    quadrature.SIMPSON_TOL.
     """
     rep = decoupling_coeff_cyclic(spec, n)
     aa = spec.coeff_values() ** 2
@@ -111,7 +110,7 @@ def riemann_gap(spec: PolynomialSpec, n: int, tol: float = 1e-9) -> RiemannGap:
         return np.abs(np.cos(2.0 * math.pi * u[:, None] * jk[None, :]) @ aa)
 
     panels = int(max(16, 4 * jk.max(initial=0)))
-    integral = adaptive_simpson(phi_abs, 0.0, 1.0, tol=tol, n_panels=panels)
+    integral = adaptive_simpson(phi_abs, 0.0, 1.0, panels)
     integral_term = n * integral / a2
     floor = node_floor(spec)
     upper = (n * math.sqrt(power_sum(spec, 4)) + floor) / a2
@@ -243,18 +242,21 @@ def verify_decoupling_mc(
     return DecouplingCheck(_prob_estimate(flags, reps, seed), rhs, mult, masses)
 
 
-@lru_cache(maxsize=4)
-def _hermegauss(n_nodes: int) -> tuple:
+HERMITE_NODES = 200  # Gauss-Hermite nodes of the Nelson p-norms
+
+
+@lru_cache(maxsize=1)
+def _hermegauss() -> tuple:
     """Probabilists' Gauss-Hermite nodes and weights (read-only, shared)."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _hermite_abs_moment(f_vals_at, p: float, n_nodes: int = 200) -> float:
+def _hermite_abs_moment(f_vals_at, p: float) -> float:
     """E |f(Z)|^p for Z standard normal via Gauss-Hermite quadrature."""
-    nodes, weights = _hermegauss(n_nodes)
+    nodes, weights = _hermegauss()
     vals = np.abs(f_vals_at(nodes)) ** p
     return float(np.sum(weights * vals) / math.sqrt(2.0 * math.pi))
 
@@ -325,10 +327,8 @@ def cyclic_deviation_bound(spec: PolynomialSpec, n: int, eps: float, theta: floa
         raise DomainError(f"n={n} below 1/eps = {1.0 / eps:.4g}")
     if theta < 0.0:
         raise DomainError(f"theta={theta} must be nonnegative")
-    a2 = power_sum(spec, 2)
-    if a2 <= 0.0:
-        raise DomainError("A(y,x) must be positive")
     rep = decoupling_coeff_cyclic(spec, n)
+    a2 = rep.normalization
     h_ratio = theta / math.sqrt(a2)
     tail = float(1.0 - ndtr(h_ratio))
     mills_floor = math.exp(-0.5 * h_ratio * h_ratio) / (math.sqrt(2.0 * math.pi) * (h_ratio + 1.0))

@@ -52,7 +52,7 @@ from .kronecker import (
 )
 from .mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_sup_probs, mc_vector_sup_prob
 from .quadrature import autocovariance
-from .spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, SpectralDensity, power_sum
+from .spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, variance
 
 __all__ = [
     "CheckRow",
@@ -338,7 +338,7 @@ def _run_block(cfg: ExperimentConfig, seed: int) -> list:
     return [_row_from_estimate("sup_prob_le_block_bound", est, rep.value, x=p["theta"])]
 
 
-def _szego_density(root_coeffs, floor_val) -> SpectralDensity:
+def _szego_density(root_coeffs, floor_val) -> Callable[[np.ndarray], np.ndarray]:
     """Positive trig-polynomial density |sum c_j e^{ijt}|^2 + floor,
     normalized to unit mean (the sandwich standardizes the sequence).  A
     mass sum c_j^2 + floor that is not finite and positive raises."""
@@ -349,13 +349,13 @@ def _szego_density(root_coeffs, floor_val) -> SpectralDensity:
         raise DomainError(f"density mass sum c_j^2 + floor = {mass} is not finite and positive")
 
     def f(t):
-        e = np.exp(1j * np.asarray(t, dtype=float))
+        e = np.exp(1j * t)
         val = np.zeros_like(e)
         for j, cj in enumerate(c):
             val = val + cj * e**j
         return (np.abs(val) ** 2 + floor_val) / mass
 
-    return SpectralDensity(f, name="squared-modulus trig density")
+    return f
 
 
 def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
@@ -396,14 +396,14 @@ _FREQ_GOLDEN = 0.6180339887498949
 
 
 def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
+    if p["ts_kind"] not in ("pow2", "identity"):
+        # no param carries a floor_value, explicit values or a rule: floor would silently be identity
+        raise DomainError(f"ts_kind={p['ts_kind']!r}: a config can build 'pow2' or 'identity'")
     coeffs = CoefficientSeq(kind=p["coeff_kind"])
     step = p["freq_step"]
     freqs = FrequencySeq(kind="real", rule=lambda k: step * k)
     spec = PolynomialSpec(coeffs=coeffs, freqs=freqs, y=p["y"], x=p["x"], convention="raw")
-    a2 = power_sum(spec, 2)
-    if a2 == 0.0:
-        why = "the range is empty" if spec.n_terms == 0 else "every coefficient on it vanishes"
-        raise DomainError(f"A(x) = sum of a_k^2 over [{spec.y}, {spec.x}] is 0: {why}")
+    a2 = variance(spec)
     ts = TestSequence(kind=p["ts_kind"])
     perp = perp_process(spec, ts)
     theta = 2.0 * p["H"] * math.sqrt(a2)
@@ -562,7 +562,7 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
             break
     if not ts:
         return [_row("lattice_points_found", passed=False)]
-    res = lattice_correlation(spec, p["a"], omega, beta, p["c"], ts)
+    res = lattice_correlation(spec, omega, beta, p["c"], ts)
     finite = math.isfinite(res.max_offdiag_corr)
     return [
         _row("lattice_points_found", bound=float(len(res.accepted_ts)), passed=True),

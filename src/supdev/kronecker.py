@@ -28,7 +28,7 @@ import numpy as np
 from ._normal import ndtr
 from .bounds import BoundReport, _free_constant, _log, _product
 from .errors import BudgetError, DomainError
-from .spectrum import PolynomialSpec, power_sum
+from .spectrum import PolynomialSpec, variance
 
 __all__ = [
     "LatticeCorrelation",
@@ -606,10 +606,7 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
         raise DomainError("divergence sums require a non-vanishing coefficient sequence flag")
     if (ladder[-1] + 1) * spec.n_terms > ENUM_BUDGET:
         raise BudgetError(f"divergence scan size ({ladder[-1]} + 1)*{spec.n_terms} exceeds {ENUM_BUDGET}")
-    a2 = power_sum(spec, 2)
-    if a2 == 0.0:
-        why = "the range is empty" if spec.n_terms == 0 else "the coefficients are nonzero, so their squares underflow"
-        raise DomainError(f"A(x) = sum of a_k^2 over [{spec.y}, {spec.x}] is 0: {why}")
+    a2 = variance(spec)
     aa = spec.coeff_values() ** 2
     lam = spec.angular_freqs()
     _check_phases(a * ladder[-1] * float(np.abs(lam).max(initial=0.0)))
@@ -635,7 +632,6 @@ class LatticeCorrelation(NamedTuple):
 
 def lattice_correlation(
     spec: PolynomialSpec,
-    a: float,
     omega: int,
     beta: float,
     c: float,
@@ -646,9 +642,10 @@ def lattice_correlation(
 
     Admissibility: c in (0, 2/pi), (c/2) beta^2 < 1, omega > 12 pi /
     (c (pi beta)^2).  Sample points must pass the sine-form 1/omega filter
-    max_k |sin(lambda_k t - beta)| <= 1/omega (points produced by a lattice
-    search on frequencies a*lambda_k/pi with target beta/pi and precision
-    omega' >= pi*omega pass it); failing points are rejected.
+    max_k |sin(lambda_k t - beta)| <= 1/omega (t = a s passes it when s is
+    a hit of a lattice search on frequencies a*lambda_k/pi with target
+    beta/pi and precision omega' >= pi*omega, for any step a > 0); failing
+    points are rejected.
 
     The largest off-diagonal correlation (-inf with one accepted point)
     and the smallest variance ratio are returned with eta; the caller
@@ -666,9 +663,7 @@ def lattice_correlation(
     if not omega > omega_floor:
         raise DomainError(f"omega={omega} must exceed 12 pi / (c (pi beta)^2) = {omega_floor:.4g}")
     lam = spec.angular_freqs()
-    a2 = power_sum(spec, 2)
-    if a2 <= 0.0:
-        raise DomainError("A(x) must be positive")
+    a2 = variance(spec)
     aa = spec.coeff_values() ** 2
 
     accepted = []

@@ -139,13 +139,13 @@ def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> 
     return ndtri(z, out=z)
 
 
-def wilson_half_width(successes: int, reps: int, z: float = Z95) -> float:
+def wilson_half_width(successes: int, reps: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if reps < 1:
         raise DomainError("wilson_half_width needs reps >= 1")
     p = successes / reps
-    z2n = z * z / reps
-    return z * math.sqrt(p * (1.0 - p) / reps + z2n / (4.0 * reps)) / (1.0 + z2n)
+    z2n = Z95 * Z95 / reps
+    return Z95 * math.sqrt(p * (1.0 - p) / reps + z2n / (4.0 * reps)) / (1.0 + z2n)
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,14 @@ from .errors import QuadratureError
 
 __all__ = ["adaptive_simpson", "autocovariance"]
 
+SIMPSON_TOL = 1e-9  # absolute tolerance of adaptive_simpson
+SIMPSON_INTERVALS = 2**20  # intervals adaptive_simpson may accept
+AUTOCOVARIANCE_TOL = 1e-12  # relative (absolute below 1) tolerance of autocovariance
+AUTOCOVARIANCE_NODES = 2**18  # midpoint budget of one autocovariance
 
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    n_panels: int = 16,
-    max_intervals: int = 2**20,
-) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
+
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n_panels: int) -> float:
+    """Integrate f over [a, b] to absolute tolerance SIMPSON_TOL.
 
     The range is seeded with ``n_panels`` equal panels (callers choose the
     count from the integrand's known oscillation scale); each panel is then
@@ -44,10 +42,10 @@ def adaptive_simpson(
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     total = 0.0
-    budget = max_intervals
+    budget = SIMPSON_INTERVALS
     while lo.size:
         if lo.size > budget:
-            raise QuadratureError(f"adaptive_simpson exceeded {max_intervals} intervals")
+            raise QuadratureError(f"adaptive_simpson exceeded {SIMPSON_INTERVALS} intervals")
         mid = 0.5 * (lo + hi)
         lmid = f(0.5 * (lo + mid))
         rmid = f(0.5 * (mid + hi))
@@ -55,7 +53,7 @@ def adaptive_simpson(
         right = (hi - mid) / 6.0 * (fmid + 4.0 * rmid + fhi)
         err = left + right - whole
         # per-interval tolerance share, floored to keep kink intervals finite
-        share = tol * np.maximum((hi - lo) / (b - a), 1e-12)
+        share = SIMPSON_TOL * np.maximum((hi - lo) / (b - a), 1e-12)
         done = np.abs(err) <= 15.0 * share
         total += float(np.sum((left + right + err / 15.0)[done]))
         keep = ~done
@@ -74,7 +72,7 @@ def adaptive_simpson(
     return total
 
 
-def autocovariance(density, h: int, tol: float = 1e-12, max_nodes: int = 2**18) -> float:
+def autocovariance(density: Callable[[np.ndarray], np.ndarray], h: int) -> float:
     """gamma(h) = (1/2pi) integral of f(t) cos(h t) over [-pi, pi].
 
     Midpoint-doubling: exact (up to rounding) once the node count exceeds
@@ -83,14 +81,14 @@ def autocovariance(density, h: int, tol: float = 1e-12, max_nodes: int = 2**18) 
     """
     def mean(n: int) -> float:
         mids = -math.pi + (2.0 * np.arange(n) + 1.0) * (math.pi / n)
-        return float(np.mean(density(mids) * np.cos(h * mids)))
+        return float(np.mean(np.asarray(density(mids), dtype=float) * np.cos(h * mids)))
 
     n = 64
     prev = mean(n)
-    while n < max_nodes:
+    while n < AUTOCOVARIANCE_NODES:
         n *= 2
         cur = mean(n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= AUTOCOVARIANCE_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureError(f"autocovariance quadrature did not converge for lag {h}")

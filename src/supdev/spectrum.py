@@ -4,8 +4,9 @@ A PolynomialSpec evaluates its coefficients a_y..a_x and frequencies
 L_y..L_x once, when it is built, and everything downstream (bounds, Monte
 Carlo, rational-frequency approximation) reads those read-only arrays;
 no other module evaluates a sequence.  Shared aggregates are defined here
-once: ``power_sum`` (sum a_k^p) and ``node_floor`` (2 pi sum j_k a_k^2).
-Empty ranges follow the convention sum() == 0.
+once: ``power_sum`` (sum a_k^p), ``variance`` (A = sum a_k^2, refused
+when 0) and ``node_floor`` (2 pi sum j_k a_k^2).  Empty ranges follow the
+convention sum() == 0.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ __all__ = [
     "CoefficientSeq",
     "FrequencySeq",
     "PolynomialSpec",
-    "SpectralDensity",
     "GeometricMean",
     "ModerateCondition",
     "node_floor",
     "power_sum",
+    "variance",
     "check_moderate_condition",
     "spectral_geometric_mean",
     "primes_up_to",
@@ -116,8 +117,9 @@ class FrequencySeq:
     """
 
     kind: str  # "integer" | "real" | "rational"
-    explicit: Optional[tuple] = None  # ints, floats, or (num, den) pairs
+    explicit: Optional[tuple] = None  # ints, floats, or (num, den) pairs for k = first, first + 1, ...
     rule: Optional[Callable[[int], float]] = None  # 1-based k -> j_k or L_k
+    first: int = 1  # the index k of explicit[0]
 
     def __post_init__(self):
         if self.kind not in ("integer", "real", "rational"):
@@ -144,16 +146,13 @@ class FrequencySeq:
         if k < 1:
             raise DomainError(f"frequency index k={k} < 1")
         if self.explicit is not None:
-            if k > len(self.explicit):
-                raise DomainError(f"frequency index k={k} beyond explicit length {len(self.explicit)}")
-            v = self.explicit[k - 1]
+            i = k - self.first
+            if not 0 <= i < len(self.explicit):
+                last = self.first + len(self.explicit) - 1
+                raise DomainError(f"frequency index k={k} outside the explicit range [{self.first}, {last}]")
+            v = self.explicit[i]
             return v[0] / v[1] if self.kind == "rational" else float(v)
         return float(self.rule(k))
-
-    def rational_pair(self, k: int) -> tuple:
-        if self.kind != "rational":
-            raise DomainError("rational_pair only defined for rational frequency sequences")
-        return self.explicit[k - 1]
 
     def values(self, y: int, x: int) -> np.ndarray:
         """Frequencies y..x as floats (empty array when x < y)."""
@@ -231,6 +230,22 @@ def power_sum(spec: PolynomialSpec, p: int) -> float:
     return total
 
 
+def variance(spec: PolynomialSpec) -> float:
+    """A = sum_{y<=k<=x} a_k^2, the variance of X_{y,x}(u) at every u, which
+    every bound normalizes by.  A = 0 raises DomainError naming its cause:
+    an empty range, vanishing coefficients, or squares that underflow."""
+    a2 = power_sum(spec, 2)
+    if a2 == 0.0:
+        if spec.n_terms == 0:
+            why = "the range is empty"
+        elif not np.any(spec.coeff_values()):
+            why = "every coefficient on it vanishes"
+        else:
+            why = "the coefficients are nonzero, so their squares underflow"
+        raise DomainError(f"A(x) = sum of a_k^2 over [{spec.y}, {spec.x}] is 0: {why}")
+    return a2
+
+
 def node_floor(spec: PolynomialSpec) -> float:
     """2 pi sum_{y<=k<=x} j_k a_k^2, the node floor of the periodic cyclic
     rule (A times the Riemann-gap bound); 0 on the empty range, inf past
@@ -260,17 +275,6 @@ def check_moderate_condition(spec: PolynomialSpec, eta: float) -> ModerateCondit
     return ModerateCondition(lhs <= rhs, lhs, rhs)
 
 
-@dataclass
-class SpectralDensity:
-    """Nonnegative density on [-pi, pi], used only through real evaluations."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(np.asarray(t, dtype=float)), dtype=float)
-
-
 class GeometricMean(NamedTuple):
     value: float
     log_mean: float
@@ -279,44 +283,41 @@ class GeometricMean(NamedTuple):
 
 
 _TINY = np.finfo(float).tiny  # log-clip floor; an exact zero contributes log(tiny)
+GEOMETRIC_MEAN_TOL = 1e-10  # absolute, on successive log-means
+GEOMETRIC_MEAN_NODES = 2**22  # midpoint budget of one geometric mean
+LOG_MEAN_CUTOFF = -300.0  # two log-means below it read as G = 0
 
 
-def spectral_geometric_mean(
-    density: SpectralDensity,
-    tol: float = 1e-10,
-    max_nodes: int = 2**22,
-    diverge_cutoff: float = -300.0,
-) -> GeometricMean:
+def spectral_geometric_mean(density: Callable[[np.ndarray], np.ndarray]) -> GeometricMean:
     """exp of the mean of log f over [-pi, pi] by midpoint-doubling quadrature.
 
     Midpoint sums tolerate integrable log-singularities at isolated zeros of
     f.  The estimate sequence is refined by doubling until two successive
-    log-means differ by less than ``tol`` (an absolute tolerance on the log
-    is a relative tolerance on the mean itself).  A log-mean that falls
-    below ``diverge_cutoff`` is reported as the legitimate value-0 branch;
-    running out of nodes without converging raises QuadratureError instead.
+    log-means differ by less than GEOMETRIC_MEAN_TOL (an absolute tolerance
+    on the log is a relative tolerance on the mean itself).  A log-mean that
+    falls below LOG_MEAN_CUTOFF is reported as the legitimate value-0
+    branch; running out of GEOMETRIC_MEAN_NODES without converging raises
+    QuadratureError instead.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol={tol} must be positive")
 
     def log_mean(n: int) -> float:
         mids = -math.pi + (2.0 * np.arange(n) + 1.0) * (math.pi / n)
-        vals = density(mids)
+        vals = np.asarray(density(mids), dtype=float)
         if not np.all(vals >= 0.0):
             raise DomainError("spectral density is negative or NaN on the midpoint grid")
         return float(np.mean(np.log(np.maximum(vals, _TINY))))
 
     n = 16
     prev = log_mean(n)
-    while n < max_nodes:
+    while n < GEOMETRIC_MEAN_NODES:
         n *= 2
         cur = log_mean(n)
-        if cur < diverge_cutoff and prev < diverge_cutoff:
+        if cur < LOG_MEAN_CUTOFF and prev < LOG_MEAN_CUTOFF:
             return GeometricMean(0.0, cur, n, False)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < GEOMETRIC_MEAN_TOL:
             return GeometricMean(math.exp(cur), cur, n, True)
         prev = cur
     raise QuadratureError(
-        f"geometric-mean quadrature did not converge within {max_nodes} nodes "
+        f"geometric-mean quadrature did not converge within {GEOMETRIC_MEAN_NODES} nodes "
         f"(last log-mean {prev:.6g}); this is distinct from the value-0 branch"
     )

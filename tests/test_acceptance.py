@@ -30,7 +30,7 @@ from supdev.kronecker import (
 )
 from supdev.mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_vector_sup_prob, sup_diff_samples
 from supdev.quadrature import autocovariance
-from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, SpectralDensity, power_sum
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, power_sum
 
 
 def report(num, name, detail=""):
@@ -91,7 +91,7 @@ def _random_density(rng):
             val = val + cj * e**j
         return (np.abs(val) ** 2 + floor) / mass
 
-    return SpectralDensity(f)
+    return f
 
 
 def test_03_szego_sandwich():

@@ -21,7 +21,7 @@ from supdev.bounds import (
 from supdev.errors import DomainError
 from supdev.mc import CovarianceSpec, mc_vector_sup_prob
 from supdev.quadrature import autocovariance
-from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, SpectralDensity
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
 
 def ones_spec(x, y=1):
@@ -271,22 +271,22 @@ class TestProductBoundsBeyondFloat:
 
 class TestSzego:
     def test_unit_density_bounds_coincide(self):
-        sz = szego_bounds(SpectralDensity(lambda t: np.ones_like(t)), 4, 1.2)
+        sz = szego_bounds(lambda t: np.ones_like(t), 4, 1.2)
         assert sz.lower == pytest.approx(sz.upper, rel=1e-10)
         assert sz.lower == pytest.approx((2 * float(ndtr(1.2)) - 1) ** 4, rel=1e-12)
 
     def test_exp_cos_frozen(self):
-        sz = szego_bounds(SpectralDensity(lambda t: np.exp(np.cos(t))), 5, 1.0)
+        sz = szego_bounds(lambda t: np.exp(np.cos(t)), 5, 1.0)
         assert sz.g_value == pytest.approx(1.0, rel=1e-9)
         assert sz.lower == pytest.approx(0.14829144308886252, rel=1e-9)
         assert sz.upper == pytest.approx(sz.lower, rel=1e-8)
 
     def test_zero_geometric_mean_gives_vacuous_upper(self):
-        sz = szego_bounds(SpectralDensity(lambda t: np.zeros_like(t)), 3, 1.0)
+        sz = szego_bounds(lambda t: np.zeros_like(t), 3, 1.0)
         assert sz.upper == 1.0 and sz.vacuous_upper
 
     def test_large_z_both_tend_to_one(self):
-        sz = szego_bounds(SpectralDensity(lambda t: np.exp(np.cos(t))), 3, 30.0)
+        sz = szego_bounds(lambda t: np.exp(np.cos(t)), 3, 30.0)
         assert sz.lower == pytest.approx(1.0, abs=1e-12)
         assert sz.upper == pytest.approx(1.0, abs=1e-12)
 
@@ -303,7 +303,7 @@ class TestSzego:
                 val = val + cj * e**j
             return (np.abs(val) ** 2 + 0.05) / mass
 
-        dens = SpectralDensity(f)
+        dens = f
         n, z = 4, 1.4
         sz = szego_bounds(dens, n, z)
         assert sz.g_value <= 1.0 + 1e-12

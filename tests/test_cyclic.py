@@ -22,7 +22,7 @@ from supdev.cyclic import (
     transfer_bound,
 )
 from supdev.errors import BudgetError, DomainError
-from supdev.mc import GridSpec, mc_expected_sup_diff, sup_diff_samples
+from supdev.mc import GridSpec, mc_expected_sup_diff, sample_path, sup_diff_samples
 from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
 
 
@@ -138,7 +138,7 @@ class TestPerpProcess:
 
     def test_rational_pairs_exposed(self):
         perp = perp_process(real_spec(2), TestSequence(kind="pow2"))
-        num, den = perp.freqs.rational_pair(1)
+        num, den = perp.freqs.explicit[0]
         assert den == 2 and num == math.floor(2 * 2**0.5)
 
     def test_reads_the_frequencies_the_spec_holds(self, monkeypatch):
@@ -156,6 +156,19 @@ class TestPerpProcess:
         monkeypatch.setattr(FrequencySeq, "value", refuse)
         perp = perp_process(spec, ts)
         assert perp.freqs.explicit == expect
+
+    @pytest.mark.parametrize("y, x", [(2, 2), (2, 9), (5, 5), (7, 20), (40, 45)])
+    @pytest.mark.parametrize("ts_kind", ["pow2", "identity"])
+    def test_companion_of_a_range_past_the_first_index(self, y, x, ts_kind):
+        # the exact pairs start at k = y, so index k reads floor(N_k L_k) / N_k
+        spec = real_spec(x, y=y, coeff_kind="inv_sqrt")
+        ts = TestSequence(kind=ts_kind)
+        perp = perp_process(spec, ts)
+        want = [math.floor(ts.value(k) * spec.freqs.value(k)) / ts.value(k) for k in range(y, x + 1)]
+        assert perp.freq_values().tolist() == want
+        assert perp.coeff_values().tobytes() == spec.coeff_values().tobytes()
+        with pytest.raises(DomainError, match=f"frequency index k={y - 1} outside the explicit range"):
+            perp.freqs.value(y - 1)
 
 
 class TestDeltaTerm:
@@ -318,6 +331,16 @@ class TestCouplingIdentity:
         sups = sup_diff_samples(spec, perp, GridSpec.uniform(1.0, 4.0, 512), 200, seed=4)
         bound = sup_diff_bound(spec, ts, U=4.0, C=1.0)
         assert sups.mean() <= 8.0 * bound.bound  # loose sanity: same scale
+
+    def test_coupled_difference_past_the_first_index(self):
+        # on [y, x] with y > 1 both paths read the same (g_k, g'_k)
+        spec = real_spec(12, y=5, coeff_kind="inv_sqrt")
+        perp = perp_process(spec, TestSequence(kind="pow2"))
+        grid = GridSpec.uniform(1.0, 4.0, 256)
+        sups = sup_diff_samples(spec, perp, grid, 200, seed=4)
+        paths = sample_path(spec, grid, seed=4, reps=200) - sample_path(perp, grid, seed=4, reps=200)
+        assert np.allclose(sups, np.abs(paths).max(axis=1), rtol=1e-12, atol=1e-12)
+        assert sups.max() > 0.0
 
 
 def _old_kappa_blocks(ts, lo, hi):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,3 +350,32 @@ class TestCyclicDeviationBound:
             grid = GridSpec.lattice(step=1.0 / n, count=z + 1)
             est = mc_sup_prob(spec, grid, theta, 2000, seed=int(rng.integers(1 << 30)))
             assert est.estimate <= rep.value + 3.0 * est.half_width
+
+
+class TestZeroVariance:
+    """Both cyclic statements refuse A = 0 and name its cause."""
+
+    EMPTY = PolynomialSpec(
+        coeffs=CoefficientSeq(kind="ones"),
+        freqs=FrequencySeq(kind="integer", rule=lambda k: k),
+        y=3,
+        x=2,
+        convention="2pi",
+    )
+    CASES = {
+        "empty": (EMPTY, "over [3, 2] is 0: the range is empty"),
+        "vanishing": (int_spec([0.0, 0.0], [1, 2]), "over [1, 2] is 0: every coefficient on it vanishes"),
+        "underflow": (
+            int_spec([1e-200, 1e-200], [1, 2]),
+            "over [1, 2] is 0: the coefficients are nonzero, so their squares underflow",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cause_named(self, case):
+        spec, cause = self.CASES[case]
+        message = re.escape(f"A(x) = sum of a_k^2 {cause}")
+        with pytest.raises(DomainError, match=message):
+            decoupling_coeff_cyclic(spec, 8)
+        with pytest.raises(DomainError, match=message):
+            cyclic_deviation_bound(spec, 8, 0.5, 1.0)

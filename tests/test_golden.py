@@ -21,12 +21,18 @@ transfer spec and its rational companion on [1, U], and an empty range;
 and the ``repr`` of ``mc_sup_prob`` for a transfer spec and its companion
 over several chunks.
 
+``verdicts.txt`` holds the default verdict set, one ``kind/row PASS|FAIL|info``
+line per row of the same seed-0 records: the run's exit code cannot show a
+new failure while ``lattice-correlation/variance_floor`` fails by
+construction, so a row that changes verdict is reported by name.
+
 The pins belong to a BLAS kernel and a BLAS thread count.  With OpenBLAS
 at one thread the CSV, ``DIRECT`` and ``PATH_PROBS`` pins still hold and
 are checked in a fresh process; three ``PATH_BYTES`` path pins do not, as
 their GEMM sums in another order.
 """
 
+import functools
 import hashlib
 import math
 from pathlib import Path
@@ -67,10 +73,24 @@ KINDS = (
 )
 
 
+@functools.cache
+def default_record(kind):
+    """The kind's default record at seed 0, run once for both its pins."""
+    return run_experiment(default_config(kind), seed=0)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_default_csv_bytes(kind):
     expected = (GOLDEN / f"{kind}.csv").read_text(encoding="utf-8")
-    assert csv_without_timing([run_experiment(default_config(kind), seed=0)]) == expected
+    assert csv_without_timing([default_record(kind)]) == expected
+
+
+def test_default_verdict_set():
+    verdict = {True: "PASS", False: "FAIL", None: "info"}
+    got = [f"{kind}/{row.name} {verdict[row.passed]}" for kind in KINDS for row in default_record(kind).checks]
+    expected = (GOLDEN / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    changed = {"new": sorted(set(got) - set(expected)), "gone": sorted(set(expected) - set(got))}
+    assert got == expected, f"default verdict set changed: {changed}"
 
 
 EQUI5 = CovarianceSpec.equicorrelated(5, 0.3)

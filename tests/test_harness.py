@@ -922,8 +922,10 @@ class TestNamedDomainErrors:
     coefficients and frequencies come in lists of one length, divergence
     rungs are at least 1, a transfer grid has at least one node per unit,
     the OU covariance is large enough for its row sum to reach the limit
-    within the row's tolerance, and a zero A(x) names its cause: an empty
-    transfer range, or divergence coefficients whose squares underflow."""
+    within the row's tolerance, a transfer test sequence is one a config
+    can build, and a zero A(x) names its cause: an empty transfer range, or
+    divergence or lattice-correlation coefficients whose squares
+    underflow."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
              "omega": "5", "t_hi": "10000"}
@@ -963,6 +965,15 @@ class TestNamedDomainErrors:
         "divergence_underflow": (
             "divergence", {"coeffs": "1e-200 1e-200 1e-200 1e-200"}, "over [1, 4] is 0: the coefficients are nonzero"
         ),
+        "correlation_underflow": (
+            "lattice-correlation",
+            {"coeffs": "1e-200 1e-200"},
+            "A(x) = sum of a_k^2 over [1, 2] is 0: the coefficients are nonzero, so their squares underflow",
+        ),
+        # a config sets no floor_value, so N_k = max(k, 1) would silently be identity
+        "transfer_ts_floor": (
+            "cyclic-transfer", {"ts_kind": "floor"}, "ts_kind='floor': a config can build 'pow2' or 'identity'"
+        ),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -986,6 +997,8 @@ class TestNamedDomainErrors:
             ("kronecker-search", dict(THREE, C="1e300"), "count_lower_iii: bound=inf"),
             # the smallest OU covariance whose row sum reaches the limit within 1e-3
             ("decoupling", {"ou_n": "34"}, "ou_decoupling_constant: mc=4.08216 bound=4.08299 margin=0.000169241 PASS"),
+            # the companion of a range that starts past k = 1
+            ("cyclic-transfer", {"y": "2"}, "delta: bound=4.05848"),
         ],
     )
     def test_cli_ends_in_a_record(self, kind, overrides, shown, capsys, tmp_path, deadline):

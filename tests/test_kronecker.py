@@ -817,14 +817,14 @@ class TestLatticeCorrelation:
         beta, omega, c = 0.3, 100, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=1)
         assert pts
-        res = lattice_correlation(raw_spec([1.0], lam), 1.0, omega, beta, c, pts)
+        res = lattice_correlation(raw_spec([1.0], lam), omega, beta, c, pts)
         assert res.max_offdiag_corr == -math.inf
         assert res.var_ratio_min == pytest.approx(math.cos(lam[0] * pts[0]) ** 2, rel=1e-9)
 
     def test_filter_rejects_far_points(self):
         lam = [math.sqrt(2.0)]
         with pytest.raises(DomainError, match="filter"):
-            lattice_correlation(raw_spec([1.0], lam), 1.0, 100, 0.3, 0.6, [0.123])
+            lattice_correlation(raw_spec([1.0], lam), 100, 0.3, 0.6, [0.123])
 
     def test_variance_floor_structurally_fails(self):
         # admissibility forces beta^2 > 6/omega while the floor needs
@@ -835,7 +835,7 @@ class TestLatticeCorrelation:
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
         assert len(pts) == 2
         spec = raw_spec([1.0, 0.8], lam)
-        res = lattice_correlation(spec, 1.0, omega, beta, c, pts)
+        res = lattice_correlation(spec, omega, beta, c, pts)
         eta = 1.0 - 2.0 / omega
         assert res.eta == pytest.approx(eta)
         assert res.var_ratio_min == pytest.approx(math.cos(beta) ** 2, abs=0.05)
@@ -845,22 +845,22 @@ class TestLatticeCorrelation:
         lam = [math.sqrt(2.0), math.sqrt(3.0)]
         beta, omega, c = 0.35, 60, 0.6
         pts = self._find_admissible_points(lam, beta, omega, count=2, mix_parity=True)
-        res = lattice_correlation(raw_spec([1.0, 0.8], lam), 1.0, omega, beta, c, pts)
+        res = lattice_correlation(raw_spec([1.0, 0.8], lam), omega, beta, c, pts)
         assert res.max_offdiag_corr <= res.eta
 
     def test_precondition_names(self):
         lam = [math.sqrt(2.0)]
         spec = raw_spec([1.0], lam)
         with pytest.raises(DomainError, match="c="):
-            lattice_correlation(spec, 1.0, 100, 0.3, 0.9, [1.0])
+            lattice_correlation(spec, 100, 0.3, 0.9, [1.0])
         with pytest.raises(DomainError, match="omega"):
-            lattice_correlation(spec, 1.0, 3, 0.3, 0.6, [1.0])
+            lattice_correlation(spec, 3, 0.3, 0.6, [1.0])
 
     @pytest.mark.parametrize("beta", [0.0, 1e-300, -1e-300])
     def test_vanishing_beta_needs_an_infinite_omega(self, beta):
         spec = raw_spec([1.0], [math.sqrt(2.0)])
         with pytest.raises(DomainError, match=r"12 pi / \(c \(pi beta\)\^2\) = inf"):
-            lattice_correlation(spec, 1.0, 100, beta, 0.6, [1.0])
+            lattice_correlation(spec, 100, beta, 0.6, [1.0])
 
 
 class TestBoundCosLattice:

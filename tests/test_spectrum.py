@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,12 @@ from supdev.spectrum import (
     CoefficientSeq,
     FrequencySeq,
     PolynomialSpec,
-    SpectralDensity,
     check_moderate_condition,
     node_floor,
     power_sum,
     primes_up_to,
     spectral_geometric_mean,
+    variance,
 )
 
 
@@ -65,6 +66,36 @@ class TestPowerSum:
     def test_cauchy_schwarz_fourth_vs_second(self, values):
         spec = make_spec("explicit", 1, len(values), coeffs=values)
         assert math.sqrt(power_sum(spec, 4)) <= power_sum(spec, 2) + 1e-12
+
+
+class TestVariance:
+    """A = sum a_k^2 is returned as power_sum gives it; A = 0 raises with
+    its cause, worked out from the data."""
+
+    def test_positive_is_the_power_sum(self):
+        spec = make_spec("inv_sqrt", 3, 40)
+        assert variance(spec) == power_sum(spec, 2)
+
+    @pytest.mark.parametrize(
+        "spec, cause",
+        [
+            (make_spec("ones", 6, 5), "over [6, 5] is 0: the range is empty"),
+            (make_spec("prime_inv_sqrt", 8, 10), "over [8, 10] is 0: every coefficient on it vanishes"),
+            (
+                make_spec("explicit", 1, 3, coeffs=[1e-200, 0.0, -1e-170]),
+                "over [1, 3] is 0: the coefficients are nonzero, so their squares underflow",
+            ),
+        ],
+        ids=["empty", "vanishing", "underflow"],
+    )
+    def test_zero_names_its_cause(self, spec, cause):
+        with pytest.raises(DomainError, match=re.escape(f"A(x) = sum of a_k^2 {cause}")):
+            variance(spec)
+
+    def test_message_is_written_once(self):
+        # every refusal of A = 0 goes through variance
+        sources = [p.read_text(encoding="utf-8") for p in Path(spectrum.__file__).parent.glob("*.py")]
+        assert sum(text.count("sum of a_k^2 over") for text in sources) == 1
 
 
 NODE_FLOOR_SPECS = [
@@ -234,7 +265,7 @@ class TestFrequencies:
 
     def test_rational_pairs_exact(self):
         seq = FrequencySeq.rationals([(14, 10), (3, 2)])
-        assert seq.rational_pair(1) == (14, 10)
+        assert seq.explicit[0] == (14, 10)
         assert seq.value(1) == pytest.approx(1.4)
 
     def test_spec_requires_integer_for_periodic_convention(self):
@@ -267,39 +298,38 @@ class TestModerateCondition:
 
 class TestGeometricMean:
     def test_unit_density(self):
-        res = spectral_geometric_mean(SpectralDensity(lambda t: np.ones_like(t)))
+        res = spectral_geometric_mean(lambda t: np.ones_like(t))
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.log_integrable
 
     def test_exp_cos_density(self):
         # mean of cos over the circle vanishes, so the geometric mean is 1
-        res = spectral_geometric_mean(SpectralDensity(lambda t: np.exp(np.cos(t))))
+        res = spectral_geometric_mean(lambda t: np.exp(np.cos(t)))
         assert res.value == pytest.approx(1.0, rel=1e-9)
 
     def test_constant_density(self):
-        res = spectral_geometric_mean(SpectralDensity(lambda t: np.full_like(t, 2.5)))
+        res = spectral_geometric_mean(lambda t: np.full_like(t, 2.5))
         assert res.value == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_density_hits_zero_branch(self):
-        dens = SpectralDensity(lambda t: np.zeros_like(t))
-        res = spectral_geometric_mean(dens)
+        res = spectral_geometric_mean(lambda t: np.zeros_like(t))
         assert res.value == 0.0
         assert not res.log_integrable
 
     def test_negative_density_rejected(self):
         with pytest.raises(DomainError):
-            spectral_geometric_mean(SpectralDensity(lambda t: np.cos(t)))
+            spectral_geometric_mean(lambda t: np.cos(t))
         # a NaN value is refused at once, not carried to the node budget
         with pytest.raises(DomainError, match="negative or NaN"):
-            spectral_geometric_mean(SpectralDensity(lambda t: np.where(t > 3.0, np.nan, 1.0)))
+            spectral_geometric_mean(lambda t: np.where(t > 3.0, np.nan, 1.0))
 
-    def test_nonconvergence_distinct_from_zero(self):
+    def test_nonconvergence_distinct_from_zero(self, monkeypatch):
         # a density with a genuinely non-integrable log singularity:
         # f = exp(-1/|t|) has log f = -1/|t|, divergent but too slowly to
         # hit the cutoff -> the quadrature must report failure, not 0
-        dens = SpectralDensity(lambda t: np.exp(-1.0 / np.maximum(np.abs(t), 1e-300)))
-        with pytest.raises(QuadratureError):
-            spectral_geometric_mean(dens, tol=1e-12, max_nodes=2**14)
+        monkeypatch.setattr(spectrum, "GEOMETRIC_MEAN_NODES", 2**14)
+        with pytest.raises(QuadratureError, match="within 16384 nodes"):
+            spectral_geometric_mean(lambda t: np.exp(-1.0 / np.maximum(np.abs(t), 1e-300)))
 
     def test_am_gm_on_random_positive_trig_polys(self, rng):
         for _ in range(12):
@@ -314,7 +344,7 @@ class TestGeometricMean:
                     val = val + cj * e**j
                 return np.abs(val) ** 2 + 0.05
 
-            dens = SpectralDensity(f)
+            dens = f
             g = spectral_geometric_mean(dens).value
             arithmetic = float(np.sum(c * c)) + 0.05  # mean of |q|^2 + floor
             assert g <= arithmetic + 1e-10
