@@ -6,7 +6,7 @@ reports, per configuration and overall, the largest constant C for which
 the coupled comparison still passes (the admissible set is an interval
 (0, C_max]).  For the lattice search it reports the largest C keeping both
 count lower bounds below the observed count.  Constants are printed only;
-defaults in the package never change.  --seed is the seed override
+defaults in the package never change.  --seed is the seed of every run
 (SUPDEV_SEED is not read); a package error, such as an invalid seed, ends
 the run in one stderr line and the exit code ``supdev calibrate`` gives it.
 """
@@ -48,11 +48,11 @@ def main() -> int:
         overall = math.inf
         for U, x in ((4.0, 200), (16.0, 100), (64.0, 50)):
             cfg = default_config("cyclic-transfer")
-            out = calibrate(replace(cfg, params=dict(cfg.params, U=U, x=x), reps=args.reps), seed=args.seed)
+            out = calibrate(replace(cfg, params=dict(cfg.params, U=U, x=x), reps=args.reps, seed=args.seed))
             overall = min(overall, out["c_max"])
             print(f"transfer U={U:<5} x={x:<4} largest admissible C = {out['c_max']:.4g}")
         print(transfer_summary(overall))
-        out = calibrate(default_config("kronecker-search"), seed=args.seed)
+        out = calibrate(default_config("kronecker-search", seed=args.seed))
         print(f"lattice-count: largest C keeping lower bounds below count = {out['c_max']:.4g} "
               f"(count = {out['count']})")
     except SupdevError as exc:

@@ -1,10 +1,19 @@
 """Command-line entry point.
 
-A verify run ends with the line ``overall: PASS|FAIL - P passed, F failed:
-kind/row, ...``.  Exit codes: 0 when every assertion row passes, 1 when any
-assertion fails, 2 for usage errors, 3 for a computation that could not
-finish.  A package error ends the run in one stderr line ``<label>:
-<message>`` and its class's exit code:
+``supdev verify [kind ...]`` runs the named experiment kinds in the order
+given, or every kind in ``EXPERIMENT_KINDS`` order when none is named.
+Every config of the run (kinds, ``-c``, ``--reps``, ``--workers``, seed and
+output paths) is built and checked before the first kind runs; ``-c``
+needs exactly one kind.  Each output file, named by ``--csv``, ``--json``
+or ``--plotdata`` or by a config's ``[output]`` section, is written once,
+after the last run, and holds every record of the run.  The run then
+prints each record and ends with the line ``overall: PASS|FAIL - P passed,
+F failed: kind/row, ...``.
+
+Exit codes: 0 when every assertion row passes, 1 when any assertion fails,
+2 for usage errors, 3 for a computation that could not finish.  A package
+error ends the run in one stderr line ``<label>: <message>``, with nothing
+on stdout, and its class's exit code:
 
     ConfigError         config error     2   bad config, unreadable or unwritable path
     DomainError         domain error     2   input outside a stated domain
@@ -12,8 +21,8 @@ finish.  A package error ends the run in one stderr line ``<label>:
     QuadratureError     numerical error  3   quadrature out of nodes before converging
     FactorizationError  numerical error  3   covariance not factorizable after jitter
 
-The seed resolves as CLI flag > SUPDEV_SEED environment variable > config
-file > 0 and is echoed in every output row.
+The seed resolves here, once, into each config: CLI flag > SUPDEV_SEED
+environment variable > config file > 0.  It is echoed in every output row.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, SupdevError
 from .harness import (
@@ -36,6 +46,7 @@ from .harness import (
 )
 
 SEED_ENV_VAR = "SUPDEV_SEED"
+OUTPUT_FORMATS = ("csv", "json", "plotdata")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,12 +62,6 @@ def _add_common(sub):
     sub.add_argument("--workers", type=int, default=None, help="worker threads (results do not depend on this)")
 
 
-def _add_outputs(sub):
-    sub.add_argument("--csv", help="write rows as CSV to this path")
-    sub.add_argument("--json", help="write the record as JSON to this path")
-    sub.add_argument("--plotdata", help="write (x, mc, mc_lo, mc_hi, bound) rows to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="supdev",
@@ -67,14 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser(
         "verify",
-        help="run one experiment kind's standard comparison",
+        help="run experiment kinds' standard comparisons (every kind when none is named)",
         description="Checks for each kind:\n"
         + "\n".join(f"  {name:>19}: {kind.help}" for name, kind in KINDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_verify.add_argument("kind", choices=EXPERIMENT_KINDS)
+    # kind names are checked by default_config, not by choices: with nargs="*"
+    # some Pythons test the empty list against the choices
+    p_verify.add_argument("kinds", nargs="*", metavar="kind", help="kinds to run, in order (default: every kind)")
     _add_common(p_verify)
-    _add_outputs(p_verify)
+    p_verify.add_argument("--csv", help="write every record's rows as CSV to this path")
+    p_verify.add_argument("--json", help="write every record as JSON to this path")
+    p_verify.add_argument("--plotdata", help="write (x, mc, mc_lo, mc_hi, bound) rows to this path")
 
     p_cal = subs.add_parser("calibrate", help="fit free constants and report them (never persisted)")
     p_cal.add_argument("kind", choices=tuple(name for name in EXPERIMENT_KINDS if KINDS[name].calibrate))
@@ -83,29 +92,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args, kind):
+def _config(args, kind):
+    """The kind's config with the overrides and the seed applied:
+    --seed, else SUPDEV_SEED, else the config's seed (0 when it sets none)."""
     if args.config:
         cfg = load_config(args.config)
         if cfg.kind != kind:
             raise ConfigError(f"config kind {cfg.kind!r} does not match requested {kind!r}")
     else:
         cfg = default_config(kind)
-    updates = {}
-    if args.reps is not None:
-        updates["reps"] = args.reps
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
-
-
-def _seed_override(args):
-    """--seed, else SUPDEV_SEED, else None (the library then takes the config's seed, else 0)."""
+    updates = {name: getattr(args, name) for name in ("seed", "reps", "workers") if getattr(args, name) is not None}
     env = os.environ.get(SEED_ENV_VAR)
-    return check_seed(env, SEED_ENV_VAR) if args.seed is None and env is not None else args.seed
+    if args.seed is None and env is not None:
+        updates["seed"] = check_seed(env, SEED_ENV_VAR)
+    return replace(cfg, **updates)
+
+
+def _outputs(args, configs) -> dict:
+    """Format -> path of every file the run writes: the configs' [output]
+    sections, then the flags.  An empty path, or one path named by two
+    formats, is a config error."""
+    outputs = {}
+    for cfg in configs:
+        outputs.update(cfg.output)
+    outputs.update({fmt: getattr(args, fmt) for fmt in OUTPUT_FORMATS if getattr(args, fmt) is not None})
+    owner = {}
+    for fmt, path in outputs.items():
+        if not path:
+            raise ConfigError(f"{fmt} output path is empty")
+        other = owner.setdefault(os.path.abspath(path), fmt)
+        if other != fmt:
+            raise ConfigError(f"{other} and {fmt} outputs both name {path!r}")
+    return outputs
 
 
 def _print_record(record) -> None:
@@ -125,29 +143,35 @@ def _print_record(record) -> None:
         print(" ".join(bits))
 
 
-def _write_outputs(record, cfg, args):
-    flags = {fmt: getattr(args, fmt) for fmt in ("csv", "json", "plotdata") if getattr(args, fmt)}
-    for fmt, path in {**cfg.output, **flags}.items():
-        emit([record], fmt, path)
+def _verify(args) -> int:
+    kinds = args.kinds or EXPERIMENT_KINDS
+    if args.config and len(args.kinds) != 1:
+        raise ConfigError(f"-c takes exactly one kind, got {len(args.kinds)}")
+    configs = [_config(args, kind) for kind in kinds]
+    outputs = _outputs(args, configs)
+    records = [run_experiment(cfg) for cfg in configs]
+    for fmt, path in outputs.items():
+        emit(records, fmt, path)
+    for record in records:
+        _print_record(record)
+    for fmt, path in outputs.items():
         print(f"wrote {fmt} -> {path}")
+    print(run_summary(records))
+    return 0 if all(record.all_passed() for record in records) else 1
+
+
+def _calibrate(args) -> int:
+    result = calibrate(_config(args, args.kind))
+    for key, val in result.items():
+        print(f"{key}={val}")
+    print("note: calibrated constants are reported only, never stored as defaults")
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args, args.kind)
-        if args.command == "calibrate":
-            result = calibrate(cfg, seed=_seed_override(args))
-            for key, val in result.items():
-                print(f"{key}={val}")
-            print("note: calibrated constants are reported only, never stored as defaults")
-            return 0
-        record = run_experiment(cfg, seed=_seed_override(args))
-        _print_record(record)
-        _write_outputs(record, cfg, args)
-        print(run_summary([record]))
-        return 0 if record.all_passed() else 1
+        return _verify(args) if args.command == "verify" else _calibrate(args)
     except SupdevError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

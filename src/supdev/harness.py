@@ -161,11 +161,12 @@ class ExperimentConfig:
     source: the kind is text, params and output are mappings, seed, reps,
     workers and int params are ints, float params floats, list params
     tuples and output paths text, so a config hashes and runs the same as
-    its INI text.  Omitted reps take the kind's replication count."""
+    its INI text.  Omitted reps take the kind's replication count, and an
+    omitted seed is 0."""
 
     kind: str
     params: dict
-    seed: Optional[int] = None
+    seed: int = 0
     reps: Optional[int] = None
     workers: int = 1
     output: dict = field(default_factory=dict)
@@ -186,8 +187,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(getattr(self, name), "int", name))
         if self.reps < 1 or self.workers < 1:
             raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         object.__setattr__(self, "params", _validate_params(self.kind, self.params))
 
     def canonical(self) -> str:
@@ -260,11 +260,6 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def effective_seed(config: ExperimentConfig, seed: Optional[int] = None) -> int:
-    """The override ``seed`` if given, else the config's seed, else 0."""
-    return (config.seed or 0) if seed is None else check_seed(seed, "seed override")
-
-
 @dataclass
 class CheckRow:
     """One comparison row: an estimate, the bound it is checked against, and
@@ -322,19 +317,19 @@ def _row_from_estimate(name, est, bound, x=None):
 # experiment runners
 
 
-def _run_equicorrelated(cfg: ExperimentConfig, seed: int) -> list:
+def _run_equicorrelated(cfg: ExperimentConfig) -> list:
     p = cfg.params
     rep = bound_equicorrelated(p["n"], p["lam"], p["theta"])
     cov = CovarianceSpec.equicorrelated(p["n"], p["lam"])
-    est = mc_vector_sup_prob(cov, p["theta"], cfg.reps, seed, workers=cfg.workers)
+    est = mc_vector_sup_prob(cov, p["theta"], cfg.reps, cfg.seed, workers=cfg.workers)
     return [_row_from_estimate("sup_prob_le_product_bound", est, rep.value, x=p["theta"])]
 
 
-def _run_block(cfg: ExperimentConfig, seed: int) -> list:
+def _run_block(cfg: ExperimentConfig) -> list:
     p = cfg.params
     rep = bound_block(p["lam"], p["u"], p["block_size"], p["blocks"], p["theta"])
     cov = CovarianceSpec.block(p["blocks"], p["block_size"], p["u"], p["lam"])
-    est = mc_vector_sup_prob(cov, p["theta"], cfg.reps, seed, workers=cfg.workers)
+    est = mc_vector_sup_prob(cov, p["theta"], cfg.reps, cfg.seed, workers=cfg.workers)
     return [_row_from_estimate("sup_prob_le_block_bound", est, rep.value, x=p["theta"])]
 
 
@@ -358,7 +353,7 @@ def _szego_density(root_coeffs, floor_val) -> Callable[[np.ndarray], np.ndarray]
     return f
 
 
-def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
+def _run_szego(cfg: ExperimentConfig) -> list:
     p = cfg.params
     density = _szego_density(p["root_coeffs"], p["floor"])
     n, z = p["n"], p["z"]
@@ -366,7 +361,7 @@ def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
     sz = szego_bounds(density, n, z)
     gammas = [autocovariance(density, h) for h in range(n)]
     cov = CovarianceSpec.stationary(gammas)
-    est = mc_vector_sup_prob(cov, z, cfg.reps, seed, workers=cfg.workers, absolute=True)
+    est = mc_vector_sup_prob(cov, z, cfg.reps, cfg.seed, workers=cfg.workers, absolute=True)
     return [
         _row("sandwich_lower_le_mc", est.estimate - (sz.lower - _cushion(est)), est=est, bound=sz.lower, x=z),
         _row_from_estimate("mc_le_sandwich_upper", est, sz.upper, x=z),
@@ -374,7 +369,7 @@ def _run_szego(cfg: ExperimentConfig, seed: int) -> list:
     ]
 
 
-def _run_moderate_trig(cfg: ExperimentConfig, seed: int) -> list:
+def _run_moderate_trig(cfg: ExperimentConfig) -> list:
     p = cfg.params
     spec = PolynomialSpec(
         coeffs=CoefficientSeq(kind=p["coeff_kind"]),
@@ -385,7 +380,7 @@ def _run_moderate_trig(cfg: ExperimentConfig, seed: int) -> list:
     )
     rep = bound_moderate_trig(spec, p["eta"], p["eps"], C=p["C"])
     grid = GridSpec.cyclic_rule(spec, p["eps"])
-    est = mc_sup_prob(spec, grid, rep.threshold, cfg.reps, seed, workers=cfg.workers)
+    est = mc_sup_prob(spec, grid, rep.threshold, cfg.reps, cfg.seed, workers=cfg.workers)
     return [
         _row_from_estimate("sup_prob_le_moderate_bound", est, rep.value, x=rep.threshold),
         _row("bound_vacuous", bound=float(rep.vacuous)),
@@ -395,7 +390,8 @@ def _run_moderate_trig(cfg: ExperimentConfig, seed: int) -> list:
 _FREQ_GOLDEN = 0.6180339887498949
 
 
-def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
+def _transfer_pieces(cfg: ExperimentConfig):
+    p = cfg.params
     if p["ts_kind"] not in ("pow2", "identity"):
         # no param carries a floor_value, explicit values or a rule: floor would silently be identity
         raise DomainError(f"ts_kind={p['ts_kind']!r}: a config can build 'pow2' or 'identity'")
@@ -411,12 +407,12 @@ def _transfer_pieces(p: dict, reps: int, seed: int, workers: int):
     tb = transfer_bound(spec, ts, p["U"], theta, h, C=p["C"])
     grid = GridSpec.dense(1.0, p["U"], p["grid_per_unit"])
     # X and its companion X-perp are built from the same (g_k, g'_k): one draw table
-    est_x, est_perp = mc_sup_probs([spec, perp], grid, [theta - h, theta], reps, seed, workers=workers)
+    est_x, est_perp = mc_sup_probs([spec, perp], grid, [theta - h, theta], cfg.reps, cfg.seed, workers=cfg.workers)
     return tb, est_x, est_perp, theta, h
 
 
-def _run_cyclic_transfer(cfg: ExperimentConfig, seed: int) -> list:
-    tb, est_x, est_perp, theta, h = _transfer_pieces(cfg.params, cfg.reps, seed, cfg.workers)
+def _run_cyclic_transfer(cfg: ExperimentConfig) -> list:
+    tb, est_x, est_perp, theta, h = _transfer_pieces(cfg)
     rhs = est_perp.estimate + tb.error_term
     return [
         _row("transfer_inequality", rhs + _cushion(est_x, est_perp) - est_x.estimate, est=est_x, bound=rhs, x=theta),
@@ -427,7 +423,7 @@ def _run_cyclic_transfer(cfg: ExperimentConfig, seed: int) -> list:
     ]
 
 
-def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
+def _run_decoupling(cfg: ExperimentConfig) -> list:
     p = cfg.params
     n_ou, tol = p["ou_n"], 1e-3
     CovarianceSpec.check_dimension(n_ou)  # before any Monte Carlo work
@@ -440,9 +436,9 @@ def _run_decoupling(cfg: ExperimentConfig, seed: int) -> list:
     cov = CovarianceSpec.equicorrelated(p["n"], p["lam"])
     p_x = decoupling_coeff_vector(cov).p_value
     boxes = [(0.0, math.inf)] * p["n"]
-    chk = verify_decoupling_mc(cov, p["beta"] * p_x, p["beta"], boxes, cfg.reps, seed, workers=cfg.workers)
+    chk = verify_decoupling_mc(cov, p["beta"] * p_x, p["beta"], boxes, cfg.reps, cfg.seed, workers=cfg.workers)
     rows.append(_row_from_estimate("product_indicator_le_pnorm_bound", chk.lhs, chk.rhs))
-    gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, seed, workers=cfg.workers)
+    gn = verify_gebelein_nelson(p["rho"], "quadratic", cfg.reps, cfg.seed, workers=cfg.workers)
     for name, rhs in (("correlation_l2_bound", gn.gebelein_rhs), ("hypercontractive_bound", gn.nelson_rhs)):
         rows.append(_row(name, rhs + _cushion(gn.lhs) - abs(gn.lhs.estimate), est=gn.lhs, bound=rhs))
     gammas = np.exp(-0.5 * np.arange(n_ou))
@@ -463,7 +459,7 @@ def _lattice_problem(p: dict) -> LatticeProblem:
     )
 
 
-def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
+def _run_kronecker_search(cfg: ExperimentConfig) -> list:
     p = cfg.params
     problem = _lattice_problem(p)
     search = lattice_search(problem)
@@ -480,7 +476,7 @@ def _run_kronecker_search(cfg: ExperimentConfig, seed: int) -> list:
     ]
 
 
-def _run_limsup(cfg: ExperimentConfig, seed: int) -> list:
+def _run_limsup(cfg: ExperimentConfig) -> list:
     p = cfg.params
     running, final = limsup_exponential_sum(
         p["alphas"], p["lambdas"], p["start"], p["step"], p["max_terms"], convention=p["convention"]
@@ -512,7 +508,7 @@ def _explicit_spec(coeffs, lambdas) -> PolynomialSpec:
     )
 
 
-def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
+def _run_divergence(cfg: ExperimentConfig) -> list:
     p = cfg.params
     ladder = sorted(set(p["ladder"]))
     if ladder and ladder[0] < 1:
@@ -527,7 +523,7 @@ def _run_divergence(cfg: ExperimentConfig, seed: int) -> list:
     return rows
 
 
-def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
+def _run_lattice_correlation(cfg: ExperimentConfig) -> list:
     p = cfg.params
     if p["max_points"] < 1:
         raise DomainError(f"max_points={p['max_points']} must be at least 1")
@@ -579,10 +575,10 @@ def _run_lattice_correlation(cfg: ExperimentConfig, seed: int) -> list:
     ]
 
 
-def _calibrate_transfer(cfg: ExperimentConfig, seed: int) -> dict:
+def _calibrate_transfer(cfg: ExperimentConfig) -> dict:
     """The largest C for which the transfer comparison still passes (the
     error term decays in C, so admissible C form an interval (0, C_max])."""
-    tb, est_x, est_perp, theta, h = _transfer_pieces(cfg.params, cfg.reps, seed, cfg.workers)
+    tb, est_x, est_perp, theta, h = _transfer_pieces(cfg)
     deficit = est_x.estimate - est_perp.estimate - _cushion(est_x, est_perp)
     d = tb.delta_report.delta
     if d == 0.0 or deficit <= 0.0:
@@ -593,7 +589,7 @@ def _calibrate_transfer(cfg: ExperimentConfig, seed: int) -> dict:
     return {"kind": cfg.kind, "c_max": c_max, "passes_at_C_1": bool(c_max >= 1.0)}
 
 
-def _calibrate_kronecker(cfg: ExperimentConfig, seed: int) -> dict:
+def _calibrate_kronecker(cfg: ExperimentConfig) -> dict:
     """The largest C for which both count lower bounds stay below the
     observed count."""
     problem = _lattice_problem(cfg.params)
@@ -746,24 +742,23 @@ KINDS = {
 EXPERIMENT_KINDS = tuple(sorted(KINDS))
 
 
-def _tagged(work: Callable, config: ExperimentConfig, seed: int):
-    """``work(config, seed)``; a package error it raises gets ``[kind=... hash=...]``."""
+def _tagged(work: Callable, config: ExperimentConfig):
+    """``work(config)``; a package error it raises gets ``[kind=... hash=...]``."""
     try:
-        return work(config, seed)
+        return work(config)
     except SupdevError as exc:
         raise type(exc)(f"[kind={config.kind} hash={config.config_hash()}] {exc}") from exc
 
 
-def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> ResultRecord:
+def run_experiment(config: ExperimentConfig) -> ResultRecord:
     """Dispatch the config to its kind's runner and wrap the result rows."""
-    eff_seed = effective_seed(config, seed)
     start = time.perf_counter()
-    rows = _tagged(KINDS[config.kind].run, config, eff_seed)
+    rows = _tagged(KINDS[config.kind].run, config)
     wall = time.perf_counter() - start
     return ResultRecord(
         experiment=config.kind,
         config_hash=config.config_hash(),
-        seed=eff_seed,
+        seed=config.seed,
         reps=config.reps,
         checks=rows,
         wall_time_s=wall,
@@ -881,7 +876,7 @@ def emit(records, fmt: str, path: str) -> str:
 # defaults and calibration
 
 
-def default_config(kind: str, seed: Optional[int] = None, workers: int = 1) -> ExperimentConfig:
+def default_config(kind: str, seed: int = 0, workers: int = 1) -> ExperimentConfig:
     entry = _kind(kind)
     return ExperimentConfig(
         kind=kind,
@@ -891,14 +886,13 @@ def default_config(kind: str, seed: Optional[int] = None, workers: int = 1) -> E
     )
 
 
-def calibrate(config: ExperimentConfig, seed: Optional[int] = None) -> dict:
+def calibrate(config: ExperimentConfig) -> dict:
     """Fit the free constant of the configured experiment and report it;
     the kinds with a ``calibrate`` entry in ``KINDS`` have one.  Nothing is
     persisted, so a config with an ``[output]`` section is refused."""
-    eff_seed = effective_seed(config, seed)
     fit = KINDS[config.kind].calibrate
     if fit is None:
         raise ConfigError(f"no free constant to calibrate for kind {config.kind!r}")
     if config.output:
         raise ConfigError(f"calibrate writes no files; drop the [output] keys {sorted(config.output)}")
-    return _tagged(fit, config, eff_seed)
+    return _tagged(fit, config)

@@ -76,7 +76,7 @@ KINDS = (
 @functools.cache
 def default_record(kind):
     """The kind's default record at seed 0, run once for both its pins."""
-    return run_experiment(default_config(kind), seed=0)
+    return run_experiment(default_config(kind, seed=0))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -287,7 +287,7 @@ import test_golden as g
 
 failed = [
     kind for kind in g.KINDS
-    if g.csv_without_timing([g.run_experiment(g.default_config(kind), seed=0)])
+    if g.csv_without_timing([g.default_record(kind)])
     != (g.GOLDEN / f"{{kind}}.csv").read_text(encoding="utf-8")
 ]
 for name, (run, estimate, half_width) in {{**g.DIRECT, **g.PATH_PROBS}}.items():

@@ -33,6 +33,7 @@ from supdev.harness import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EQUI_INI = """
 [experiment]
@@ -192,7 +193,7 @@ class TestDirectConfigs:
     def test_omitted_optional_params_take_defaults(self):
         cfg = ExperimentConfig(kind="moderate-trig", params={"x": 100, "eta": 0.3}, reps=200)
         assert cfg.params == default_config("moderate-trig").params
-        record = run_experiment(cfg, seed=1)
+        record = run_experiment(replace(cfg, seed=1))
         assert [row.name for row in record.checks] == ["sup_prob_le_moderate_bound", "bound_vacuous"]
 
 
@@ -232,8 +233,8 @@ class TestConfigTyping:
             ExperimentConfig(kind="equicorrelated", params=default_config("equicorrelated").params, **{name: value})
 
     def test_seed_override_takes_the_int_rule(self):
-        with pytest.raises(ConfigError, match=re.escape("seed override must be an integer, got 1.5")):
-            run_experiment(default_config("equicorrelated"), seed=1.5)
+        with pytest.raises(ConfigError, match=re.escape("seed must be an integer, got 1.5")):
+            replace(default_config("equicorrelated"), seed=1.5)
 
     @pytest.mark.parametrize(
         "kind, key, value, description",
@@ -312,8 +313,8 @@ class TestSeedPrecedence:
         monkeypatch.setenv(SEED_ENV_VAR, "77")
         assert run_experiment(replace(parse_config(EQUI_INI), reps=50)).seed == 11
         assert run_experiment(default_config("limsup")).seed == 0
-        assert run_experiment(default_config("limsup"), seed=5).seed == 5
-        monkeypatch.setitem(KINDS, "limsup", KINDS["limsup"]._replace(calibrate=lambda cfg, seed: {"seed": seed}))
+        assert run_experiment(default_config("limsup", seed=5)).seed == 5
+        monkeypatch.setitem(KINDS, "limsup", KINDS["limsup"]._replace(calibrate=lambda cfg: {"seed": cfg.seed}))
         assert calibrate(default_config("limsup", seed=4)) == {"seed": 4}
 
 
@@ -361,7 +362,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "verify_decoupling_mc", low_mc)
         monkeypatch.setattr(harness, "verify_gebelein_nelson", low_gn)
         cfg = replace(default_config("decoupling"), reps=5000)
-        rows = {row.name: row for row in run_experiment(cfg, seed=0).checks}
+        rows = {row.name: row for row in run_experiment(replace(cfg, seed=0)).checks}
         for name in ("product_indicator_le_pnorm_bound", "correlation_l2_bound", "hypercontractive_bound"):
             row = rows[name]
             assert row.passed is False and row.mc is not None and row.bound is not None, name
@@ -379,7 +380,7 @@ class TestRunExperiment:
         # the library returns the numbers; the harness row alone decides FAIL
         monkeypatch.setattr(decoupling, target, lambda *args: value)
         cfg = replace(default_config("decoupling"), reps=20000)
-        rows = {row.name: row for row in run_experiment(cfg, seed=0).checks}
+        rows = {row.name: row for row in run_experiment(replace(cfg, seed=0)).checks}
         row = rows[failing]
         assert row.passed is False and row.margin < 0.0
         assert abs(row.mc) - row.bound > 3.0 * (row.mc_hi - row.mc)
@@ -430,7 +431,7 @@ class TestVerdictRule:
     def test_row_passes_iff_margin_nonnegative(self, kind, params):
         cfg = default_config(kind)
         cfg = replace(cfg, params={**cfg.params, **params})
-        rows = [row for row in run_experiment(cfg, seed=0).checks if row.passed is not None and row.margin is not None]
+        rows = [row for row in run_experiment(replace(cfg, seed=0)).checks if row.passed is not None and row.margin is not None]
         assert rows
         for row in rows:
             assert row.passed == (row.margin >= 0), row.name
@@ -444,7 +445,7 @@ class TestVerdictRule:
         params = {**cfg.params, "alphas": [264690385294.98776], "lambdas": [2.8198310289464494], "max_terms": 2000}
         if scale is not None:
             monkeypatch.setattr(harness, "limsup_exponential_sum", lambda alphas, *args, **kw: ([], sum(alphas) * scale))
-        [row] = [row for row in run_experiment(replace(cfg, params=params), seed=0).checks if row.name == "final_le_total"]
+        [row] = [row for row in run_experiment(replace(cfg, params=params, seed=0)).checks if row.name == "final_le_total"]
         return row
 
     def test_total_row_allows_the_rounding_of_a_large_total(self):
@@ -457,7 +458,7 @@ class TestVerdictRule:
 
     def test_correlation_cap_with_one_point_passes_without_margin(self):
         cfg = default_config("lattice-correlation")
-        record = run_experiment(replace(cfg, params={**cfg.params, "max_points": 1}), seed=0)
+        record = run_experiment(replace(cfg, params={**cfg.params, "max_points": 1}, seed=0))
         [cap] = [row for row in record.checks if row.name == "correlation_cap"]
         assert cap.passed is True and cap.margin is None and cap.mc is None
 
@@ -738,73 +739,79 @@ class TestErrorMap:
         assert "did not converge within 4194304 nodes" in captured.err
 
 
-class TestVerificationScript:
-    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verifications.py"
+class TestVerifyKinds:
+    """``supdev verify`` with any number of kinds: every config is checked
+    before the first run, and each output file holds every record."""
 
     @pytest.mark.parametrize(
         "args",
-        [["--workers", "0"], ["--seed", "-1"], ["--kinds", "nope"], ["--kinds", "limsup", "nope"], ["--kinds"]],
+        [["--workers", "0"], ["--seed", "-1"], ["nope"], ["limsup", "nope"], ["limsup", "--csv", ""],
+         ["limsup", "--csv", "o", "--json", "o"], ["limsup", "divergence", "-c", str(CONFIGS / "limsup.ini")]],
+        ids=["workers_0", "seed_negative", "unknown_kind", "unknown_after_known", "empty_path", "one_path_two_formats",
+             "config_two_kinds"],
     )
-    def test_bad_input_exit_two_without_traceback(self, args, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), *args, "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == "" and not any(tmp_path.iterdir())
+    def test_bad_input_exit_two_before_any_run(self, args, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail(f"{cfg.kind} ran"))
+        assert cli_main(["verify", *args, "--plotdata", "plot.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not any(tmp_path.iterdir())
 
-    def test_failing_kind_exit_one(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--kinds", "lattice-correlation", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "overall: FAIL" in proc.stdout and proc.stderr == ""
-        assert any("variance_floor" in line and "FAIL" in line for line in proc.stdout.splitlines())
+    def test_path_errors_named(self, capsys):
+        assert cli_main(["verify", "limsup", "--csv", ""]) == 2
+        assert capsys.readouterr().err == "config error: csv output path is empty\n"
+        assert cli_main(["verify", "limsup", "--csv", "o", "--json", "./o"]) == 2
+        assert capsys.readouterr().err == "config error: csv and json outputs both name './o'\n"
 
-    def test_summary_names_every_failed_row(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--kinds", "lattice-correlation", "limsup", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
+    def test_every_kind_by_default(self, capsys, tmp_path):
+        path = tmp_path / "all.csv"
+        assert cli_main(["verify", "--seed", "0", "--csv", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "overall: FAIL - 18 passed, 1 failed: lattice-correlation/variance_floor"
         )
-        assert proc.returncode == 1 and proc.stderr == ""
-        lines = proc.stdout.splitlines()
-        passed = sum(" PASS " in line for line in lines)
-        assert passed > 0
+        keep = [i for i, name in enumerate(CSV_HEADER.split(",")) if name not in ("wall_time_s", "timestamp")]
+        got = [",".join(line.split(",")[i] for i in keep) for line in path.read_text().splitlines()]
+        golden = [(GOLDEN / f"{kind}.csv").read_text().splitlines() for kind in EXPERIMENT_KINDS]
+        assert got == golden[0][:1] + [row for lines in golden for row in lines[1:]]
+
+    def test_summary_names_every_failed_row(self, capsys):
+        assert cli_main(["verify", "lattice-correlation", "limsup"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        passed = sum(line.endswith(" PASS") for line in lines)
+        assert passed > 0 and captured.err == ""
         assert lines[-1] == f"overall: FAIL - {passed} passed, 1 failed: lattice-correlation/variance_floor"
 
-    def test_unwritable_out_exit_two(self, tmp_path):
-        out = tmp_path / "a_file"
-        out.write_text("")
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--kinds", "limsup", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("config error: cannot write csv to ") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+    def test_unwritable_output_exit_two(self, capsys, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert cli_main(["verify", "limsup", "--csv", str(blocker / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: cannot write csv to ")
 
-    def test_seed_flag_beats_env(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--seed", "3", "--kinds", "limsup", "--out", str(tmp_path)],
-            env=dict(os.environ, **{SEED_ENV_VAR: "5"}),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0 and proc.stderr == ""
-        rows = (tmp_path / "limsup.csv").read_text().splitlines()[1:]
-        assert rows and {row.split(",")[3] for row in rows} == {"3"}
+    @pytest.mark.parametrize("flags, seed", [(["--seed", "3"], "3"), ([], "5")], ids=["flag_beats_env", "env"])
+    def test_seed_reaches_every_kind(self, flags, seed, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "5")
+        path = tmp_path / "out.csv"
+        assert cli_main(["verify", "limsup", "kronecker-search", *flags, "--csv", str(path)]) == 0
+        rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+        assert {row[0] for row in rows} == {"limsup", "kronecker-search"} and {row[3] for row in rows} == {seed}
+
+    def test_json_holds_every_record(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        assert cli_main(["verify", "limsup", "kronecker-search", "--json", str(path)]) == 0
+        records = load_records_json(path.read_text())
+        assert [record.experiment for record in records] == ["limsup", "kronecker-search"]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.stem)
+    def test_shipped_configs_run(self, path, capsys, tmp_path, monkeypatch):
+        # configs may name [output] files relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        kind = load_config(str(path)).kind
+        assert cli_main(["verify", kind, "-c", str(path), "--reps", "200"]) == (1 if kind == "lattice-correlation" else 0)
+        assert capsys.readouterr().err == ""
 
 
 def ini_with(kind, overrides):
@@ -1043,7 +1050,7 @@ def test_extreme_values_end_in_a_record_or_a_named_error(kind, name, value, dead
     params = dict(base.params, **_SWEEP_SIZES.get(kind, {}))
     params[name] = value
     try:
-        record = run_experiment(ExperimentConfig(kind=kind, params=params, reps=min(base.reps, 200)), seed=1)
+        record = run_experiment(ExperimentConfig(kind=kind, params=params, seed=1, reps=min(base.reps, 200)))
     except SupdevError:
         return
     for row in record.checks:

@@ -402,7 +402,7 @@ class TestSolutionCount:
         spy = mock.Mock(wraps=xi)
         monkeypatch.setattr(kronecker, "xi", spy)
         monkeypatch.setattr(harness, "xi", spy)
-        harness.run_experiment(harness.default_config("kronecker-search"), seed=0)
+        harness.run_experiment(harness.default_config("kronecker-search", seed=0))
         assert spy.call_count == 1
 
     def test_lower_bounds_reported_not_asserted(self):

@@ -435,7 +435,7 @@ class TestSharedDraws:
     def test_transfer_pair_draws_once_per_chunk(self, monkeypatch, workers):
         from supdev import harness, mc
 
-        cfg = harness.default_config("cyclic-transfer")
+        cfg = harness.default_config("cyclic-transfer", seed=5, workers=workers)
         p = cfg.params
         n_nodes = int(math.ceil((p["U"] - 1.0) * p["grid_per_unit"])) + 1
         chunks = _chunk_bounds(2000, n_nodes)
@@ -449,7 +449,7 @@ class TestSharedDraws:
             return normal_draws(seed, rep_start, n_reps, draws_per_rep)
 
         monkeypatch.setattr(mc, "normal_draws", counting)
-        harness._transfer_pieces(p, 2000, 5, workers)
+        harness._transfer_pieces(cfg)
         assert sorted(calls) == chunks
 
 
