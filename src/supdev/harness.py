@@ -296,7 +296,7 @@ def _row(name, margin=None, est=None, mc=None, bound=None, x=None, passed=None) 
     fills ``mc`` and its interval."""
     lo = hi = None
     if est is not None:
-        mc, lo, hi = est.estimate, est.estimate - est.half_width, est.estimate + est.half_width
+        mc, (lo, hi) = est.estimate, est.interval
     if passed is None and margin is not None:
         passed = margin >= 0.0
     return CheckRow(name, None if passed is None else bool(passed), mc, lo, hi, bound, margin, x)

@@ -164,6 +164,18 @@ class McEstimate:
         if self.kind == "probability" and not 0.0 <= self.estimate <= 1.0:
             raise DomainError(f"probability estimate {self.estimate} outside [0, 1]")
 
+    @property
+    def interval(self) -> tuple:
+        """(lo, hi) of the 95% interval.  A mean's is the estimate +- the
+        half-width; a probability's is the Wilson score interval, the
+        half-width about the centre (p + z^2/2n) / (1 + z^2/n), kept inside
+        [0, 1] and around p against rounding."""
+        if self.kind == "mean":
+            return self.estimate - self.half_width, self.estimate + self.half_width
+        p, z2n = self.estimate, Z95 * Z95 / self.reps
+        centre = (p + z2n / 2.0) / (1.0 + z2n)
+        return max(0.0, min(p, centre - self.half_width)), min(1.0, max(p, centre + self.half_width))
+
 
 class CovarianceSpec:
     """Covariance matrix of a finite Gaussian vector.

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supdev import cli, decoupling, harness
+from supdev import cli, decoupling, harness, mc
 from supdev.cli import SEED_ENV_VAR
 from supdev.cli import main as cli_main
 from supdev.errors import ConfigError, SupdevError
@@ -463,16 +463,18 @@ class TestVerdictRule:
         assert cap.passed is True and cap.margin is None and cap.mc is None
 
     def test_rows_are_built_and_cushioned_in_one_place(self):
-        # every runner judges its rows through _row, and every Monte Carlo
-        # comparison takes its cushion from _cushion
+        # every runner judges its rows through _row, every Monte Carlo
+        # comparison takes its cushion from _cushion, and every interval
+        # comes from the McEstimate that owns it
         sites = {"CheckRow": set(), "half_width": set()}
-        for node in ast.parse(Path(harness.__file__).read_text(encoding="utf-8")).body:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "CheckRow":
-                    sites["CheckRow"].add(getattr(node, "name", "<module>"))
-                if isinstance(sub, ast.Attribute) and sub.attr == "half_width":
-                    sites["half_width"].add(getattr(node, "name", "<module>"))
-        assert sites == {"CheckRow": {"_row", "load_records_json"}, "half_width": {"_row", "_cushion"}}
+        for module in (harness, mc):
+            for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "CheckRow":
+                        sites["CheckRow"].add(getattr(node, "name", "<module>"))
+                    if isinstance(sub, ast.Attribute) and sub.attr == "half_width":
+                        sites["half_width"].add(getattr(node, "name", "<module>"))
+        assert sites == {"CheckRow": {"_row", "load_records_json"}, "half_width": {"_cushion", "McEstimate"}}
 
 
 class TestEmission:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
+from scipy.stats import binomtest
 
 import supdev
 from supdev import harness, mc
@@ -141,6 +142,18 @@ class TestWilson:
     def test_matches_normal_approx_at_center(self):
         hw = wilson_half_width(5000, 10000)
         assert hw == pytest.approx(1.96 * 0.5 / 100.0, rel=1e-2)
+
+    @pytest.mark.parametrize("k, n", [(0, 10), (10, 10), (0, 10**4), (387, 2000), (5, 7)])
+    def test_probability_interval_is_scipys_wilson_interval(self, k, n):
+        est = McEstimate(estimate=k / n, reps=n, half_width=wilson_half_width(k, n), seed=0, kind="probability")
+        ci = binomtest(k, n).proportion_ci(0.95, method="wilson")
+        lo, hi = est.interval
+        assert abs(lo - ci.low) <= 1e-14 and abs(hi - ci.high) <= 1e-14
+        assert 0.0 <= lo <= est.estimate <= hi <= 1.0
+
+    def test_mean_interval_is_symmetric(self):
+        est = McEstimate(estimate=-0.25, reps=10, half_width=0.5, seed=0, kind="mean")
+        assert est.interval == (-0.75, 0.25)
 
     def test_estimate_validation(self):
         with pytest.raises(DomainError):
