@@ -1,19 +1,13 @@
 """Command-line entry point.
 
-``supdev verify [kind ...]`` runs the named experiment kinds in the order
-given, or every kind in ``EXPERIMENT_KINDS`` order when none is named.
-Every config of the run (kinds, ``-c``, ``--reps``, ``--workers``, seed and
-output paths) is built and checked before the first kind runs; ``-c``
-needs exactly one kind.  Each output file, named by ``--csv``, ``--json``
-or ``--plotdata`` or by a config's ``[output]`` section, is written once,
-after the last run, and holds every record of the run.  The run then
-prints each record and ends with the line ``overall: PASS|FAIL - P passed,
-F failed: kind/row, ...``.
-
+``supdev verify [kind ...]`` runs the kinds named, or every kind when none
+is, after building and checking every config and output path.  Each output
+file is written once, after the last run, with every record; the run ends
+with the line ``overall: PASS|FAIL - P passed, F failed: kind/row, ...``.
 Exit codes: 0 when every assertion row passes, 1 when any assertion fails,
 2 for usage errors, 3 for a computation that could not finish.  A package
-error ends the run in one stderr line ``<label>: <message>``, with nothing
-on stdout, and its class's exit code:
+error ends the run in one stderr line ``<label>: <message>``, nothing on
+stdout, and its class's exit code:
 
     ConfigError         config error     2   bad config, unreadable or unwritable path
     DomainError         domain error     2   input outside a stated domain
@@ -21,8 +15,8 @@ on stdout, and its class's exit code:
     QuadratureError     numerical error  3   quadrature out of nodes before converging
     FactorizationError  numerical error  3   covariance not factorizable after jitter
 
-The seed resolves here, once, into each config: CLI flag > SUPDEV_SEED
-environment variable > config file > 0.  It is echoed in every output row.
+The seed resolves here, into each config, as CLI flag > SUPDEV_SEED
+environment variable > config file > 0, and is echoed in every output row.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from .harness import (
 )
 
 SEED_ENV_VAR = "SUPDEV_SEED"
-OUTPUT_FORMATS = ("csv", "json", "plotdata")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,22 +94,20 @@ def _config(args, kind):
             raise ConfigError(f"config kind {cfg.kind!r} does not match requested {kind!r}")
     else:
         cfg = default_config(kind)
-    updates = {name: getattr(args, name) for name in ("seed", "reps", "workers") if getattr(args, name) is not None}
-    env = os.environ.get(SEED_ENV_VAR)
-    if args.seed is None and env is not None:
-        updates["seed"] = check_seed(env, SEED_ENV_VAR)
-    return replace(cfg, **updates)
+    seed = args.seed
+    if seed is None and SEED_ENV_VAR in os.environ:
+        seed = check_seed(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
+    overrides = {"seed": seed, "reps": args.reps, "workers": args.workers}
+    return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _outputs(args, configs) -> dict:
     """Format -> path of every file the run writes: the configs' [output]
     sections, then the flags.  An empty path, or one path named by two
-    formats, is a config error."""
-    outputs = {}
-    for cfg in configs:
-        outputs.update(cfg.output)
-    outputs.update({fmt: getattr(args, fmt) for fmt in OUTPUT_FORMATS if getattr(args, fmt) is not None})
-    owner = {}
+    formats or by a format and -c, is a config error."""
+    outputs = {fmt: path for cfg in configs for fmt, path in cfg.output.items()}
+    outputs.update({fmt: getattr(args, fmt) for fmt in ("csv", "json", "plotdata") if getattr(args, fmt) is not None})
+    owner = {os.path.abspath(args.config): "-c config"} if args.config else {}
     for fmt, path in outputs.items():
         if not path:
             raise ConfigError(f"{fmt} output path is empty")

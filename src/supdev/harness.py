@@ -371,6 +371,8 @@ def _run_szego(cfg: ExperimentConfig) -> list:
 
 def _run_moderate_trig(cfg: ExperimentConfig) -> list:
     p = cfg.params
+    if p["eta"] == 1.0:
+        raise DomainError("eta=1: the eta = 1 statement needs a V with 0 < V < A, and no config sets V")
     spec = PolynomialSpec(
         coeffs=CoefficientSeq(kind=p["coeff_kind"]),
         freqs=FrequencySeq(kind="integer", rule=lambda k: k),

@@ -748,9 +748,10 @@ class TestVerifyKinds:
     @pytest.mark.parametrize(
         "args",
         [["--workers", "0"], ["--seed", "-1"], ["nope"], ["limsup", "nope"], ["limsup", "--csv", ""],
-         ["limsup", "--csv", "o", "--json", "o"], ["limsup", "divergence", "-c", str(CONFIGS / "limsup.ini")]],
+         ["limsup", "--csv", "o", "--json", "./o"], ["limsup", "divergence", "-c", str(CONFIGS / "limsup.ini")],
+         ["limsup", "-c", str(CONFIGS / "limsup.ini"), "--csv", str(CONFIGS / "limsup.ini")]],
         ids=["workers_0", "seed_negative", "unknown_kind", "unknown_after_known", "empty_path", "one_path_two_formats",
-             "config_two_kinds"],
+             "config_two_kinds", "output_over_config"],
     )
     def test_bad_input_exit_two_before_any_run(self, args, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -759,12 +760,6 @@ class TestVerifyKinds:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not any(tmp_path.iterdir())
-
-    def test_path_errors_named(self, capsys):
-        assert cli_main(["verify", "limsup", "--csv", ""]) == 2
-        assert capsys.readouterr().err == "config error: csv output path is empty\n"
-        assert cli_main(["verify", "limsup", "--csv", "o", "--json", "./o"]) == 2
-        assert capsys.readouterr().err == "config error: csv and json outputs both name './o'\n"
 
     def test_every_kind_by_default(self, capsys, tmp_path):
         path = tmp_path / "all.csv"
@@ -932,8 +927,9 @@ class TestNamedDomainErrors:
     rungs are at least 1, a transfer grid has at least one node per unit,
     the OU covariance is large enough for its row sum to reach the limit
     within the row's tolerance, a transfer test sequence is one a config
-    can build, and a zero A(x) names its cause: an empty transfer range, or
-    divergence or lattice-correlation coefficients whose squares
+    can build, the eta = 1 moderate-deviation statement needs a V that no
+    config sets, and a zero A(x) names its cause: an empty transfer range,
+    or divergence or lattice-correlation coefficients whose squares
     underflow."""
 
     THREE = {"lambdas": "1.4142135623730951 1.7320508075688772 2.23606797749979", "betas": "0.25 0.75 0.5",
@@ -943,6 +939,7 @@ class TestNamedDomainErrors:
         "freq_step": ("cyclic-transfer", {"freq_step": "1e300"}, "N*L is not a finite float"),
         "transfer_C": ("cyclic-transfer", {"C": "-1e300"}, "free constant C=-1e+300 must be positive"),
         "moderate_C": ("moderate-trig", {"C": "-1e300"}, "free constant C=-1e+300 must be positive"),
+        "moderate_eta_one": ("moderate-trig", {"eta": "1"}, "eta=1: the eta = 1 statement needs a V with 0 < V < A"),
         "count_C": ("kronecker-search", dict(THREE, C="-1e300"), "free constant C=-1e+300 must be positive"),
         "count_C_complex": ("kronecker-search", dict(THREE, C="-1"), "free constant C=-1.0 must be positive"),
         "beta_zero": ("lattice-correlation", {"beta": "0"}, "12 pi / (c (pi beta)^2) = inf"),
