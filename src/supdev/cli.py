@@ -4,10 +4,13 @@
 is, after building and checking every config and output path.  Each output
 file is written once, after the last run, with every record; the run ends
 with the line ``overall: PASS|FAIL - P passed, F failed: kind/row, ...``.
-Exit codes: 0 when every assertion row passes, 1 when any assertion fails,
-2 for usage errors, 3 for a computation that could not finish.  A package
-error ends the run in one stderr line ``<label>: <message>``, nothing on
-stdout, and its class's exit code:
+``supdev calibrate [kind ...]`` fits the free constant of the kinds named,
+or of every kind that has one, and prints the fits after the last one; it
+writes nothing.  Either subcommand takes each kind once, and ``-c`` with
+exactly one kind.  Exit codes: 0 when every assertion row passes, 1 when
+any assertion fails, 2 for usage errors, 3 for a computation that could
+not finish.  A package error ends the run in one stderr line
+``<label>: <message>``, nothing on stdout, and its class's exit code:
 
     ConfigError         config error     2   bad config, unreadable or unwritable path
     DomainError         domain error     2   input outside a stated domain
@@ -40,6 +43,7 @@ from .harness import (
 )
 
 SEED_ENV_VAR = "SUPDEV_SEED"
+CALIBRATED_KINDS = tuple(name for name in EXPERIMENT_KINDS if KINDS[name].calibrate)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +52,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
+def _add_common(sub, default):
+    # kind names are checked by default_config, not by choices: with nargs="*"
+    # some Pythons test the empty list against the choices
+    sub.add_argument("kinds", nargs="*", metavar="kind", help=f"kinds, in order (default: {default})")
     sub.add_argument("-c", "--config", help="INI config file (defaults per kind otherwise)")
     sub.add_argument("--seed", type=int, default=None, help=f"seed override (beats {SEED_ENV_VAR} and config)")
     sub.add_argument("--reps", type=int, default=None, help="replication override")
@@ -70,35 +77,39 @@ def build_parser() -> argparse.ArgumentParser:
         + "\n".join(f"  {name:>19}: {kind.help}" for name, kind in KINDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # kind names are checked by default_config, not by choices: with nargs="*"
-    # some Pythons test the empty list against the choices
-    p_verify.add_argument("kinds", nargs="*", metavar="kind", help="kinds to run, in order (default: every kind)")
-    _add_common(p_verify)
+    _add_common(p_verify, "every kind")
     p_verify.add_argument("--csv", help="write every record's rows as CSV to this path")
     p_verify.add_argument("--json", help="write every record as JSON to this path")
     p_verify.add_argument("--plotdata", help="write (x, mc, mc_lo, mc_hi, bound) rows to this path")
 
     p_cal = subs.add_parser("calibrate", help="fit free constants and report them (never persisted)")
-    p_cal.add_argument("kind", choices=tuple(name for name in EXPERIMENT_KINDS if KINDS[name].calibrate))
-    _add_common(p_cal)
+    _add_common(p_cal, " ".join(CALIBRATED_KINDS))
 
     return parser
 
 
-def _config(args, kind):
-    """The kind's config with the overrides and the seed applied:
-    --seed, else SUPDEV_SEED, else the config's seed (0 when it sets none)."""
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.kind != kind:
-            raise ConfigError(f"config kind {cfg.kind!r} does not match requested {kind!r}")
-    else:
-        cfg = default_config(kind)
+def _configs(args, every) -> list:
+    """The configs of the kinds named, or of ``every`` kind when none is,
+    each with the overrides and the seed applied: --seed, else SUPDEV_SEED,
+    else the config's seed (0 when it sets none).  -c needs exactly one
+    kind, and a kind named twice is refused."""
+    if args.config and len(args.kinds) != 1:
+        raise ConfigError(f"-c takes exactly one kind, got {len(args.kinds)}")
+    twice = [kind for i, kind in enumerate(args.kinds) if kind in args.kinds[:i]]
+    if twice:
+        raise ConfigError(f"kind {twice[0]!r} is named twice")
     seed = args.seed
     if seed is None and SEED_ENV_VAR in os.environ:
         seed = check_seed(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
     overrides = {"seed": seed, "reps": args.reps, "workers": args.workers}
-    return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    configs = []
+    for kind in args.kinds or every:
+        cfg = load_config(args.config) if args.config else default_config(kind)
+        if cfg.kind != kind:
+            raise ConfigError(f"config kind {cfg.kind!r} does not match requested {kind!r}")
+        configs.append(replace(cfg, **overrides))
+    return configs
 
 
 def _outputs(args, configs) -> dict:
@@ -135,10 +146,7 @@ def _print_record(record) -> None:
 
 
 def _verify(args) -> int:
-    kinds = args.kinds or EXPERIMENT_KINDS
-    if args.config and len(args.kinds) != 1:
-        raise ConfigError(f"-c takes exactly one kind, got {len(args.kinds)}")
-    configs = [_config(args, kind) for kind in kinds]
+    configs = _configs(args, EXPERIMENT_KINDS)
     outputs = _outputs(args, configs)
     records = [run_experiment(cfg) for cfg in configs]
     for fmt, path in outputs.items():
@@ -152,9 +160,10 @@ def _verify(args) -> int:
 
 
 def _calibrate(args) -> int:
-    result = calibrate(_config(args, args.kind))
-    for key, val in result.items():
-        print(f"{key}={val}")
+    fits = [calibrate(cfg) for cfg in _configs(args, CALIBRATED_KINDS)]
+    for fit in fits:
+        for key, val in fit.items():
+            print(f"{key}={val}")
     print("note: calibrated constants are reported only, never stored as defaults")
     return 0
 

@@ -230,7 +230,9 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config is not valid INI: {exc}") from exc
+        # configparser's messages span lines; a ConfigError is one line
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config is not valid INI: {message}") from exc
     known_sections = {"experiment", "params", "output"}
     unknown = set(cp.sections()) - known_sections
     if unknown:

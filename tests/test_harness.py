@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import math
 import os
 import re
@@ -271,11 +270,20 @@ class TestConfigTyping:
 
 
 class TestSeedPrecedence:
-    """The CLI's seed rule: --seed > SUPDEV_SEED > config > 0."""
+    """The CLI's seed rule, for both subcommands: --seed > SUPDEV_SEED >
+    config > 0.  Under calibrate, equicorrelated gets a fit that reports
+    its config's seed."""
+
+    @pytest.fixture(params=["verify", "calibrate"])
+    def command(self, request, monkeypatch):
+        if request.param == "calibrate":
+            entry = KINDS["equicorrelated"]._replace(calibrate=lambda cfg: {"seed": cfg.seed})
+            monkeypatch.setitem(KINDS, "equicorrelated", entry)
+        return request.param
 
     @staticmethod
-    def seed_run(capsys, tmp_path, *flags, config=True):
-        argv = ["verify", "equicorrelated", "--reps", "50", *flags]
+    def seed_run(command, capsys, tmp_path, *flags, config=True):
+        argv = [command, "equicorrelated", "--reps", "50", *flags]
         if config:
             cfg = tmp_path / "equi.ini"
             cfg.write_text(EQUI_INI)
@@ -283,29 +291,33 @@ class TestSeedPrecedence:
         code = cli_main(argv)
         return code, capsys.readouterr()
 
-    def test_config_seed_used(self, monkeypatch, capsys, tmp_path):
+    @staticmethod
+    def ran_seed(out, seed):
+        return re.search(rf"(^|\s)seed={seed}(\s|$)", out, re.MULTILINE) is not None
+
+    def test_config_seed_used(self, command, monkeypatch, capsys, tmp_path):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        code, captured = self.seed_run(capsys, tmp_path)
-        assert code == 0 and "seed=11 " in captured.out
+        code, captured = self.seed_run(command, capsys, tmp_path)
+        assert code == 0 and self.ran_seed(captured.out, 11)
 
-    def test_env_beats_config(self, monkeypatch, capsys, tmp_path):
+    def test_env_beats_config(self, command, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
-        code, captured = self.seed_run(capsys, tmp_path)
-        assert code == 0 and "seed=77 " in captured.out
+        code, captured = self.seed_run(command, capsys, tmp_path)
+        assert code == 0 and self.ran_seed(captured.out, 77)
 
-    def test_cli_beats_env(self, monkeypatch, capsys, tmp_path):
+    def test_cli_beats_env(self, command, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "77")
-        code, captured = self.seed_run(capsys, tmp_path, "--seed", "5")
-        assert code == 0 and "seed=5 " in captured.out
+        code, captured = self.seed_run(command, capsys, tmp_path, "--seed", "5")
+        assert code == 0 and self.ran_seed(captured.out, 5)
 
-    def test_default_zero(self, monkeypatch, capsys, tmp_path):
+    def test_default_zero(self, command, monkeypatch, capsys, tmp_path):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        code, captured = self.seed_run(capsys, tmp_path, config=False)
-        assert code == 0 and "seed=0 " in captured.out
+        code, captured = self.seed_run(command, capsys, tmp_path, config=False)
+        assert code == 0 and self.ran_seed(captured.out, 0)
 
-    def test_bad_env_named(self, monkeypatch, capsys, tmp_path):
+    def test_bad_env_named(self, command, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        code, captured = self.seed_run(capsys, tmp_path)
+        code, captured = self.seed_run(command, capsys, tmp_path)
         assert code == 2 and captured.out == ""
         assert captured.err == f"config error: {SEED_ENV_VAR} must be an integer, got 'not-a-number'\n"
 
@@ -610,11 +622,13 @@ class TestCli:
         assert code == 0
         assert csv_path.read_text().startswith(CSV_HEADER.split(",")[0])
 
-    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
-    def test_calibrate_choices_are_the_calibrating_kinds(self, capsys, kind):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["calibrate", kind, "--help"])
-        assert exc.value.code == (0 if KINDS[kind].calibrate else 2)
+    @pytest.mark.parametrize("kind", [kind for kind in EXPERIMENT_KINDS if not KINDS[kind].calibrate])
+    def test_calibrate_kind_without_a_fit_exit_two(self, capsys, tmp_path, monkeypatch, kind):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["calibrate", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: no free constant to calibrate for kind {kind!r}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_calibrate_command(self, capsys):
         code = cli_main(["calibrate", "cyclic-transfer", "--reps", "500"])
@@ -749,9 +763,10 @@ class TestVerifyKinds:
         "args",
         [["--workers", "0"], ["--seed", "-1"], ["nope"], ["limsup", "nope"], ["limsup", "--csv", ""],
          ["limsup", "--csv", "o", "--json", "./o"], ["limsup", "divergence", "-c", str(CONFIGS / "limsup.ini")],
-         ["limsup", "-c", str(CONFIGS / "limsup.ini"), "--csv", str(CONFIGS / "limsup.ini")]],
+         ["limsup", "-c", str(CONFIGS / "limsup.ini"), "--csv", str(CONFIGS / "limsup.ini")], ["limsup", "limsup"],
+         ["limsup", "-c", str(GOLDEN / "limsup.csv")]],
         ids=["workers_0", "seed_negative", "unknown_kind", "unknown_after_known", "empty_path", "one_path_two_formats",
-             "config_two_kinds", "output_over_config"],
+             "config_two_kinds", "output_over_config", "kind_twice", "config_not_ini"],
     )
     def test_bad_input_exit_two_before_any_run(self, args, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -849,39 +864,40 @@ class TestNonFiniteParams:
         assert "must be finite" in err and "Traceback" not in err
 
 
-class TestCalibrateScript:
-    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_constants.py"
+class TestCalibrateKinds:
+    """``supdev calibrate`` with any number of kinds: every config is built
+    and every fit runs before anything is printed."""
 
-    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--reps", "0"]])
-    def test_bad_input_exit_two_without_traceback(self, args):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), *args], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    @pytest.mark.parametrize(
+        "args",
+        [["--seed", "-1"], ["--reps", "0"], ["nope"], ["cyclic-transfer", "cyclic-transfer"],
+         ["cyclic-transfer", "kronecker-search", "-c", str(CONFIGS / "cyclic_transfer.ini")]],
+        ids=["seed_negative", "reps_0", "unknown_kind", "kind_twice", "config_two_kinds"],
+    )
+    def test_bad_input_exit_two_before_any_fit(self, args, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "calibrate", lambda cfg: pytest.fail(f"{cfg.kind} fitted"))
+        assert cli_main(["calibrate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
-    def test_overall_line_follows_the_fitted_value(self):
-        proc = subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--reps", "300"], capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0 and proc.stderr == ""
-        lines = proc.stdout.splitlines()
-        fitted = [float(line.rsplit("= ", 1)[1]) for line in lines if "largest admissible C" in line]
-        [overall] = [line for line in lines if line.startswith("transfer overall")]
-        assert overall == self.summary(min(fitted))
+    def test_every_fit_before_any_output(self, capsys, monkeypatch):
+        fitted = []
+        entry = KINDS["cyclic-transfer"]._replace(calibrate=lambda cfg: fitted.append(cfg.kind) or {"c_max": 1.0})
+        monkeypatch.setitem(KINDS, "cyclic-transfer", entry)
+        assert cli_main(["calibrate", "cyclic-transfer", "limsup"]) == 2
+        assert fitted == ["cyclic-transfer"]
+        assert capsys.readouterr() == ("", "config error: no free constant to calibrate for kind 'limsup'\n")
 
-    @staticmethod
-    def summary(c_max):
-        spec = importlib.util.spec_from_file_location("calibrate_constants", TestCalibrateScript.SCRIPT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.transfer_summary(c_max)
-
-    def test_summary_names_each_outcome(self):
-        assert "no window constrained C" in self.summary(math.inf)
-        assert self.summary(2.5).endswith("(0, 2.5] passes; C = 1 is inside")
-        assert self.summary(0.25).endswith("(0, 0.25] passes; C = 1 is outside and fails")
+    def test_every_fitted_kind_by_default(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        assert cli_main(["calibrate"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        kinds = [line for line in lines if line.startswith("kind=")]
+        assert captured.err == "" and kinds == ["kind=cyclic-transfer", "kind=kronecker-search"]
+        assert lines[-3:-1] == ["c_max=0.24179880711017174", "count=40000"]
+        assert lines[-1].startswith("note: ")
 
 
 class TestBudgetErrors:
