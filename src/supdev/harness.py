@@ -581,16 +581,22 @@ def _run_lattice_correlation(cfg: ExperimentConfig) -> list:
 
 def _calibrate_transfer(cfg: ExperimentConfig) -> dict:
     """The largest C for which the transfer comparison still passes (the
-    error term decays in C, so admissible C form an interval (0, C_max])."""
+    error term decays in C, so admissible C form an interval (0, C_max]).
+    When the comparison passes with no error term the fit constrains
+    nothing: C_max is inf, ``constrained`` False and no pass verdict is
+    given.  With Delta = 0 the error term is 0 for every C, so a deficit
+    admits no C."""
     tb, est_x, est_perp, theta, h = _transfer_pieces(cfg)
     deficit = est_x.estimate - est_perp.estimate - _cushion(est_x, est_perp)
+    if deficit <= 0.0:
+        return {"kind": cfg.kind, "c_max": math.inf, "constrained": False}
     d = tb.delta_report.delta
-    if d == 0.0 or deficit <= 0.0:
-        c_max = math.inf
+    if d == 0.0:
+        c_max = 0.0
     else:
         q = h * h / (d * d * tb.log_kappa_guarded)
-        c_max = math.log(2.0 / deficit) / q if deficit < 2.0 else 0.0
-    return {"kind": cfg.kind, "c_max": c_max, "passes_at_C_1": bool(c_max >= 1.0)}
+        c_max = math.log(2.0 / deficit) / q
+    return {"kind": cfg.kind, "c_max": c_max, "constrained": True, "passes_at_C_1": c_max >= 1.0}
 
 
 def _calibrate_kronecker(cfg: ExperimentConfig) -> dict:

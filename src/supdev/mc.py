@@ -14,10 +14,12 @@ the first draw: importing this module loads no scipy.  Path draws come in
 the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
 rows interleaved the same way (a_k cos(w_k u), a_k sin(w_k u)), so a chunk of
 paths is one GEMM of its draws against that matrix.  The replication range
-is split into chunks whose size depends only on the replication count and
-the output width (at most 2^18 output values per chunk), never on the
-worker count; workers take whole chunks and counts/sums merge in chunk
-order, which makes results bit-identical for any worker count.
+is split into near-equal chunks (at most 2^18 output values each), in a
+count that is a multiple of 4 where the 64-row floor allows, so 1, 2 or 4
+workers get equal shares; the bounds depend only on the replication count
+and the output width, never on the worker count.  Workers take whole
+chunks, counts add up in chunk order and a mean sums all replications at
+once, which makes results bit-identical for any worker count.
 
 Every estimator runs through one per-replication map, ``_map_projected``: a
 chunk's draws are projected through one matrix (the design matrix for a
@@ -31,7 +33,7 @@ Several matrices of one shape can share a chunk's draws, one GEMM each (a
 single GEMM against the concatenated matrices would round differently):
 ``mc_sup_probs`` estimates a process and its rational-frequency companion
 on one draw table, and ``mc_sup_prob`` is its one-spec case.  Estimates
-count in chunk order, or add chunk sums in chunk order.  The map rejects
+count in chunk order, or sum the concatenated chunk values.  The map rejects
 reps < 1 before any draw, and ``normal_draws`` rejects seeds outside
 [0, 2^64) and negative replication ranges or widths.
 
@@ -99,7 +101,7 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # ndtri(0.975)
-CHUNK_REPS = 8192  # fixed chunk size: chunk boundaries never depend on workers
+CHUNK_REPS = 8192  # most replications in one chunk; chunk boundaries never depend on workers
 _DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, never the worker count
 GRID_BUDGET = 1 << 25  # hard cap on grid nodes and on design-matrix entries (256 MiB of floats)
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
@@ -460,15 +462,20 @@ def _project_folded(draws: np.ndarray, fold: _Fold) -> np.ndarray:
 def _chunk_bounds(reps: int, nodes: int) -> list:
     """Fixed chunking of the replication range (independent of workers).
 
-    A chunk holds at most 2^18 output values (2 MiB of float64, one core's
-    L2 cache) and between 64 and CHUNK_REPS replications, so outputs up to
-    32 wide keep CHUNK_REPS-row chunks.  The boundaries depend only on
-    (reps, nodes).
+    A chunk holds at most ``per`` replications: 2^18 output values (2 MiB
+    of float64, one core's L2 cache), kept between 64 and CHUNK_REPS rows,
+    so outputs up to 32 wide allow CHUNK_REPS-row chunks.  The range is cut
+    into near-equal chunks (sizes differ by at most one row), and their
+    count is rounded up to a multiple of 4 unless that would leave a chunk
+    under 64 rows, so 1, 2 or 4 workers get equal shares.  The count never
+    falls below ceil(reps / per), which keeps every chunk within the cap.
+    The boundaries depend only on (reps, nodes).
     """
     per = CHUNK_REPS
     if nodes > 0:
         per = max(64, min(CHUNK_REPS, (1 << 18) // nodes))
-    return [(s, min(s + per, reps)) for s in range(0, reps, per)]
+    count = max(-(-reps // per), min(4 * -(-reps // (4 * per)), reps // 64))
+    return [(reps * i // count, reps * (i + 1) // count) for i in range(count)]
 
 
 @lru_cache(maxsize=4)
@@ -496,8 +503,10 @@ def _map_projected(
     outputs), which fixes the draws per replication and the chunk bounds.
     A ``_Fold`` with ``project=_project_folded`` stands for its full grid.
     ``stat`` maps a chunk's projected block to one value per replication;
-    it owns its argument and may overwrite it.  reps < 1 is refused before
-    any draw.
+    it owns its argument and may overwrite it.  The chunks are those of
+    ``_chunk_bounds``: near-equal, a multiple of 4 where the range allows,
+    so the pool's workers get equal shares.  reps < 1 is refused before any
+    draw.
     """
     if reps < 1:
         raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
@@ -583,9 +592,11 @@ def _prob_estimate(parts: list, reps: int, seed: int, theta: Optional[float] = N
 
 
 def _mean_estimate(parts: list, reps: int, seed: int) -> McEstimate:
-    """Mean of per-replication values; chunk sums are added in chunk order."""
-    total = sum(float(values.sum()) for values in parts)
-    total_sq = sum(float((values * values).sum()) for values in parts)
+    """Mean of per-replication values, summed over all replications at
+    once, so it does not depend on how they were split into parts."""
+    values = np.concatenate(parts)
+    total = float(values.sum())
+    total_sq = float((values * values).sum())
     mean = total / reps
     var = max(0.0, (total_sq - total * total / reps) / max(reps - 1, 1))
     return McEstimate(

@@ -304,8 +304,8 @@ class TestGebeleinNelson:
 
     @pytest.mark.parametrize("f_kind", ["identity", "quadratic"])
     def test_worker_count_identical(self, f_kind):
-        reps = 40000  # 5 chunks
-        assert len(_chunk_bounds(reps, 2)) == 5
+        reps = 40000  # 8 chunks
+        assert len(_chunk_bounds(reps, 2)) == 8
         ref = verify_gebelein_nelson(-0.6, f_kind, reps, seed=12, workers=1)
         for workers in (2, 3, 2):
             assert verify_gebelein_nelson(-0.6, f_kind, reps, seed=12, workers=workers) == ref

@@ -12,7 +12,9 @@ Gebelein's included.  The harness never calls the expected-supremum
 estimators, runs ``verify_gebelein_nelson`` only on its quadratic default
 and never reaches a vector width of 32 or more, so those estimators are
 pinned directly as well, by the ``repr`` of their estimate and half-width
-over several chunks.
+over several chunks.  A mean sums all its replications at once, so its
+summation does not follow the chunks; its bytes still do, as a GEMM row's
+result can depend on the row count of its chunk.
 
 Count estimators hide an ulp move in a path, so the path values are pinned
 too: the sha256 of the design-matrix and sample-path bytes (shape included)
@@ -111,10 +113,10 @@ def real_spec(step):
 
 
 PATH32, OTHER32 = real_spec(0.7), real_spec(0.71)
-GRID600 = GridSpec.uniform(0.0, 10.0, 600)  # 3000 reps on 600 nodes span 7 chunks
+GRID600 = GridSpec.uniform(0.0, 10.0, 600)  # 3000 reps on 600 nodes span 8 chunks
 
 # name: (estimator, repr(estimate), repr(half_width)); 20000 reps of a
-# vector span 3-4 chunks, 40000 Gebelein pairs span 5.
+# vector span 4 chunks, 40000 Gebelein pairs span 8.
 DIRECT = {
     "sup_vector_n5": (
         lambda: mc_expected_sup_vector(EQUI5, 20000, seed=3),
@@ -254,7 +256,7 @@ def test_path_bytes(name):
     assert digest(build()) == expected
 
 
-# 2000 reps on 705 nodes span 6 chunks; the same seed couples X and its companion
+# 2000 reps on 705 nodes span 8 chunks; the same seed couples X and its companion
 PATH_PROBS = {
     "sup_prob_transfer": (
         lambda: mc_sup_prob(TRANSFER48, GRID_U12, 5.0, 2000, seed=13),

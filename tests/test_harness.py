@@ -541,11 +541,28 @@ class TestEmission:
 
 
 class TestCalibrate:
-    def test_transfer_constant_is_order_one(self):
+    def test_transfer_window_that_constrains_nothing_gives_no_verdict(self):
+        # the default window's X never reaches theta - h, so every C passes
+        out = calibrate(default_config("cyclic-transfer", seed=3))
+        assert out == {"kind": "cyclic-transfer", "c_max": math.inf, "constrained": False}
+
+    @pytest.mark.parametrize("zero_delta", [False, True])
+    def test_transfer_constant_closes_the_deficit(self, monkeypatch, zero_delta):
         cfg = default_config("cyclic-transfer", seed=3)
+        tb, _, est_perp, theta, h = harness._transfer_pieces(cfg)
+        if zero_delta:
+            tb = tb._replace(delta_report=replace(tb.delta_report, delta=0.0))
+        est_x = mc.McEstimate(estimate=0.5, reps=cfg.reps, half_width=0.0, seed=3, kind="probability")
+        monkeypatch.setattr(harness, "_transfer_pieces", lambda cfg: (tb, est_x, est_perp, theta, h))
         out = calibrate(cfg)
-        assert out["c_max"] >= 1.0
-        assert out["passes_at_C_1"]
+        deficit = 0.5 - est_perp.estimate - 3.0 * est_perp.half_width
+        assert deficit > 0.0 and out["constrained"] and out["passes_at_C_1"] == (out["c_max"] >= 1.0)
+        if zero_delta:
+            assert out["c_max"] == 0.0
+        else:
+            # at C = c_max the error term equals the deficit
+            d, log_kappa = tb.delta_report.delta, tb.log_kappa_guarded
+            assert 2.0 * math.exp(-out["c_max"] * h * h / (d * d * log_kappa)) == pytest.approx(deficit, rel=1e-12)
 
     def test_kronecker_constant_reported(self):
         cfg = default_config("kronecker-search", seed=3)
@@ -888,6 +905,13 @@ class TestCalibrateKinds:
         assert cli_main(["calibrate", "cyclic-transfer", "limsup"]) == 2
         assert fitted == ["cyclic-transfer"]
         assert capsys.readouterr() == ("", "config error: no free constant to calibrate for kind 'limsup'\n")
+
+    def test_transfer_fit_that_constrains_nothing_prints_no_verdict(self, capsys):
+        assert cli_main(["calibrate", "cyclic-transfer", "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert captured.err == "" and lines[:3] == ["kind=cyclic-transfer", "c_max=inf", "constrained=False"]
+        assert len(lines) == 4 and lines[-1].startswith("note: ")
 
     def test_every_fitted_kind_by_default(self, capsys, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)

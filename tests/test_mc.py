@@ -419,7 +419,7 @@ class TestSharedDraws:
     """Several specs projected from one draw table."""
 
     SPEC = unit_spec(48, coeffs="inv_sqrt")
-    GRID = GridSpec.uniform(1.0, 12.0, 705)  # 2000 reps span 6 chunks
+    GRID = GridSpec.uniform(1.0, 12.0, 705)  # 2000 reps span 8 chunks
 
     def companion(self):
         from supdev.cyclic import TestSequence, perp_process
@@ -477,9 +477,9 @@ def full_gemm_sup_probs(specs, grid, thetas, reps, seed, workers):
 FOLD_REPS = 1000
 # (spec, grid): odd and even grids, one and two nodes, uniform grids and
 # lattices (the cyclic rule's from 0, one off the origin), integer and real
-# frequencies, an empty range, and a grid whose 1000 reps span 3 chunks
+# frequencies, an empty range, and a grid whose 1000 reps span 4 chunks
 FOLD_CASES = {
-    "odd_real_3_chunks": (unit_spec(48, coeffs="inv_sqrt"), GridSpec.uniform(1.0, 12.0, 705)),
+    "odd_real_4_chunks": (unit_spec(48, coeffs="inv_sqrt"), GridSpec.uniform(1.0, 12.0, 705)),
     "even_real": (unit_spec(30, freq_rule=lambda k: 0.61 * k), GridSpec.uniform(1.0, 4.0, 64)),
     "one_node": (unit_spec(5), GridSpec.uniform(0.3, 1.0, 1)),
     "two_nodes": (unit_spec(5), GridSpec.uniform(0.3, 1.0, 2)),
@@ -497,7 +497,7 @@ class TestFold:
         sizes = {grid.size % 2 for _, grid in FOLD_CASES.values()}
         assert sizes == {0, 1}
         assert {grid.mode for _, grid in FOLD_CASES.values()} == {"uniform", "lattice"}
-        assert len(_chunk_bounds(FOLD_REPS, FOLD_CASES["odd_real_3_chunks"][1].size)) == 3
+        assert len(_chunk_bounds(FOLD_REPS, FOLD_CASES["odd_real_4_chunks"][1].size)) == 4
 
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
     def test_grid_fold_gives_the_nodes(self, case):
@@ -521,7 +521,7 @@ class TestFold:
         assert np.max(np.abs(folded - paths.max(axis=1))) <= 1e-12 * np.max(np.abs(paths))
 
     def test_half_grid_design_is_read_as_views(self):
-        spec, grid = FOLD_CASES["odd_real_3_chunks"]
+        spec, grid = FOLD_CASES["odd_real_4_chunks"]
         fold = mc._fold(spec, grid, 1)
         assert fold.shape == (2 * spec.n_terms, grid.size)
         assert fold.cos_rows.shape == fold.sin_rows.shape == (spec.n_terms, (grid.size + 1) // 2)
@@ -560,10 +560,14 @@ class TestWideGrid:
         assert len(_chunk_bounds(2000, 1258)) >= 2
 
     def test_narrow_outputs_keep_full_chunks(self):
-        for reps in (1, 8191, 8192, 60000, 100000):
-            expect = [(s, min(s + CHUNK_REPS, reps)) for s in range(0, reps, CHUNK_REPS)]
-            for n in range(1, 33):
-                assert _chunk_bounds(reps, n) == expect
+        full = [(i * CHUNK_REPS, (i + 1) * CHUNK_REPS) for i in range(4)]
+        counts = {1: 1, 8191: 4, 8192: 4, 4 * CHUNK_REPS: 4, 60000: 8, 100000: 16}
+        for n in range(1, 33):
+            assert _chunk_bounds(4 * CHUNK_REPS, n) == full
+            for reps, count in counts.items():
+                assert _chunk_bounds(reps, n) == _chunk_bounds(reps, 1)
+                assert len(_chunk_bounds(reps, n)) == count
+        assert len(_chunk_bounds(4 * CHUNK_REPS, 33)) == 8
 
     def test_chunks_cover_range_in_order(self):
         for reps, n in ((2000, 1258), (1000, 193), (77, 5000), (2000, 10**6)):
@@ -571,6 +575,31 @@ class TestWideGrid:
             assert chunks[0][0] == 0 and chunks[-1][1] == reps
             assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
             assert all(e - s <= max(64, (1 << 18) // n) for s, e in chunks)
+
+    @pytest.mark.parametrize("reps", [1, 2, 40, 63, 64, 65, 77, 127, 255, 256, 1000, 2000, 8191, 60000, 100000])
+    def test_chunk_rule(self, reps):
+        for nodes in (0, 1, 5, 32, 33, 193, 705, 1258, 4096, 4097, 5000, 10**6):
+            per = max(64, min(CHUNK_REPS, (1 << 18) // nodes)) if nodes else CHUNK_REPS
+            chunks = _chunk_bounds(reps, nodes)
+            sizes = [e - s for s, e in chunks]
+            assert chunks[0][0] == 0 and chunks[-1][1] == reps
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= per
+            floor_binds = reps // 64 < 4 * math.ceil(reps / (4 * per))
+            assert len(chunks) % 4 == 0 or floor_binds
+            # at least 64 rows, unless the cap forces more chunks than reps // 64
+            if reps >= 64 and len(chunks) <= reps // 64:
+                assert min(sizes) >= 64
+            else:
+                assert len(chunks) == math.ceil(reps / per) and min(sizes) >= min(reps, per // 2)
+
+    def test_mean_is_independent_of_the_split(self):
+        values = normal_draws(3, 0, 10007, 1)[:, 0] + 2.0
+        want = mc._mean_estimate([values], values.size, 3)
+        for cuts in ([5000], [1, 2, 3], [64, 4096, 8192, 10000], list(range(250, 10007, 250))):
+            parts = np.split(values, cuts)
+            got = mc._mean_estimate(parts, values.size, 3)
+            assert (repr(got.estimate), repr(got.half_width)) == (repr(want.estimate), repr(want.half_width))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_identical(self, workers):
