@@ -542,7 +542,7 @@ class TestEmission:
 
 class TestCalibrate:
     def test_transfer_window_that_constrains_nothing_gives_no_verdict(self):
-        # the default window's X never reaches theta - h, so every C passes
+        # at the default window sup X never stays below theta - h, so every C passes
         out = calibrate(default_config("cyclic-transfer", seed=3))
         assert out == {"kind": "cyclic-transfer", "c_max": math.inf, "constrained": False}
 
