@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest every output of a benchmark workload, to check bit-identity.
 
-Runs each case that ``perfbench/cases.py`` generates for the workload and
+Runs each case that ``perfbench/cases.py`` generates for each workload and
 seed, at each requested worker count, and prints one line per (workload,
 seed, workers):
 
@@ -14,7 +14,7 @@ seed.  Two checkouts whose lines match produced the same bytes on every
 case.  Native thread pools are pinned to one thread, as in the benchmark.
 
 Usage:
-    python3 scripts/hash_outputs.py --workload path-sweep --seeds 1 2 3 --workers 1 2
+    python3 scripts/hash_outputs.py --workload vector-sweep path-sweep lattice-scan --seeds 1 2 3 --workers 1 2
 """
 
 import argparse
@@ -50,14 +50,15 @@ def digest(workload: str, seed: int, workers: int) -> tuple:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workload", required=True, choices=cases.WORKLOADS)
+    parser.add_argument("--workload", required=True, nargs="+", choices=cases.WORKLOADS)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workers", type=int, nargs="+", default=[1])
     args = parser.parse_args()
-    for seed in args.seeds:
-        for workers in args.workers:
-            count, hexdigest = digest(args.workload, seed, workers)
-            print(f"{args.workload} seed={seed} workers={workers} cases={count} sha256={hexdigest}", flush=True)
+    for workload in args.workload:
+        for seed in args.seeds:
+            for workers in args.workers:
+                count, hexdigest = digest(workload, seed, workers)
+                print(f"{workload} seed={seed} workers={workers} cases={count} sha256={hexdigest}", flush=True)
     return 0
 
 

@@ -58,7 +58,7 @@ def _add_common(sub, default):
     sub.add_argument("kinds", nargs="*", metavar="kind", help=f"kinds, in order (default: {default})")
     sub.add_argument("-c", "--config", help="INI config file (defaults per kind otherwise)")
     sub.add_argument("--seed", type=int, default=None, help=f"seed override (beats {SEED_ENV_VAR} and config)")
-    sub.add_argument("--reps", type=int, default=None, help="replication override")
+    sub.add_argument("--reps", type=int, default=None, help="replication override (scan kinds draw none: reps stays 1)")
     sub.add_argument("--workers", type=int, default=None, help="worker threads (results do not depend on this)")
 
 
@@ -91,24 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _configs(args, every) -> list:
     """The configs of the kinds named, or of ``every`` kind when none is,
     each with the overrides and the seed applied: --seed, else SUPDEV_SEED,
-    else the config's seed (0 when it sets none).  -c needs exactly one
-    kind, and a kind named twice is refused."""
+    else the config's seed (0 when it sets none); --reps skips the scan kinds,
+    which keep 1.  -c needs exactly one kind, and a kind named twice is refused."""
     if args.config and len(args.kinds) != 1:
         raise ConfigError(f"-c takes exactly one kind, got {len(args.kinds)}")
+    if args.reps is not None and args.reps < 1:  # checked here too, as a scan kind drops it
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     twice = [kind for i, kind in enumerate(args.kinds) if kind in args.kinds[:i]]
     if twice:
         raise ConfigError(f"kind {twice[0]!r} is named twice")
     seed = args.seed
     if seed is None and SEED_ENV_VAR in os.environ:
         seed = check_seed(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
-    overrides = {"seed": seed, "reps": args.reps, "workers": args.workers}
+    overrides = {"seed": seed, "workers": args.workers}
     overrides = {name: value for name, value in overrides.items() if value is not None}
     configs = []
     for kind in args.kinds or every:
         cfg = load_config(args.config) if args.config else default_config(kind)
         if cfg.kind != kind:
             raise ConfigError(f"config kind {cfg.kind!r} does not match requested {kind!r}")
-        configs.append(replace(cfg, **overrides))
+        reps = {"reps": args.reps} if args.reps is not None and KINDS[kind].reps > 1 else {}
+        configs.append(replace(cfg, **overrides, **reps))
     return configs
 
 

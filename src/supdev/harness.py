@@ -51,8 +51,7 @@ from .kronecker import (
     xi,
 )
 from .mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_sup_probs, mc_vector_sup_prob
-from .quadrature import autocovariance
-from .spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, variance
+from .spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, TrigDensity, variance
 
 __all__ = [
     "CheckRow",
@@ -161,8 +160,8 @@ class ExperimentConfig:
     source: the kind is text, params and output are mappings, seed, reps,
     workers and int params are ints, float params floats, list params
     tuples and output paths text, so a config hashes and runs the same as
-    its INI text.  Omitted reps take the kind's replication count, and an
-    omitted seed is 0."""
+    its INI text.  Omitted reps take the kind's replication count (a scan
+    kind's 1 admits no other), and an omitted seed is 0."""
 
     kind: str
     params: dict
@@ -187,6 +186,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed(getattr(self, name), "int", name))
         if self.reps < 1 or self.workers < 1:
             raise ConfigError(f"reps and workers must be >= 1, got reps={self.reps}, workers={self.workers}")
+        if entry.reps == 1 and self.reps != 1:
+            raise ConfigError(f"kind {self.kind!r} draws no replications: reps must be 1, got {self.reps}")
         object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         object.__setattr__(self, "params", _validate_params(self.kind, self.params))
 
@@ -335,34 +336,13 @@ def _run_block(cfg: ExperimentConfig) -> list:
     return [_row_from_estimate("sup_prob_le_block_bound", est, rep.value, x=p["theta"])]
 
 
-def _szego_density(root_coeffs, floor_val) -> Callable[[np.ndarray], np.ndarray]:
-    """Positive trig-polynomial density |sum c_j e^{ijt}|^2 + floor,
-    normalized to unit mean (the sandwich standardizes the sequence).  A
-    mass sum c_j^2 + floor that is not finite and positive raises."""
-    c = np.asarray(root_coeffs, dtype=float)
-    with np.errstate(over="ignore"):
-        mass = float(np.sum(c * c)) + floor_val
-    if not 0.0 < mass < math.inf:
-        raise DomainError(f"density mass sum c_j^2 + floor = {mass} is not finite and positive")
-
-    def f(t):
-        e = np.exp(1j * t)
-        val = np.zeros_like(e)
-        for j, cj in enumerate(c):
-            val = val + cj * e**j
-        return (np.abs(val) ** 2 + floor_val) / mass
-
-    return f
-
-
 def _run_szego(cfg: ExperimentConfig) -> list:
     p = cfg.params
-    density = _szego_density(p["root_coeffs"], p["floor"])
+    density = TrigDensity(p["root_coeffs"], p["floor"])
     n, z = p["n"], p["z"]
-    CovarianceSpec.check_dimension(n)  # before the per-lag autocovariance loop
+    CovarianceSpec.check_dimension(n)  # before the autocovariances are allocated
     sz = szego_bounds(density, n, z)
-    gammas = [autocovariance(density, h) for h in range(n)]
-    cov = CovarianceSpec.stationary(gammas)
+    cov = CovarianceSpec.stationary(density.autocovariances(n))
     est = mc_vector_sup_prob(cov, z, cfg.reps, cfg.seed, workers=cfg.workers, absolute=True)
     return [
         _row("sandwich_lower_le_mc", est.estimate - (sz.lower - _cushion(est)), est=est, bound=sz.lower, x=z),

@@ -1,25 +1,21 @@
-"""Vectorized adaptive quadrature helpers.
+"""Vectorized adaptive quadrature.
 
-Two consumers: the L1 norm of an absolute trigonometric sum (piecewise
-smooth, kinks at the sign changes) and autocovariances gamma(h) of a
-spectral density (smooth periodic integrands, midpoint-doubling).
+One consumer: ``decoupling.riemann_gap``, the L1 norm of an absolute
+trigonometric sum (piecewise smooth, kinks at the sign changes).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["adaptive_simpson", "autocovariance"]
+__all__ = ["adaptive_simpson"]
 
 SIMPSON_TOL = 1e-9  # absolute tolerance of adaptive_simpson
 SIMPSON_INTERVALS = 2**20  # intervals adaptive_simpson may accept
-AUTOCOVARIANCE_TOL = 1e-12  # relative (absolute below 1) tolerance of autocovariance
-AUTOCOVARIANCE_NODES = 2**18  # midpoint budget of one autocovariance
 
 
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n_panels: int) -> float:
@@ -71,24 +67,3 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, 
         budget -= done.sum()
     return total
 
-
-def autocovariance(density: Callable[[np.ndarray], np.ndarray], h: int) -> float:
-    """gamma(h) = (1/2pi) integral of f(t) cos(h t) over [-pi, pi].
-
-    Midpoint-doubling: exact (up to rounding) once the node count exceeds
-    the bandwidth for trigonometric-polynomial densities, and spectrally
-    accurate for any smooth periodic density.
-    """
-    def mean(n: int) -> float:
-        mids = -math.pi + (2.0 * np.arange(n) + 1.0) * (math.pi / n)
-        return float(np.mean(np.asarray(density(mids), dtype=float) * np.cos(h * mids)))
-
-    n = 64
-    prev = mean(n)
-    while n < AUTOCOVARIANCE_NODES:
-        n *= 2
-        cur = mean(n)
-        if abs(cur - prev) <= AUTOCOVARIANCE_TOL * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(f"autocovariance quadrature did not converge for lag {h}")

@@ -6,7 +6,8 @@ Carlo, rational-frequency approximation) reads those read-only arrays;
 no other module evaluates a sequence.  Shared aggregates are defined here
 once: ``power_sum`` (sum a_k^p), ``variance`` (A = sum a_k^2, refused
 when 0) and ``node_floor`` (2 pi sum j_k a_k^2).  Empty ranges follow the
-convention sum() == 0.
+convention sum() == 0.  ``TrigDensity`` is the szego kind's spectral
+density, whose autocovariances are finite sums of its coefficients.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "FrequencySeq",
     "PolynomialSpec",
     "GeometricMean",
+    "TrigDensity",
     "ModerateCondition",
     "node_floor",
     "power_sum",
@@ -273,6 +275,40 @@ def check_moderate_condition(spec: PolynomialSpec, eta: float) -> ModerateCondit
     lhs = math.sqrt(power_sum(spec, 4))
     rhs = a2 ** (1.0 - eta) / math.sqrt(math.log(a2))
     return ModerateCondition(lhs <= rhs, lhs, rhs)
+
+
+class TrigDensity:
+    """Positive trig-polynomial density |sum c_j e^{ijt}|^2 + floor of
+    degree d = len(c) - 1, normalized to unit mean by its mass sum c_j^2 +
+    floor (the sandwich standardizes the sequence).  A mass that is not
+    finite and positive raises."""
+
+    def __init__(self, root_coeffs: Sequence[float], floor: float):
+        self.coeffs, self.floor = np.asarray(root_coeffs, dtype=float), floor
+        with np.errstate(over="ignore"):
+            self.mass = float(np.sum(self.coeffs * self.coeffs)) + floor
+        if not 0.0 < self.mass < math.inf:
+            raise DomainError(f"density mass sum c_j^2 + floor = {self.mass} is not finite and positive")
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        e = np.exp(1j * t)
+        val = np.zeros_like(e)
+        for j, cj in enumerate(self.coeffs):
+            val = val + cj * e**j
+        return (np.abs(val) ** 2 + self.floor) / self.mass
+
+    def autocovariances(self, n: int) -> np.ndarray:
+        """Exact gamma(0..n-1): (sum_j c_j c_{j+h} + floor [h = 0]) / mass, 0
+        past lag d (Grenander & Szego 1958); gamma(0) is the mass sum over
+        itself, so 1.0.  np.sum and no BLAS call: bytes under every kernel."""
+        if n < 1:
+            raise DomainError(f"n={n} < 1")
+        c = self.coeffs
+        sums = np.zeros(n)
+        for h in range(min(n, c.size)):
+            sums[h] = np.sum(c[: c.size - h] * c[h:])
+        sums[0] += self.floor
+        return sums / self.mass
 
 
 class GeometricMean(NamedTuple):

@@ -29,8 +29,7 @@ from supdev.kronecker import (
     solution_k,
 )
 from supdev.mc import CovarianceSpec, GridSpec, mc_sup_prob, mc_vector_sup_prob, sup_diff_samples
-from supdev.quadrature import autocovariance
-from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, power_sum
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, TrigDensity, power_sum
 
 
 def report(num, name, detail=""):
@@ -81,17 +80,7 @@ def test_02_block_dominance():
 def _random_density(rng):
     d = int(rng.integers(1, 5))
     c = rng.normal(size=d + 1)
-    floor = float(rng.uniform(0.02, 0.2))
-    mass = float(np.sum(c * c)) + floor
-
-    def f(t, c=c, floor=floor, mass=mass):
-        e = np.exp(1j * np.asarray(t, dtype=float))
-        val = np.zeros_like(e)
-        for j, cj in enumerate(c):
-            val = val + cj * e**j
-        return (np.abs(val) ** 2 + floor) / mass
-
-    return f
+    return TrigDensity(c, float(rng.uniform(0.02, 0.2)))
 
 
 def test_03_szego_sandwich():
@@ -101,8 +90,7 @@ def test_03_szego_sandwich():
         n = int(rng.integers(2, 7))
         z = float(rng.uniform(0.5, 3.0))
         sz = szego_bounds(dens, n, z)
-        gam = [autocovariance(dens, h) for h in range(n)]
-        est = mc_vector_sup_prob(CovarianceSpec.stationary(gam), z, 60000, seed=3000 + i, absolute=True)
+        est = mc_vector_sup_prob(CovarianceSpec.stationary(dens.autocovariances(n)), z, 60000, seed=3000 + i, absolute=True)
         assert sz.lower - 3.0 * est.half_width <= est.estimate, f"case {i}: lower breached"
         assert est.estimate <= sz.upper + 3.0 * est.half_width, f"case {i}: upper breached"
     report(3, "spectral sandwich", "20/20 densities")

@@ -20,8 +20,7 @@ from supdev.bounds import (
 )
 from supdev.errors import DomainError
 from supdev.mc import CovarianceSpec, mc_vector_sup_prob
-from supdev.quadrature import autocovariance
-from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec
+from supdev.spectrum import CoefficientSeq, FrequencySeq, PolynomialSpec, TrigDensity
 
 
 def ones_spec(x, y=1):
@@ -293,22 +292,12 @@ class TestSzego:
     def test_sandwich_against_mc(self, rng):
         # unit-variance density (the displayed sandwich standardizes the
         # sequence; gamma(0) = 1 also keeps G <= 1 so upper >= lower)
-        c = (1.0, 0.5, -0.4)
-        mass = sum(v * v for v in c) + 0.05
-
-        def f(t):
-            e = np.exp(1j * t)
-            val = np.zeros_like(e)
-            for j, cj in enumerate(c):
-                val = val + cj * e**j
-            return (np.abs(val) ** 2 + 0.05) / mass
-
-        dens = f
+        dens = TrigDensity((1.0, 0.5, -0.4), 0.05)
         n, z = 4, 1.4
         sz = szego_bounds(dens, n, z)
         assert sz.g_value <= 1.0 + 1e-12
-        gam = [autocovariance(dens, h) for h in range(n)]
-        assert gam[0] == pytest.approx(1.0, rel=1e-10)
+        gam = dens.autocovariances(n)
+        assert gam[0] == 1.0
         cov = CovarianceSpec.stationary(gam)
         est = mc_vector_sup_prob(cov, z, 60000, seed=77, absolute=True)
         assert sz.lower - 3.0 * est.half_width <= est.estimate <= sz.upper + 3.0 * est.half_width

@@ -881,6 +881,39 @@ class TestNonFiniteParams:
         assert "must be finite" in err and "Traceback" not in err
 
 
+SCAN_KINDS = [kind for kind in EXPERIMENT_KINDS if KINDS[kind].reps == 1]
+
+
+class TestScanKindReps:
+    """A scan kind (replication count 1) draws nothing, so it records reps =
+    1 whatever --reps says, and a config that sets it otherwise is refused."""
+
+    def test_scan_kinds(self):
+        assert SCAN_KINDS == ["divergence", "kronecker-search", "lattice-correlation", "limsup"]
+
+    def test_reps_override_skips_a_scan_kind(self, capsys):
+        assert cli_main(["verify", "limsup", "--reps", "4000"]) == 0
+        assert "experiment=limsup seed=0 reps=1 hash=28dd69d1f02b8750\n" in capsys.readouterr().out
+
+    def test_bad_reps_override_refused_for_a_scan_kind(self, capsys):
+        assert cli_main(["verify", "limsup", "--reps", "0"]) == 2
+        assert capsys.readouterr().err == "config error: --reps must be >= 1, got 0\n"
+
+    def test_reps_override_reaches_every_drawing_kind(self, capsys, deadline):
+        cli_main(["verify", "--reps", "200"])
+        recorded = dict(re.findall(r"^experiment=(\S+) seed=\d+ reps=(\d+) ", capsys.readouterr().out, re.MULTILINE))
+        assert recorded == {kind: "1" if kind in SCAN_KINDS else "200" for kind in EXPERIMENT_KINDS}
+
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_config_reps_exit_two_one_line(self, kind, capsys, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini_with(kind, {}).replace("[params]", "reps = 5\n[params]"))
+        assert cli_main(["verify", kind, "-c", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: kind {kind!r} draws no replications: reps must be 1, got 5\n"
+        assert captured.out == ""
+
+
 class TestCalibrateKinds:
     """``supdev calibrate`` with any number of kinds: every config is built
     and every fit runs before anything is printed."""

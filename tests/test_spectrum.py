@@ -14,6 +14,7 @@ from supdev.spectrum import (
     CoefficientSeq,
     FrequencySeq,
     PolynomialSpec,
+    TrigDensity,
     check_moderate_condition,
     node_floor,
     power_sum,
@@ -336,15 +337,61 @@ class TestGeometricMean:
             d = rng.integers(1, 5)
             c = rng.normal(size=d + 1)
             c /= max(1.0, np.abs(c).sum())
+            # unit mean, so the geometric mean is at most 1
+            assert spectral_geometric_mean(TrigDensity(c, 0.05)).value <= 1.0 + 1e-10
 
-            def f(t, c=c):
-                e = np.exp(1j * t)
-                val = np.zeros_like(e)
-                for j, cj in enumerate(c):
-                    val = val + cj * e**j
-                return np.abs(val) ** 2 + 0.05
 
-            dens = f
-            g = spectral_geometric_mean(dens).value
-            arithmetic = float(np.sum(c * c)) + 0.05  # mean of |q|^2 + floor
-            assert g <= arithmetic + 1e-10
+def _closure_density(root_coeffs, floor_val):
+    """The szego density as a closure, as it was built before TrigDensity;
+    the geometric mean G, and so the szego bytes, rest on its values."""
+    c = np.asarray(root_coeffs, dtype=float)
+    mass = float(np.sum(c * c)) + floor_val
+
+    def f(t):
+        e = np.exp(1j * t)
+        val = np.zeros_like(e)
+        for j, cj in enumerate(c):
+            val = val + cj * e**j
+        return (np.abs(val) ** 2 + floor_val) / mass
+
+    return f
+
+
+def _midpoint_autocovariance(density, h, nodes):
+    """(1/2pi) integral of f(t) cos(h t) over [-pi, pi] as a midpoint mean
+    on ``nodes`` points: exact up to rounding when nodes > degree + h."""
+    mids = -math.pi + (2.0 * np.arange(nodes) + 1.0) * (math.pi / nodes)
+    return float(np.mean(density(mids) * np.cos(h * mids)))
+
+
+def _densities():
+    """(coeffs, floor): degrees 0 to 4, floor 0 and floor > 0."""
+    rng = np.random.default_rng(17)
+    return [(tuple(rng.normal(size=d + 1)), floor) for d in range(5) for floor in (0.0, 0.3) for _ in range(3)]
+
+
+class TestTrigDensity:
+    @pytest.mark.parametrize("coeffs, floor", _densities())
+    def test_autocovariances_match_midpoint_mean(self, coeffs, floor):
+        density = TrigDensity(coeffs, floor)
+        d = len(coeffs) - 1
+        for n in sorted({max(d, 1), d + 1, d + 3}):  # below, at and past d + 1
+            gammas = density.autocovariances(n)
+            assert gammas.shape == (n,) and gammas[0] == 1.0
+            midpoint = [_midpoint_autocovariance(density, h, 4 * (d + 3)) for h in range(n)]
+            np.testing.assert_allclose(gammas, midpoint, rtol=0.0, atol=1e-15)
+            assert not np.any(gammas[d + 1 :])  # exactly 0 past the degree
+
+    @pytest.mark.parametrize("coeffs, floor", [((1.0, 0.6, -0.3), 0.05), ((1.0, 1.0), 0.0), *_densities()[::4]])
+    def test_values_match_closure_bit_for_bit(self, coeffs, floor):
+        t = -math.pi + (2.0 * np.arange(1024) + 1.0) * (math.pi / 1024)
+        assert TrigDensity(coeffs, floor)(t).tobytes() == _closure_density(coeffs, floor)(t).tobytes()
+
+    @pytest.mark.parametrize("coeffs, floor", [((0.0, 0.0), 0.0), ((1.0,), -1.0), ((1e200,), 0.0)])
+    def test_mass_not_finite_and_positive_raises(self, coeffs, floor):
+        with pytest.raises(DomainError, match="not finite and positive"):
+            TrigDensity(coeffs, floor)
+
+    def test_no_lags_raises(self):
+        with pytest.raises(DomainError, match="n=0"):
+            TrigDensity((1.0,), 0.0).autocovariances(0)
