@@ -45,7 +45,7 @@ from .kronecker import (
     LatticeProblem,
     lattice_correlation,
     lattice_search,
-    limsup_exponential_sum,
+    limsup_records,
     divergence_partial_sums,
     solution_count,
     xi,
@@ -462,14 +462,18 @@ def _run_kronecker_search(cfg: ExperimentConfig) -> list:
 
 def _run_limsup(cfg: ExperimentConfig) -> list:
     p = cfg.params
-    running, final = limsup_exponential_sum(
+    if not 0.0 < p["target_frac"] <= 1.0:
+        raise DomainError(f"target_frac={p['target_frac']} outside (0, 1]")
+    records = limsup_records(
         p["alphas"], p["lambdas"], p["start"], p["step"], p["max_terms"], convention=p["convention"]
     )
+    final = float(records.maxima[-1])
     total = float(np.sum(np.asarray(p["alphas"])))
     # rounding alone parts the modulus of N terms from the total by up to (2.5 N + 5) u
     # sum(alpha), u = 2^-53: the verdict allows 4 (N + 4) ulps, which the pinned margin leaves out
     slack = 4.0 * (len(p["alphas"]) + 4) * float(np.spacing(total))
-    monotone = np.all(np.diff(running) >= 0.0)
+    # the running maximum is the step function of its records: monotone iff they are
+    monotone = np.all(np.diff(records.maxima) >= 0.0)
     target = p["target_frac"] * total
     return [
         _row("running_max_monotone", passed=monotone),
@@ -494,6 +498,8 @@ def _explicit_spec(coeffs, lambdas) -> PolynomialSpec:
 
 def _run_divergence(cfg: ExperimentConfig) -> list:
     p = cfg.params
+    if not p["growth"] > 0.0:  # S_J never decreases: growth <= 0 passes every rung
+        raise DomainError(f"growth={p['growth']} must be positive")
     ladder = sorted(set(p["ladder"]))
     if ladder and ladder[0] < 1:
         raise DomainError(f"ladder rung J={ladder[0]} must be at least 1")

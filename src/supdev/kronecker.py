@@ -9,11 +9,12 @@ with h*N, and the number of such points admits explicit lower bounds.  The
 same machinery drives the running-maximum law for |sum alpha_k e^{i c nu
 lambda_k}| along arithmetic progressions and the divergence of the
 normalized absolute-covariance series.  Both exponential-sum scans turn
-exact phases taken every few hundred rows through one rotation table
-(``_rotated_sums``): the running-maximum scan uses the rotated moduli to
-pick the rows that can hold a new maximum and evaluates only those
-exactly, each by its own N-term sum, and the divergence scan adds the
-rotated sums' real parts.
+exact phases taken every few hundred rows through one rotation table,
+built once per call (``_rotated_sums``): the running-maximum scan walks
+the rows in blocks of a few thousand, uses the rotated moduli to pick the
+rows that can hold a new maximum and evaluates only those exactly, each by
+its own N-term sum, and returns the records of the maximum; the divergence
+scan adds the rotated sums' real parts.
 Every function here runs on the calling thread.
 """
 
@@ -34,6 +35,7 @@ __all__ = [
     "LatticeCorrelation",
     "LatticeProblem",
     "LatticeSearch",
+    "LimsupRecords",
     "SolutionCount",
     "XiReport",
     "bound_cos_lattice",
@@ -41,6 +43,7 @@ __all__ = [
     "lattice_correlation",
     "lattice_search",
     "limsup_exponential_sum",
+    "limsup_records",
     "nearest_int_dist",
     "solution_count",
     "xi",
@@ -53,6 +56,7 @@ _SEARCH_WINDOW = 1 << 17  # lattice points per candidate lattice_search block
 _SPARSE_SHARE = 0.35  # candidate share of a block at which lattice_search evaluates every point
 _MAX_STEP = 32  # largest step q of the rotations lattice_search filters on
 _ROTATION_ROWS = 512  # rows per rotation table of the exponential-sum scans
+_SCAN_ROWS = 1 << 12  # rows per limsup block, a multiple of _ROTATION_ROWS: 64 KiB of complex sums
 _SUM_ROWS = 1 << 16  # rows per divergence summation unit: a 1 MiB complex temporary
 
 
@@ -448,12 +452,21 @@ def _turns(c: float, lam: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.exp(1j * c * np.outer(nu.astype(float), lam))
 
 
-def _rotated_sums(w: np.ndarray, lam: np.ndarray, c: float, start: int, step: int, M: int) -> np.ndarray:
+def _rotation_table(lam: np.ndarray, c: float, step: int, M: int) -> np.ndarray:
+    """The rotation table of ``_rotated_sums`` for scans of up to M rows:
+    e^{i c lambda_k step j} for j < min(_ROTATION_ROWS, M), one row per j."""
+    return _turns(c, lam, step * np.arange(min(_ROTATION_ROWS, M)))
+
+
+def _rotated_sums(w: np.ndarray, lam: np.ndarray, c: float, table: np.ndarray, start: int, step: int, M: int) -> np.ndarray:
     """sum_k w_k e^{i c nu lambda_k} for the rows nu = start + step*m, m < M:
     the exact phases of the anchors nu_a = start + step R a, every R =
-    _ROTATION_ROWS rows, weighted by w_k, times one R-row table of
-    e^{i c lambda_k step j}, j < R, in one complex GEMM (row a R + j is
-    nu_a + step j).
+    min(M, len(table)) rows, weighted by w_k, times the first R rows of
+    ``table`` (``_rotation_table``, of e^{i c lambda_k step j}, j < R) in
+    one complex GEMM (row a R + j is nu_a + step j).  The caller builds the
+    table once and passes it to every call of a scan; a call of fewer rows
+    than the table reads its first M rows, the same values a table of M
+    rows holds, so its GEMM is the one a table built for it would take.
 
     With u = 2^-53, W = sum|w_k| and Phi_a, Phi_t bounding the anchor and
     table phases, each sum is within u W (3.01 (Phi_a + Phi_t) + 1.44 N + 9)
@@ -464,61 +477,84 @@ def _rotated_sums(w: np.ndarray, lam: np.ndarray, c: float, start: int, step: in
     N = 3 it took 0.27-0.40 ms, np.einsum 1.74-1.85 ms, a term loop 4.1-4.3 ms
     (2 cores).
     """
-    rows = min(_ROTATION_ROWS, M)
+    rows = min(len(table), M)
     anchors = _turns(c, lam, start + step * (rows * np.arange(-(-M // rows))))
     anchors *= w
-    return (anchors @ _turns(c, lam, step * np.arange(rows)).T).ravel()[:M]
+    return (anchors @ table[:rows].T).ravel()[:M]
 
 
-def _rotated_moduli(a: np.ndarray, lam: np.ndarray, c: float, theta: float, start: int, step: int, M: int) -> tuple:
-    """(approx, delta): the moduli of ``_rotated_sums`` for the limsup rows
-    nu = start + step*m, m < M, and the bound delta on their distance from
-    the full scan's moduli when theta bounds the phases
-    (``limsup_exponential_sum``)."""
-    approx = np.abs(_rotated_sums(a, lam, c, start, step, M))
-    return approx, 64.0 * np.finfo(float).eps * (float(a.sum()) + 2.0**-1022) * (theta + a.size + 2.0)
+def _rotated_moduli(a: np.ndarray, lam: np.ndarray, c: float, table: np.ndarray, start: int, step: int, M: int) -> np.ndarray:
+    """The moduli of ``_rotated_sums`` for the limsup rows nu = start +
+    step*m, m < M (``limsup_records``)."""
+    return np.abs(_rotated_sums(a, lam, c, table, start, step, M))
 
 
-def limsup_exponential_sum(
+def _limsup_margin(a: np.ndarray, theta: float) -> float:
+    """delta: the bound on the distance of ``_rotated_moduli`` from the full
+    scan's moduli when theta bounds the phases (``limsup_records``)."""
+    return 64.0 * np.finfo(float).eps * (float(a.sum()) + 2.0**-1022) * (theta + a.size + 2.0)
+
+
+class LimsupRecords(NamedTuple):
+    """The running maximum of a limsup scan as its step function: it rises
+    to maxima[i] at row rows[i] and holds it up to the next row, or to the
+    scan's length."""
+
+    rows: np.ndarray  # ascending int64 rows m, row 0 first
+    maxima: np.ndarray  # the running maximum from each row on, non-decreasing
+    length: int  # M, the number of rows scanned
+
+
+def limsup_records(
     alphas: Sequence[float],
     lambdas: Sequence[float],
     start: int,
     step: int,
     M: int,
     convention: str = "2pi",
-) -> tuple:
-    """Running maximum of |sum_k alpha_k e^{i c nu lambda_k}| over the
-    arithmetic progression nu = start + step*m, m = 0..M-1.
+) -> LimsupRecords:
+    """The records of the running maximum of |sum_k alpha_k e^{i c nu
+    lambda_k}| over the arithmetic progression nu = start + step*m, m =
+    0..M-1: row 0 and each row where the running maximum rises, with the
+    maximum there.
 
     ``convention`` picks the phase scaling c: "2pi" (c = 2 pi) or "2"
     (c = 2); both are exposed because the two scalings appear side by side
-    and only differ by a relabeling of the frequencies.  Returns
-    (running_max, final_max); the running maximum is non-decreasing and
+    and only differ by a relabeling of the frequencies.  The maxima are
     bounded by sum(alpha_k).  The phases must stay below 2^52 in size,
     Theta = c max|lambda_k| max(|start|, |start + step (M-1)|) < 2^52,
     where a float still has fractional bits to measure, and |nu| below
     2^62, as must step, so that the progression's int64 arithmetic cannot
     wrap.
 
-    The result equals that of a full scan, which takes the modulus of each
+    The records are those of a full scan, which takes the modulus of each
     row's sum of its N terms alpha_k e^{i c nu lambda_k}, added along the
     row (``(_turns(...) * alpha).sum(axis=1)``), and one running maximum,
     but only the rows that can hold a new maximum are evaluated exactly.
 
-    Candidates.  approx is the modulus of every row's ``_rotated_sums``
-    (exact phases every _ROTATION_ROWS rows turned through one table).  If
-    every approx is within delta of the full scan's modulus exact, a row i
-    with approx[i] < approx[j] - 2 delta for some j < i has exact[i] <
-    approx[i] + delta < approx[j] - delta <= exact[j], so it cannot raise
-    the running maximum.  The candidates are row 0 and the rows with
-    approx[i] >= max(approx[:i]) - 2 delta (a NaN keeps a row).
+    Candidates.  The scan walks the rows in blocks of _SCAN_ROWS, a
+    multiple of _ROTATION_ROWS, so a block's anchors are those of the whole
+    range; one rotation table serves every block.  approx is the modulus of
+    each row's ``_rotated_sums`` (exact phases every _ROTATION_ROWS rows
+    turned through the table).  If every approx is within delta of the
+    full scan's modulus exact, a row i with approx[i] < approx[j] - 2 delta
+    for some j < i has exact[i] < approx[i] + delta < approx[j] - delta <=
+    exact[j], so it cannot raise the running maximum.  The candidates are
+    row 0 and the rows with approx[i] >= max(approx[:i]) - 2 delta (a NaN
+    keeps a row); max(approx[:i]) carries from block to block as one float.
+    The floors max(approx[:i]) - 2 delta never fall within a block, since
+    rounding is monotone, so a block whose largest approx lies below its
+    first floor has no candidate and is passed over whole.
+    A block's complex sums take 64 KiB, below glibc's 128 KiB mmap
+    threshold, so a call holds no M-length array but its candidate rows.
 
     Exact pass.  Each candidate row is summed by itself, as the full scan
     sums it.  A row's N terms are added in an order that depends on N
     alone, not on the row's place or on the other rows evaluated with it,
     so each value is the full scan's, bit for bit, and no BLAS kernel takes
     part.  The running maximum over the candidates, held across the rows
-    left out, is the full scan's running maximum.
+    left out, is the full scan's running maximum; the candidates where it
+    rises are the records.
 
     Margin.  Let u = 2^-53 and A = sum(alpha_k).  The anchor phases are at
     most Theta in size and the table's 2 Theta (step j <= 2 max|nu|); a
@@ -555,18 +591,51 @@ def limsup_exponential_sum(
     if not max(reach, step) < 2**62:
         raise DomainError("progression leaves int64 arithmetic (need step and |start + step*m| < 2^62)")
 
+    table = _rotation_table(lam, c, step, M)
+    shift = 2.0 * _limsup_margin(a, theta)
+    top = -math.inf  # max(approx[:lo]); row 0 opens the running maximum
+    candidates = []
     with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range keep every row
-        approx, delta = _rotated_moduli(a, lam, c, theta, start, step, M)
-        prior = np.maximum.accumulate(approx)
-        prior -= 2.0 * delta
-    keep = np.ones(M, dtype=bool)  # row 0 opens the running maximum
-    keep[1:] = ~(approx[1:] < prior[:-1])
+        for lo in range(0, M, _SCAN_ROWS):
+            approx = _rotated_moduli(a, lam, c, table, start + step * lo, step, min(_SCAN_ROWS, M - lo))
+            if approx.max() < top - shift:  # every row lies below the block's first floor (a NaN reads False)
+                continue
+            prior = np.empty(approx.size + 1)  # prior[i] = max(approx[:lo + i])
+            prior[0] = top
+            prior[1:] = approx
+            np.maximum.accumulate(prior, out=prior)
+            top = prior[-1]
+            prior -= shift
+            candidates.append(lo + np.flatnonzero(~(approx < prior[:-1])))
 
-    exact_rows = np.flatnonzero(keep)
-    exact = np.abs((_turns(c, lam, start + step * exact_rows) * a).sum(axis=1))
-    np.maximum.accumulate(exact, out=exact)
-    running = np.repeat(exact, np.diff(exact_rows, append=M))
-    return running, float(running[-1])
+    rows = np.concatenate(candidates)
+    maxima = np.abs((_turns(c, lam, start + step * rows) * a).sum(axis=1))
+    np.maximum.accumulate(maxima, out=maxima)
+    rises = np.ones(rows.size, dtype=bool)
+    np.not_equal(maxima[1:], maxima[:-1], out=rises[1:])
+    return LimsupRecords(rows[rises], maxima[rises], M)
+
+
+def limsup_exponential_sum(
+    alphas: Sequence[float],
+    lambdas: Sequence[float],
+    start: int,
+    step: int,
+    M: int,
+    convention: str = "2pi",
+) -> tuple:
+    """Running maximum of |sum_k alpha_k e^{i c nu lambda_k}| over the
+    arithmetic progression nu = start + step*m, m = 0..M-1.
+
+    Returns (running_max, final_max): the M-row expansion of
+    ``limsup_records`` (each record's maximum repeated up to the next
+    record) and its last value.  The running maximum is non-decreasing and
+    bounded by sum(alpha_k).  The arguments, their checks and the equality
+    with a full scan, bit for bit, are those of ``limsup_records``; only
+    this expansion holds an M-length array.
+    """
+    rec = limsup_records(alphas, lambdas, start, step, M, convention)
+    return np.repeat(rec.maxima, np.diff(rec.rows, append=rec.length)), float(rec.maxima[-1])
 
 
 def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -> list:
@@ -580,7 +649,8 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
     where a float still has fractional bits to measure.
 
     The term j is |Re| of sum_k a_k^2 e^{i a j lambda_k}, a row of
-    ``_rotated_sums``.  The terms are added in summation units, each ladder
+    ``_rotated_sums``, all of whose calls share one rotation table built
+    for the call.  The terms are added in summation units, each ladder
     rung cut every _SUM_ROWS rows to bound the complex temporary: one
     ``np.sum`` per unit, and the unit sums in order.  A scan of (largest J
     + 1) * N values over ENUM_BUDGET raises BudgetError before any term.
@@ -611,13 +681,14 @@ def divergence_partial_sums(spec: PolynomialSpec, a: float, js: Sequence[int]) -
     lam = spec.angular_freqs()
     _check_phases(a * ladder[-1] * float(np.abs(lam).max(initial=0.0)))
 
+    table = _rotation_table(lam, a, 1, ladder[-1] + 1)
     sums = []
     running = 0.0
     cursor = 0
     for j_stop in ladder:
         while cursor <= j_stop:
             stop = min(cursor + _SUM_ROWS, j_stop + 1)
-            running += float(np.sum(np.abs(_rotated_sums(aa, lam, a, cursor, 1, stop - cursor).real)))
+            running += float(np.sum(np.abs(_rotated_sums(aa, lam, a, table, cursor, 1, stop - cursor).real)))
             cursor = stop
         sums.append(running / a2)
     return sums

@@ -30,6 +30,7 @@ from supdev.harness import (
     records_to_plotdata,
     run_experiment,
 )
+from supdev.kronecker import LimsupRecords
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -456,7 +457,7 @@ class TestVerdictRule:
         cfg = default_config("limsup")
         params = {**cfg.params, "alphas": [264690385294.98776], "lambdas": [2.8198310289464494], "max_terms": 2000}
         if scale is not None:
-            monkeypatch.setattr(harness, "limsup_exponential_sum", lambda alphas, *args, **kw: ([], sum(alphas) * scale))
+            monkeypatch.setattr(harness, "limsup_records", lambda alphas, *args, **kw: LimsupRecords([0], [sum(alphas) * scale], 1))
         [row] = [row for row in run_experiment(replace(cfg, params=params, seed=0)).checks if row.name == "final_le_total"]
         return row
 
@@ -997,7 +998,9 @@ class TestNamedDomainErrors:
     positive step a and at least one point, a density's mass is finite and
     positive, a coefficient power sum is a finite float, explicit
     coefficients and frequencies come in lists of one length, divergence
-    rungs are at least 1, a transfer grid has at least one node per unit,
+    rungs are at least 1, a limsup target fraction lies in (0, 1] and a
+    divergence growth is positive (S_J never decreases), a transfer grid
+    has at least one node per unit,
     the OU covariance is large enough for its row sum to reach the limit
     within the row's tolerance, a transfer test sequence is one a config
     can build, the eta = 1 moderate-deviation statement needs a V that no
@@ -1029,6 +1032,10 @@ class TestNamedDomainErrors:
             "limsup", {"lambdas": "0 0 0", "start": "9223372036854775807"}, "progression leaves int64 arithmetic"
         ),
         "divergence_huge_step": ("divergence", {"a": "1e300"}, "leave a float no fractional bits"),
+        "limsup_target_negative": ("limsup", {"target_frac": "-1"}, "target_frac=-1.0 outside (0, 1]"),
+        "limsup_target_past_one": ("limsup", {"target_frac": "1.5"}, "target_frac=1.5 outside (0, 1]"),
+        "divergence_growth_negative": ("divergence", {"growth": "-1"}, "growth=-1.0 must be positive"),
+        "divergence_growth_zero": ("divergence", {"growth": "0"}, "growth=0.0 must be positive"),
         "szego_zero_mass": ("szego", {"root_coeffs": "0", "floor": "0"}, "mass sum c_j^2 + floor = 0.0 is not"),
         "szego_mass_overflow": ("szego", {"root_coeffs": "1e300 1e300"}, "mass sum c_j^2 + floor = inf is not"),
         "divergence_power_sum": ("divergence", {"coeffs": "1e300 1e300 1 1"}, "sum of a_k^2 over [1, 4] is inf"),

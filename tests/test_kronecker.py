@@ -1,5 +1,6 @@
 import math
 import platform
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from supdev.kronecker import (
     lattice_correlation,
     lattice_search,
     limsup_exponential_sum,
+    limsup_records,
     nearest_int_dist,
     solution_count,
     solution_k,
@@ -589,18 +591,26 @@ class TestTwoPassScan:
         alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
         c = _C[convention]
         theta = c * max(map(abs, lambdas)) * max(abs(start), abs(start + step * (M - 1)))
-        approx, delta = kronecker._rotated_moduli(
-            np.asarray(alphas, dtype=float), np.asarray(lambdas, dtype=float), c, theta, start, step, M
-        )
+        a, lam = np.asarray(alphas, dtype=float), np.asarray(lambdas, dtype=float)
+        table = kronecker._rotation_table(lam, c, step, M)
+        approx = kronecker._rotated_moduli(a, lam, c, table, start, step, M)
+        delta = kronecker._limsup_margin(a, theta)
         assert approx.shape == (M,) and 0.0 < delta < math.inf
         assert np.abs(approx - _full_moduli(alphas, lambdas, start, step, M, c)).max() <= delta / 16.0
 
     @staticmethod
     def _assert_full_scan_from(monkeypatch, case, approx, delta):
         """The scan of a TWO_PASS_CASES case, given ``approx`` and ``delta``
-        as its approximate pass, returns the full scan's bytes."""
+        as its approximate pass, returns the full scan's bytes: each block
+        reads the rows of ``approx`` it covers."""
         alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
-        monkeypatch.setattr(kronecker, "_rotated_moduli", lambda *args: (approx, delta))
+
+        def block(a, lam, c, table, block_start, block_step, size):
+            lo = (block_start - start) // step
+            return approx[lo : lo + size]
+
+        monkeypatch.setattr(kronecker, "_rotated_moduli", block)
+        monkeypatch.setattr(kronecker, "_limsup_margin", lambda *args: delta)
         running, final = single_thread_limsup(alphas, lambdas, start, step, M)
         got_running, got_final = limsup_exponential_sum(alphas, lambdas, start, step, M)
         assert got_running.tobytes() == running.tobytes() and repr(got_final) == repr(final)
@@ -654,16 +664,20 @@ class TestTwoPassScan:
 
     @staticmethod
     def _exact_rows(monkeypatch, *args):
-        # the rows the exact pass hands to _turns; the approximate pass calls the unspied one
-        turns, rotated_sums = kronecker._turns, kronecker._rotated_sums
+        # the rows the exact pass hands to _turns; the table and the approximate pass call the unspied one
+        turns = kronecker._turns
         spy = mock.Mock(wraps=turns)
 
-        def unspied_rotated_sums(*sums_args):
-            with mock.patch.object(kronecker, "_turns", turns):
-                return rotated_sums(*sums_args)
+        def unspied(fn):
+            def call(*fn_args):
+                with mock.patch.object(kronecker, "_turns", turns):
+                    return fn(*fn_args)
+
+            return call
 
         monkeypatch.setattr(kronecker, "_turns", spy)
-        monkeypatch.setattr(kronecker, "_rotated_sums", unspied_rotated_sums)
+        monkeypatch.setattr(kronecker, "_rotation_table", unspied(kronecker._rotation_table))
+        monkeypatch.setattr(kronecker, "_rotated_sums", unspied(kronecker._rotated_sums))
         limsup_exponential_sum(*args)
         return sum(call.args[2].size for call in spy.call_args_list)
 
@@ -689,6 +703,107 @@ class TestTwoPassScan:
         for start, step, M in ((2**62, 1, 1), (-(2**62), 1, 1), (1, 2**61, 3), (2**63 + 5, 1, 2), (1, 2**70, 1)):
             with pytest.raises(DomainError, match="int64"):
                 limsup_exponential_sum([1.0, 0.5], [0.0, 0.0], start, step, M)
+
+
+_S = kronecker._SCAN_ROWS
+
+
+def _expansion(records):
+    return np.repeat(records.maxima, np.diff(records.rows, append=records.length))
+
+
+class TestBlockedScan:
+    """limsup_records walks the rows in _SCAN_ROWS blocks with one rotation
+    table per call and returns the records of the running maximum; the
+    records expand to the full scan's bytes."""
+
+    def test_one_call_holds_no_m_length_array(self):
+        M = 200_000
+        limsup_records(_A3, _ROOTS[:3], 1, 2, 1000)  # numpy's first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            limsup_records(_A3, _ROOTS[:3], 1, 2, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M * 8  # one float per row; the whole-range pass held 4.77 MB
+
+    @staticmethod
+    def _tables(monkeypatch, step, scan, *args):
+        """The sizes of the rotation tables (the phases step*j, j = 0, 1, ...)
+        that one scan call builds with _turns, and the ids of the tables its
+        _rotated_sums calls read."""
+        built, read = [], set()
+        turns, rotated_sums = kronecker._turns, kronecker._rotated_sums
+
+        def spy(c, lam, nu):
+            out = turns(c, lam, nu)
+            if np.array_equal(nu, step * np.arange(nu.size)):
+                built.append(nu.size)
+            return out
+
+        def sums_spy(w, lam, c, table, *rest):
+            read.add(id(table))
+            return rotated_sums(w, lam, c, table, *rest)
+
+        monkeypatch.setattr(kronecker, "_turns", spy)
+        monkeypatch.setattr(kronecker, "_rotated_sums", sums_spy)
+        scan(*args)
+        return built, read
+
+    @pytest.mark.parametrize("M", [100, 3 * _S + 7, 200_000])
+    def test_limsup_builds_one_table_per_call(self, monkeypatch, M):
+        built, read = self._tables(monkeypatch, 2, limsup_records, _A3, _ROOTS[:3], 1, 2, M)
+        assert built == [min(_R, M)] and len(read) == 1
+
+    def test_divergence_builds_one_table_per_call(self, monkeypatch):
+        # a 601-row unit from J = 0 (whose anchors 0, 512 are no table), a 400-row unit shorter than the table
+        spec = raw_spec([1.0, 0.8, 0.6, 0.4], _ROOTS[:4])
+        built, read = self._tables(monkeypatch, 1, divergence_partial_sums, spec, 1.0, [600, 1000, 70_000, 140_000])
+        assert built == [_R] and len(read) == 1
+
+    @pytest.mark.parametrize("convention", sorted(_C))
+    @pytest.mark.parametrize("case", sorted(TWO_PASS_CASES))
+    def test_records_expand_to_the_scan(self, case, convention):
+        alphas, lambdas, start, step, M = TWO_PASS_CASES[case]
+        rec = limsup_records(alphas, lambdas, start, step, M, convention)
+        assert rec.length == M and rec.rows.dtype == np.int64 and rec.rows[0] == 0
+        assert np.all(np.diff(rec.rows) > 0) and rec.rows[-1] < M
+        assert np.all(np.diff(rec.maxima) > 0)  # a record rises above the one before it
+        running, final = limsup_exponential_sum(alphas, lambdas, start, step, M, convention)
+        assert _expansion(rec).tobytes() == running.tobytes() and final == rec.maxima[-1]
+
+    @pytest.mark.parametrize("M", [_S - 1, _S, _S + 1, 3 * _S + 7])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_block_edges_match_single_thread_loop(self, M, step):
+        running, final = single_thread_limsup(_A3, _ROOTS[:3], 1, step, M)
+        got_running, got_final = limsup_exponential_sum(_A3, _ROOTS[:3], 1, step, M)
+        assert got_running.tobytes() == running.tobytes() and repr(got_final) == repr(final)
+        assert _expansion(limsup_records(_A3, _ROOTS[:3], 1, step, M)).tobytes() == running.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_record_on_a_block_first_row(self, block):
+        # shift the progression so that a record r of the full scan past row
+        # block*_S lands on that block's first row: its rows before it are a
+        # subset of r's, so it stays a record
+        M = 3 * _S + 7
+        exact = _full_moduli(_A3, _ROOTS[:3], 1, 1, M, _C["2pi"])
+        records = np.flatnonzero(exact[1:] > np.maximum.accumulate(exact)[:-1]) + 1
+        r = int(records[records > block * _S][0])
+        start = 1 + r - block * _S
+        running, final = single_thread_limsup(_A3, _ROOTS[:3], start, 1, M)
+        rec = limsup_records(_A3, _ROOTS[:3], start, 1, M)
+        assert block * _S in rec.rows
+        assert _expansion(rec).tobytes() == running.tobytes() and repr(float(rec.maxima[-1])) == repr(final)
+
+    @given(st.integers(1, 4), st.integers(-50, 50), st.integers(1, 4), st.integers(1, 700))
+    @settings(max_examples=60, deadline=None)
+    def test_small_blocks_match(self, n, start, step, M):
+        # 8-row tables in 32-row blocks: many blocks, many short tails
+        with mock.patch.object(kronecker, "_ROTATION_ROWS", 8), mock.patch.object(kronecker, "_SCAN_ROWS", 32):
+            running, final = single_thread_limsup([0.9] * n, _ROOTS[:n], start, step, M)
+            got_running, got_final = limsup_exponential_sum([0.9] * n, _ROOTS[:n], start, step, M)
+        assert got_running.tobytes() == running.tobytes() and got_final == final
 
 
 SCAN_DIGESTS = """
