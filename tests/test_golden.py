@@ -21,7 +21,8 @@ too: the sha256 of the design-matrix and sample-path bytes (shape included)
 for an integer-frequency spec on its cyclic-rule grid, a real-frequency
 transfer spec and its rational companion on [1, U], and an empty range;
 and the ``repr`` of ``mc_sup_prob`` for a transfer spec and its companion
-over several chunks.
+over several chunks, and for two far-tail thresholds that most paths pass
+(a transfer estimate in (0, .02] and a 200-term moderate-trig estimate of 0).
 
 ``verdicts.txt`` holds the default verdict set, one ``kind/row PASS|FAIL|info``
 line per row of the same seed-0 records: the run's exit code cannot show a
@@ -42,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from supdev.bounds import bound_moderate_trig
 from supdev.cyclic import TestSequence, perp_process
 from supdev.decoupling import decoupling_coeff_vector, verify_decoupling_mc, verify_gebelein_nelson
 from supdev.harness import csv_without_timing, default_config, run_experiment
@@ -205,6 +207,8 @@ CYCLIC60 = GridSpec.cyclic_rule(INT60, 1.0)
 TRANSFER48 = transfer_spec(48, 0.61)
 PERP48 = perp_process(TRANSFER48, TestSequence(kind="pow2"))
 GRID_U12 = GridSpec.uniform(1.0, 12.0, 705)  # 64 nodes per unit on [1, 12]
+INT200 = integer_spec(200)
+CYCLIC200 = GridSpec.cyclic_rule(INT200, 1.0)  # 1258 nodes: 2000 reps span 12 chunks
 EMPTY = transfer_spec(0, 0.61)
 
 
@@ -256,7 +260,10 @@ def test_path_bytes(name):
     assert digest(build()) == expected
 
 
-# 2000 reps on 705 nodes span 8 chunks; the same seed couples X and its companion
+# 2000 reps on 705 nodes span 8 chunks; the same seed couples X and its companion.
+# The far-tail pins sit where most paths pass theta: a transfer threshold
+# with an estimate in (0, .02], and a 200-term moderate-trig threshold
+# (eta = .3) that no path stays under.
 PATH_PROBS = {
     "sup_prob_transfer": (
         lambda: mc_sup_prob(TRANSFER48, GRID_U12, 5.0, 2000, seed=13),
@@ -268,11 +275,22 @@ PATH_PROBS = {
         "0.596",
         "0.02148553425020876",
     ),
+    "sup_prob_transfer_far_tail": (
+        lambda: mc_sup_prob(TRANSFER48, GRID_U12, 3.6, 2000, seed=13),
+        "0.0145",
+        "0.0053160491082580195",
+    ),
+    "sup_prob_moderate_trig_200": (
+        lambda: mc_sup_prob(INT200, CYCLIC200, bound_moderate_trig(INT200, 0.3, 1.0).threshold, 2000, seed=14),
+        "0.0",
+        "0.000958523640626467",
+    ),
 }
 
 
 def test_path_prob_pins_span_chunks():
     assert len(_chunk_bounds(2000, GRID_U12.n)) >= 4
+    assert len(_chunk_bounds(2000, CYCLIC200.size)) >= 4
 
 
 @pytest.mark.parametrize("name", sorted(PATH_PROBS))
