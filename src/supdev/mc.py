@@ -26,9 +26,10 @@ chunk's draws are projected through one matrix (the design matrix for a
 path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
 identity for the Gebelein pair), and one statistic turns each projected
 block into one value per replication.  Every sup estimator keeps the grid
-maximum (or the maximum of |.|) of each replication; a probability counts
-the maxima <= theta when it is estimated, so no threshold enters the pass.
-The decoupling box test keeps a flag and the Gebelein pair a product.
+maximum (or the maximum of |.|) of each replication, and a probability
+counts the maxima <= theta.  A path sup probability passes its theta into
+the pass as a cap, above which a maximum may read +inf (below).  The
+decoupling box test keeps a flag and the Gebelein pair a product.
 Several matrices of one shape can share a chunk's draws, one GEMM each (a
 single GEMM against the concatenated matrices would round differently):
 ``mc_sup_probs`` estimates a process and its rational-frequency companion
@@ -51,6 +52,15 @@ of the full grid.  The maxima equal the full projection's only to rounding
 ``sample_path``'s maxima unless a maximum lies within that rounding of
 theta.  Means, coupled differences (two frequency sets, nothing to save)
 and ``sample_path`` keep the interleaved design matrix and its bytes.
+
+A sup probability is asked mostly at thresholds below the typical
+supremum, where most paths pass theta somewhere.  So ``mc_sup_probs``
+passes each theta as its fold's cap, and a chunk first projects onto a
+screen, every _SCREEN_STRIDE-th half-grid column (a sixteenth of the
+flops).  A replication whose screened maximum exceeds the cap by more than
+a rounding margin has a grid maximum above it too and reads +inf; only the
+others run the two full GEMMs.  The counts at every theta <= cap are those
+of the exact maxima.  ``_grid_maxima`` without caps gives every maximum.
 
 Design matrices are filled on the worker pool too, in blocks of whole
 terms of a fixed number of values; each element is computed on its own, so
@@ -105,6 +115,7 @@ CHUNK_REPS = 8192  # most replications in one chunk; chunk boundaries never depe
 _DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, never the worker count
 GRID_BUDGET = 1 << 25  # hard cap on grid nodes and on design-matrix entries (256 MiB of floats)
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
+_SCREEN_STRIDE = 16  # a capped sup probability screens every 16th half-grid column first
 
 
 def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> np.ndarray:
@@ -423,6 +434,10 @@ class _Fold(NamedTuple):
     C_j -+ S_j, where C = h @ cos_rows and S = h' @ sin_rows and each
     replication's draws are turned by w_k c:
     h_k = g_k cos(w_k c) + g'_k sin(w_k c), h'_k = g'_k cos(w_k c) - g_k sin(w_k c).
+
+    The screen is every _SCREEN_STRIDE-th half-grid column of the same rows,
+    copied contiguous.  A finite ``cap`` lets ``_fold_maxima`` report +inf
+    for a replication whose screened maximum already lies above it.
     """
 
     cos_rows: np.ndarray  # (m, ceil(N/2)) a_k cos(w_k s_j): the even rows of the half-grid design matrix
@@ -430,33 +445,78 @@ class _Fold(NamedTuple):
     turn_cos: np.ndarray  # (m,) cos(w_k c)
     turn_sin: np.ndarray  # (m,) sin(w_k c)
     shape: tuple  # (2m, N): draws per replication and the grid nodes it stands for
+    cos_screen: np.ndarray  # cos_rows[:, ::_SCREEN_STRIDE], contiguous
+    sin_screen: np.ndarray  # sin_rows[:, ::_SCREEN_STRIDE], contiguous
+    abs_coeffs: np.ndarray  # (m,) |a_k|, which bounds every entry of row k
+    cap: float = math.inf  # maxima above it may read +inf
 
 
-def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int) -> _Fold:
+def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int, cap: float = math.inf) -> _Fold:
     """The folded projection of ``spec`` on ``grid``: half the design-matrix
-    entries of the full grid, read as views.  The budgets stay the full
-    grid's: the node count's first, then 2*m*N before any matrix entry is
-    allocated."""
+    entries of the full grid, read as views, and its screen.  The budgets
+    stay the full grid's: the node count's first, then 2*m*N before any
+    matrix entry is allocated."""
     centre, offsets = grid.fold()
     _check_design_budget(spec.n_terms, grid.size)
     design = _design_matrix(spec, offsets, workers)
     phase = spec.angular_freqs() * centre
-    return _Fold(design[0::2], design[1::2], np.cos(phase), np.sin(phase), (2 * spec.n_terms, grid.size))
+    cos_rows, sin_rows = design[0::2], design[1::2]
+    return _Fold(
+        cos_rows,
+        sin_rows,
+        np.cos(phase),
+        np.sin(phase),
+        (2 * spec.n_terms, grid.size),
+        np.ascontiguousarray(cos_rows[:, ::_SCREEN_STRIDE]),
+        np.ascontiguousarray(sin_rows[:, ::_SCREEN_STRIDE]),
+        np.abs(spec.coeff_values()),
+        cap,
+    )
 
 
-def _project_folded(draws: np.ndarray, fold: _Fold) -> np.ndarray:
-    """C + |S| on the half grid, two (rows, m) @ (m, ceil(N/2)) GEMMs: the
-    larger of X(c - s_j) and X(c + s_j), so its row maxima are the grid
-    maxima of the paths (equal to those of ``draws @ D`` up to rounding)."""
+def _half_grid_max(h: np.ndarray, h_prime: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray) -> np.ndarray:
+    """Row maxima of C + |S| = h @ cos_rows + |h' @ sin_rows|, two GEMMs:
+    the larger of X(c - s_j) and X(c + s_j) at each column j."""
+    block = h @ cos_rows
+    odd = h_prime @ sin_rows
+    block += np.abs(odd, out=odd)
+    return _row_max(block)
+
+
+def _fold_maxima(draws: np.ndarray, fold: _Fold) -> np.ndarray:
+    """The grid maximum of each replication's path, or +inf where it lies
+    above ``fold.cap`` (equal to the row maxima of ``draws @ D`` up to
+    rounding).
+
+    The draws are turned once.  With a finite cap the screen's columns go
+    first; a row whose screened maximum minus its margin
+    8 m eps sum_k |a_k| (|h_k| + |h'_k|) exceeds the cap reads +inf, and
+    only the other rows run the two full half-grid GEMMs.  A screened
+    column and its full-grid twin are two BLAS evaluations of the same
+    length-m dot products, each within gamma_m sum_k |a_k h_k| of the exact
+    value, gamma_m ~ m eps / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1).  With the final addition the two values of C + |S|
+    at a node differ by at most (m + 1) eps sum_k |a_k| (|h_k| + |h'_k|),
+    a quarter of the margin or less, so a row read as +inf has a full-grid
+    maximum above the cap.  With cap = +inf the screen is skipped and every
+    row runs the full GEMMs.
+    """
     g, g_prime = draws[:, 0::2], draws[:, 1::2]
     h = g * fold.turn_cos
     h += g_prime * fold.turn_sin
     h_prime = g_prime * fold.turn_cos
     h_prime -= g * fold.turn_sin
-    block = h @ fold.cos_rows
-    odd = h_prime @ fold.sin_rows
-    block += np.abs(odd, out=odd)
-    return block
+    if fold.cap == math.inf:
+        return _half_grid_max(h, h_prime, fold.cos_rows, fold.sin_rows)
+    margin = np.abs(h) + np.abs(h_prime)
+    margin = margin @ fold.abs_coeffs
+    margin *= 8.0 * h.shape[1] * np.finfo(float).eps
+    maxima = _half_grid_max(h, h_prime, fold.cos_screen, fold.sin_screen)
+    maxima -= margin
+    open_rows = np.flatnonzero(~(maxima > fold.cap))
+    maxima.fill(math.inf)
+    maxima[open_rows] = _half_grid_max(h[open_rows], h_prime[open_rows], fold.cos_rows, fold.sin_rows)
+    return maxima
 
 
 def _chunk_bounds(reps: int, nodes: int) -> list:
@@ -501,9 +561,10 @@ def _map_projected(
     matrix in turn, by default one GEMM per matrix, so coupled estimates
     read the same draws; the matrices must share their shape (width,
     outputs), which fixes the draws per replication and the chunk bounds.
-    A ``_Fold`` with ``project=_project_folded`` stands for its full grid.
-    ``stat`` maps a chunk's projected block to one value per replication;
-    it owns its argument and may overwrite it.  The chunks are those of
+    A ``_Fold`` with ``project=_fold_maxima`` stands for its full grid; that
+    kernel returns the row maxima itself (capped at the fold's cap), so its
+    ``stat`` is the identity.  ``stat`` maps a chunk's projected block to one
+    value per replication; it owns its argument and may overwrite it.  The chunks are those of
     ``_chunk_bounds``: near-equal, a multiple of 4 where the range allows,
     so the pool's workers get equal shares.  reps < 1 is refused before any
     draw.
@@ -571,11 +632,23 @@ def _check_threshold(theta: float) -> None:
         raise DomainError(f"threshold theta={theta} is NaN")
 
 
-def _grid_maxima(specs: Sequence[PolynomialSpec], grid: GridSpec, seed: int, reps: int, workers: int) -> list:
+def _grid_maxima(
+    specs: Sequence[PolynomialSpec],
+    grid: GridSpec,
+    seed: int,
+    reps: int,
+    workers: int,
+    caps: Optional[Sequence[float]] = None,
+) -> list:
     """Each spec's per-chunk grid maxima of its paths, on one draw table:
-    the folded projection, one list of chunk arrays per spec."""
-    folds = [_fold(spec, grid, workers) for spec in specs]
-    return _map_projected(folds, _row_max, seed, reps, workers, project=_project_folded)
+    the folded projection, one list of chunk arrays per spec.
+
+    A maximum above its spec's cap may read +inf, so the count of maxima
+    <= theta is exact at every theta <= cap.  With ``caps=None`` every
+    maximum is exact."""
+    caps = [math.inf] * len(specs) if caps is None else caps
+    folds = [_fold(spec, grid, workers, cap) for spec, cap in zip(specs, caps)]
+    return _map_projected(folds, np.asarray, seed, reps, workers, project=_fold_maxima)
 
 
 def _prob_estimate(parts: list, reps: int, seed: int, theta: Optional[float] = None) -> McEstimate:
@@ -632,7 +705,7 @@ def mc_sup_probs(
         raise DomainError("specs on one draw table must share their term count")
     for theta in thetas:
         _check_threshold(theta)
-    maxima = _grid_maxima(specs, grid, seed, reps, workers)
+    maxima = _grid_maxima(specs, grid, seed, reps, workers, caps=thetas)
     return [_prob_estimate(parts, reps, seed, theta) for parts, theta in zip(maxima, thetas)]
 
 

@@ -533,18 +533,104 @@ class TestFold:
 
         real = unit_spec(48, coeffs="inv_sqrt")
         integer = integer_spec(60)
+        # (specs, grid, thresholds inside (0, 1), far-tail thresholds with estimates in (0, .02])
         runs = [
-            ([real, perp_process(real, TestSequence(kind="pow2"))], GridSpec.uniform(1.0, 12.0, 705), [4.5, 5.5]),
-            ([integer], GridSpec.cyclic_rule(integer, 1.0), [3.0]),
-            ([unit_spec(30, freq_rule=lambda k: 0.61 * k)], GridSpec.uniform(1.0, 4.0, 64), [8.0]),
+            (
+                [real, perp_process(real, TestSequence(kind="pow2"))],
+                GridSpec.uniform(1.0, 12.0, 705),
+                [4.5, 5.5],
+                [3.5, 3.5],
+            ),
+            ([integer], GridSpec.cyclic_rule(integer, 1.0), [3.0], [3.6]),
+            ([unit_spec(30, freq_rule=lambda k: 0.61 * k)], GridSpec.uniform(1.0, 4.0, 64), [8.0], [5.0]),
         ]
-        for specs, grid, thetas in runs:
-            want = full_gemm_sup_probs(specs, grid, thetas, 2000, 21, 1)
-            assert all(0.0 < est.estimate < 1.0 for est in want)
-            got = mc_sup_probs(specs, grid, thetas, 2000, seed=21, workers=workers)
-            assert [(repr(e.estimate), repr(e.half_width)) for e in got] == [
-                (repr(e.estimate), repr(e.half_width)) for e in want
-            ]
+        for specs, grid, middle, tail in runs:
+            infinite = [[-math.inf] * len(specs), [math.inf] * len(specs)]
+            for thetas in [middle, tail] + infinite:
+                want = full_gemm_sup_probs(specs, grid, thetas, 2000, 21, 1)
+                if thetas is middle:
+                    assert all(0.0 < est.estimate < 1.0 for est in want)
+                elif thetas is tail:
+                    assert all(0.0 < est.estimate <= 0.02 for est in want)
+                else:
+                    assert all(est.estimate == float(thetas[0] > 0) for est in want)
+                got = mc_sup_probs(specs, grid, thetas, 2000, seed=21, workers=workers)
+                assert [(repr(e.estimate), repr(e.half_width)) for e in got] == [
+                    (repr(e.estimate), repr(e.half_width)) for e in want
+                ]
+
+
+def uncapped_and_paths(case, workers):
+    """A fold case's uncapped grid maxima (seed 31) and its sampled paths."""
+    spec, grid = FOLD_CASES[case]
+    [parts] = mc._grid_maxima([spec], grid, 31, FOLD_REPS, workers)
+    return np.concatenate(parts), sample_path(spec, grid, seed=31, reps=FOLD_REPS)
+
+
+def capped_maxima(case, workers, cap):
+    spec, grid = FOLD_CASES[case]
+    [parts] = mc._grid_maxima([spec], grid, 31, FOLD_REPS, workers, caps=[cap])
+    return np.concatenate(parts)
+
+
+class TestCappedMaxima:
+    """A capped grid maximum is exact at or below its cap and may read +inf above it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_caps(self, case, workers):
+        uncapped, paths = uncapped_and_paths(case, workers)
+        tol = 1e-12 * np.max(np.abs(paths))
+        ordered = np.sort(uncapped)
+        middles = [0.5 * (ordered[i] + ordered[i + 1]) for i in (49, 499, 949)]  # near the 5%, 50%, 95% quantiles
+        for cap in [-math.inf, math.inf] + middles:
+            capped = capped_maxima(case, workers, cap)
+            skipped = capped == math.inf
+            assert np.all(uncapped[skipped] > cap)
+            assert not np.any(skipped[uncapped <= cap])
+            assert np.max(np.abs(capped[~skipped] - uncapped[~skipped]), initial=0.0) <= tol
+            assert np.count_nonzero(capped <= cap) == np.count_nonzero(uncapped <= cap)
+            if cap == -math.inf:
+                assert np.all(skipped)
+            if cap == math.inf:
+                assert np.array_equal(capped, uncapped)
+
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_margin_keeps_a_maximum_equal_to_the_cap(self, case):
+        uncapped, paths = uncapped_and_paths(case, 1)
+        # rows whose grid maximum sits on a screened column, where a screen
+        # without its margin could round above the full maximum
+        _, grid = FOLD_CASES[case]
+        node = np.argmax(paths, axis=1)
+        column = np.minimum(node, grid.size - 1 - node)
+        rows = np.flatnonzero(column % mc._SCREEN_STRIDE == 0)[:8]
+        for r in list(rows) + [int(np.argsort(uncapped)[FOLD_REPS // 2])]:
+            assert capped_maxima(case, 1, float(uncapped[r]))[r] < math.inf
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exact_pass_skips_rows_the_screen_settles(self, monkeypatch, workers):
+        from supdev.bounds import bound_moderate_trig
+
+        spec = integer_spec(60)
+        grid = GridSpec.cyclic_rule(spec, 1.0)
+        half = (grid.size + 1) // 2
+        exact_rows = []
+        lock = threading.Lock()
+        real = mc._half_grid_max
+
+        def spy(h, h_prime, cos_rows, sin_rows):
+            if cos_rows.shape[1] == half:
+                with lock:
+                    exact_rows.append(h.shape[0])
+            return real(h, h_prime, cos_rows, sin_rows)
+
+        monkeypatch.setattr(mc, "_half_grid_max", spy)
+        theta = bound_moderate_trig(spec, 0.3, 1.0).threshold
+        assert mc_sup_prob(spec, grid, theta, 2000, seed=21, workers=workers).estimate == 0.0
+        assert sum(exact_rows) < 0.05 * 2000
+        exact_rows.clear()
+        assert mc_sup_prob(spec, grid, math.inf, 2000, seed=21, workers=workers).estimate == 1.0
+        assert sum(exact_rows) == 2000
 
 
 class TestWideGrid:
