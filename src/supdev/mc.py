@@ -561,13 +561,13 @@ def _map_projected(
     matrix in turn, by default one GEMM per matrix, so coupled estimates
     read the same draws; the matrices must share their shape (width,
     outputs), which fixes the draws per replication and the chunk bounds.
-    A ``_Fold`` with ``project=_fold_maxima`` stands for its full grid; that
-    kernel returns the row maxima itself (capped at the fold's cap), so its
-    ``stat`` is the identity.  ``stat`` maps a chunk's projected block to one
-    value per replication; it owns its argument and may overwrite it.  The chunks are those of
-    ``_chunk_bounds``: near-equal, a multiple of 4 where the range allows,
-    so the pool's workers get equal shares.  reps < 1 is refused before any
-    draw.
+    ``stat`` maps a chunk's projected block to one value per replication;
+    it owns its argument and may overwrite it.  A ``_Fold`` with
+    ``project=_fold_maxima`` stands for its full grid; that kernel returns
+    the row maxima itself (one above the fold's cap may read +inf), so its
+    ``stat`` is the identity.  The chunks are those of ``_chunk_bounds``: near-equal, a
+    multiple of 4 where the range allows, so the pool's workers get equal
+    shares.  reps < 1 is refused before any draw.
     """
     if reps < 1:
         raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
