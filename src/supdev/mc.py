@@ -4,13 +4,17 @@ Reproducibility contract: a Philox stream keyed by the 64-bit seed is laid
 out as a fixed table of raw 64-bit draws; replication ``r`` owns the rows
 ``[r * pad, (r + 1) * pad)`` where ``pad`` is the per-replication draw count
 rounded up to the 4-draw Philox block.  Uniforms are ``((raw >> 11) + 0.5) *
-2^-53`` (strictly inside (0, 1)), computed as ``Generator(Philox).random() +
-2^-54``: ``random()`` reads the same raw stream and returns (raw >> 11) *
-2^-53, and scaling by a power of two commutes with rounding (no value is
-subnormal), so the two forms agree bit for bit.  Normals go through the
-inverse CDF, so every replication consumes a fixed, known number of draws.
-The inverse CDF is ``scipy.special.ndtri``, which ``_normal`` imports at
-the first draw: importing this module loads no scipy.  Path draws come in
+2^-53``, computed as ``Generator(Philox).random() + 2^-54`` (``_uniforms``
+then ``_normals``): ``random()`` reads the same raw stream and returns
+(raw >> 11) * 2^-53, and scaling by a power of two commutes with rounding
+(no value is subnormal), so the two forms agree bit for bit.  They lie in
+(0, 1], not strictly inside it: for raw >> 11 = 2^53 - 1, (2^53 - 1) + 1/2
+rounds to 2^53, so u = 1 and its normal is +inf, with probability 2^-53
+per draw.  The draws keep those bytes; no clamp is applied.  Normals go
+through the inverse CDF, so every replication consumes a fixed, known
+number of draws.  The inverse CDF is ``scipy.special.ndtri``, which
+``_normal`` imports at the first draw: importing this module loads no
+scipy.  Path draws come in
 the per-term order (g_y, g'_y, g_{y+1}, ...), and the design matrix has
 rows interleaved the same way (a_k cos(w_k u), a_k sin(w_k u)), so a chunk of
 paths is one GEMM of its draws against that matrix.  The replication range
@@ -21,21 +25,23 @@ and the output width, never on the worker count.  Workers take whole
 chunks, counts add up in chunk order and a mean sums all replications at
 once, which makes results bit-identical for any worker count.
 
-Every estimator runs through one per-replication map, ``_map_projected``: a
-chunk's draws are projected through one matrix (the design matrix for a
-path, its difference for a coupled pair, F^T for a vector X = F z, the 2x2
-identity for the Gebelein pair), and one statistic turns each projected
-block into one value per replication.  Every sup estimator keeps the grid
-maximum (or the maximum of |.|) of each replication, and a probability
-counts the maxima <= theta.  A path sup probability passes its theta into
-the pass as a cap, above which a maximum may read +inf (below).  The
-decoupling box test keeps a flag and the Gebelein pair a product.
+Every estimator runs through one chunk map, ``_map_chunks``, which cuts
+the replication range and returns the chunks' values in chunk order.  Most
+run ``_map_projected`` on it: a chunk's draws are projected through one
+matrix (the design matrix for a path, its difference for a coupled pair,
+F^T for a vector X = F z, the 2x2 identity for the Gebelein pair), and one
+statistic turns each projected block into one value per replication.
+Every sup estimator keeps the grid maximum (or the maximum of |.|) of each
+replication, and a probability counts the maxima <= theta.  A path sup
+probability runs ``_chunk_maxima`` instead, with its theta as a cap above
+which a maximum may read +inf (below).  The decoupling box test keeps a
+flag and the Gebelein pair a product.
 Several matrices of one shape can share a chunk's draws, one GEMM each (a
 single GEMM against the concatenated matrices would round differently):
 ``mc_sup_probs`` estimates a process and its rational-frequency companion
 on one draw table, and ``mc_sup_prob`` is its one-spec case.  Estimates
 count in chunk order, or sum the concatenated chunk values.  The map rejects
-reps < 1 before any draw, and ``normal_draws`` rejects seeds outside
+reps < 1 before any draw, and ``_uniforms`` rejects seeds outside
 [0, 2^64) and negative replication ranges or widths.
 
 Sup probabilities project the folded half grid.  A grid is an arithmetic
@@ -55,12 +61,21 @@ and ``sample_path`` keep the interleaved design matrix and its bytes.
 
 A sup probability is asked mostly at thresholds below the typical
 supremum, where most paths pass theta somewhere.  So ``mc_sup_probs``
-passes each theta as its fold's cap, and a chunk first projects onto a
-screen, every _SCREEN_STRIDE-th half-grid column (a sixteenth of the
-flops).  A replication whose screened maximum exceeds the cap by more than
-a rounding margin has a grid maximum above it too and reads +inf; only the
-others run the two full GEMMs.  The counts at every theta <= cap are those
-of the exact maxima.  ``_grid_maxima`` without caps gives every maximum.
+passes each theta as its fold's cap, and a replication whose grid maximum
+is shown to lie above the cap reads +inf; the counts at every theta <= cap
+are those of the exact maxima.  Two screens show it, both on every
+_SCREEN_STRIDE-th half-grid column (a sixteenth of the flops).  The first
+needs no normal: each uniform's bin in a table of 2^_TABLE_BITS quantiles
+brackets its normal, and a replication whose screened maximum on the
+bracket midpoints exceeds the cap by more than the brackets' reach and a
+rounding margin is settled before ``ndtri`` runs.  Only the rows that some
+fold leaves open get their normals, and each fold runs its exact pass on
+them: the second screen, on the exact normals with its own rounding
+margin, then the two full GEMMs for the rows still open.  A chunk first
+brackets its first eighth of rows and goes on only where most of them
+settle, so a chunk at a high P{max <= theta} draws every row as before and
+drops the screens that would not pay.  ``_grid_maxima`` without caps gives
+every maximum.
 
 Design matrices are filled on the worker pool too, in blocks of whole
 terms of a fixed number of values; each element is computed on its own, so
@@ -69,7 +84,7 @@ the matrix bytes depend on neither the blocks nor the worker count.
 Thread pools are kept per worker count and reused across calls, and this
 module is the only one that builds them.  ``ordered_map`` runs a function
 over a list of tasks on the cached pool and returns the results in task
-order; ``_map_projected`` uses it for chunks of replications and
+order; ``_map_chunks`` uses it for chunks of replications and
 ``_design_matrix`` for blocks of terms, and no other module uses it (the
 lattice kernels in ``kronecker`` run on the calling thread).  Callers cut
 their tasks without regard to the worker count and merge results in task
@@ -116,6 +131,11 @@ _DESIGN_BLOCK = 1 << 14  # values per design-matrix fill task: a fixed size, nev
 GRID_BUDGET = 1 << 25  # hard cap on grid nodes and on design-matrix entries (256 MiB of floats)
 _COLUMN_MAX_WIDTH = 32  # below this width a column loop beats max(axis=1) on 8192-row chunks
 _SCREEN_STRIDE = 16  # a capped sup probability screens every 16th half-grid column first
+_TABLE_BITS = 12  # it brackets each normal in one of 2^12 equal-probability bins before any ndtri
+_BRACKET_BLOCK = 1 << 17  # most bracketed draws read at once: large enough for numpy to drop the GIL
+_PILOT_DIVISOR = 8  # a capped chunk brackets its first ceil(rows / 8) rows first;
+_BRACKET_SHARE = 0.75  # it brackets the rest where this share of those settles in every fold,
+_SCREEN_SHARE = 0.125  # and a fold screens its open rows where this share settles in it
 
 
 def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> np.ndarray:
@@ -124,30 +144,45 @@ def normal_draws(seed: int, rep_start: int, n_reps: int, draws_per_rep: int) -> 
     Shape (n_reps, draws_per_rep), C-contiguous.  The draw table depends
     only on the seed, so any partition of the replication range reproduces
     the same values.  A seed outside [0, 2^64) or a negative start, count
-    or width is a domain error before any draw.
+    or width is a domain error before any draw.  The normals are
+    ``ndtri(u + 2^-54)`` of the ``_uniforms`` block, one (n_reps, pad)
+    array, and ``_normals`` turns it into them.
+    """
+    return _normals(_uniforms(seed, rep_start, n_reps, draws_per_rep), draws_per_rep)
 
-    The uniforms come from ``Generator(Philox).random()``, which reads the
-    same raw 64-bit stream as ``random_raw`` and returns k * 2^-53 with
-    k = raw >> 11, in one pass and one (n_reps, pad) array.  Adding 2^-54
-    gives the contract's ((raw >> 11) + 0.5) * 2^-53 bit for bit: scaling by
-    a power of two commutes with rounding and no value is subnormal, so
-    fl(k * 2^-53 + 2^-54) = fl(k + 1/2) * 2^-53, also for k >= 2^52, where
-    k + 1/2 rounds to even.  The offset copies the leading draws_per_rep
-    columns into the returned array (in place when the width needs no
-    padding), and ``ndtri`` runs on it in place.
+
+def _uniforms(seed: int, start: int, n: int, width: int) -> np.ndarray:
+    """The (n, pad) block of ``Generator(Philox).random()`` values of
+    replications [start, start + n), pad = width rounded up to 4.
+
+    ``random()`` reads the same raw 64-bit stream as ``random_raw`` and
+    returns k * 2^-53 with k = raw >> 11, in one pass and one array.  A
+    seed outside [0, 2^64) or a negative start, count or width is a domain
+    error before any draw.
     """
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed {seed} outside [0, 2**64)")
-    if rep_start < 0 or n_reps < 0 or draws_per_rep < 0:
-        raise DomainError(
-            f"draw range needs rep_start, n_reps and draws_per_rep >= 0, got {rep_start}, {n_reps}, {draws_per_rep}"
-        )
-    pad = 4 * ((draws_per_rep + 3) // 4)
+    if start < 0 or n < 0 or width < 0:
+        raise DomainError(f"draw range needs rep_start, n_reps and draws_per_rep >= 0, got {start}, {n}, {width}")
+    pad = 4 * ((width + 3) // 4)
     bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(rep_start * pad // 4)
-    u = np.random.Generator(bg).random(n_reps * pad).reshape(n_reps, pad)
-    z = u if pad == draws_per_rep else np.empty((n_reps, draws_per_rep))
-    np.add(u[:, :draws_per_rep], 2.0**-54, out=z)
+    bg.advance(start * pad // 4)
+    return np.random.Generator(bg).random(n * pad).reshape(n, pad)
+
+
+def _normals(u: np.ndarray, width: int) -> np.ndarray:
+    """ndtri(u + 2^-54) of the leading ``width`` columns of a block of
+    ``_uniforms`` rows, which it consumes: the offset writes into ``u``
+    itself when the width needs no padding, else into a new contiguous
+    array, and ``ndtri`` runs on the result in place.
+
+    Adding 2^-54 gives the contract's ((raw >> 11) + 0.5) * 2^-53 bit for
+    bit: scaling by a power of two commutes with rounding and no value is
+    subnormal, so fl(k * 2^-53 + 2^-54) = fl(k + 1/2) * 2^-53, also for
+    k >= 2^52, where k + 1/2 rounds to even.
+    """
+    z = u if u.shape[1] == width else np.empty((u.shape[0], width))
+    np.add(u[:, :width], 2.0**-54, out=z)
     del u
     return ndtri(z, out=z)
 
@@ -436,8 +471,8 @@ class _Fold(NamedTuple):
     h_k = g_k cos(w_k c) + g'_k sin(w_k c), h'_k = g'_k cos(w_k c) - g_k sin(w_k c).
 
     The screen is every _SCREEN_STRIDE-th half-grid column of the same rows,
-    copied contiguous.  A finite ``cap`` lets ``_fold_maxima`` report +inf
-    for a replication whose screened maximum already lies above it.
+    copied contiguous.  ``_fold_maxima`` and ``_bracket_settled`` use it to
+    find replications whose maximum lies above a cap without the full grid.
     """
 
     cos_rows: np.ndarray  # (m, ceil(N/2)) a_k cos(w_k s_j): the even rows of the half-grid design matrix
@@ -448,10 +483,9 @@ class _Fold(NamedTuple):
     cos_screen: np.ndarray  # cos_rows[:, ::_SCREEN_STRIDE], contiguous
     sin_screen: np.ndarray  # sin_rows[:, ::_SCREEN_STRIDE], contiguous
     abs_coeffs: np.ndarray  # (m,) |a_k|, which bounds every entry of row k
-    cap: float = math.inf  # maxima above it may read +inf
 
 
-def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int, cap: float = math.inf) -> _Fold:
+def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int) -> _Fold:
     """The folded projection of ``spec`` on ``grid``: half the design-matrix
     entries of the full grid, read as views, and its screen.  The budgets
     stay the full grid's: the node count's first, then 2*m*N before any
@@ -470,7 +504,6 @@ def _fold(spec: PolynomialSpec, grid: GridSpec, workers: int, cap: float = math.
         np.ascontiguousarray(cos_rows[:, ::_SCREEN_STRIDE]),
         np.ascontiguousarray(sin_rows[:, ::_SCREEN_STRIDE]),
         np.abs(spec.coeff_values()),
-        cap,
     )
 
 
@@ -483,10 +516,9 @@ def _half_grid_max(h: np.ndarray, h_prime: np.ndarray, cos_rows: np.ndarray, sin
     return _row_max(block)
 
 
-def _fold_maxima(draws: np.ndarray, fold: _Fold) -> np.ndarray:
+def _fold_maxima(draws: np.ndarray, fold: _Fold, cap: float = math.inf) -> np.ndarray:
     """The grid maximum of each replication's path, or +inf where it lies
-    above ``fold.cap`` (equal to the row maxima of ``draws @ D`` up to
-    rounding).
+    above ``cap`` (equal to the row maxima of ``draws @ D`` up to rounding).
 
     The draws are turned once.  With a finite cap the screen's columns go
     first; a row whose screened maximum minus its margin
@@ -500,22 +532,201 @@ def _fold_maxima(draws: np.ndarray, fold: _Fold) -> np.ndarray:
     a quarter of the margin or less, so a row read as +inf has a full-grid
     maximum above the cap.  With cap = +inf the screen is skipped and every
     row runs the full GEMMs.
+
+    ``_bracket_settled`` screens before any normal exists.  Each draw z lies
+    within delta of its bracket's midpoint g^ (``_bracket_table``).  The
+    folded value at a node is the path there rewritten, linear in the
+    draws; in exact arithmetic on the stored design entries and turns, whose
+    (cos, sin) pairs have Euclidean norms |a_k| and 1 to an ulp, the values
+    from z and from g^ differ by at most E = sum_k |a_k| (delta_k + delta'_k)
+    (Cauchy-Schwarz, term by term).  Rounding adds at most
+    (m + 5)/2 eps sum_k |a_k| (|h_k| + |h'_k|) to the exact pass (two
+    roundings in each turn, the dot products, the final addition), where
+    |h_k| + |h'_k| <= sqrt(2) (|z_k| + |z'_k|), and at most
+    (2m + 3) eps sum_k |a_k| (|g^_k| + |g^'_k|) to the bracketed screen,
+    whose 2m-long dot products read the turn folded into its matrix.  As
+    |z_k| <= |g^_k| + delta_k <= R, R the largest |g^| + delta of a finite
+    bracket, each of these sums is at most 2 R sum_k |a_k|.  So a row whose
+    bracketed screen maximum exceeds the cap by E + 16 (m + 1) eps R
+    sum_k |a_k|, which also covers the rounding of E and of the
+    subtraction, has every computed full-grid maximum above the cap.
     """
     g, g_prime = draws[:, 0::2], draws[:, 1::2]
     h = g * fold.turn_cos
     h += g_prime * fold.turn_sin
     h_prime = g_prime * fold.turn_cos
     h_prime -= g * fold.turn_sin
-    if fold.cap == math.inf:
+    if cap == math.inf:
         return _half_grid_max(h, h_prime, fold.cos_rows, fold.sin_rows)
     margin = np.abs(h) + np.abs(h_prime)
     margin = margin @ fold.abs_coeffs
     margin *= 8.0 * h.shape[1] * np.finfo(float).eps
     maxima = _half_grid_max(h, h_prime, fold.cos_screen, fold.sin_screen)
     maxima -= margin
-    open_rows = np.flatnonzero(~(maxima > fold.cap))
+    open_rows = np.flatnonzero(~(maxima > cap))
     maxima.fill(math.inf)
     maxima[open_rows] = _half_grid_max(h[open_rows], h_prime[open_rows], fold.cos_rows, fold.sin_rows)
+    return maxima
+
+
+class _Bracket(NamedTuple):
+    """What a capped call needs to screen replications on bracketed draws,
+    built once per ``_grid_maxima`` call (``_bracket``).
+
+    A draw z = ndtri(v), v = u + 2^-54, lies in the bracket of its bin
+    i = floor(v 2^_TABLE_BITS): |z - mid[i]| <= half[i].  The screens of
+    all folds are stacked column-wise and read the draws themselves, each
+    fold's turn folded in, so one GEMM per block serves every fold.
+    """
+
+    mid: np.ndarray  # (2^B + 1,) bracket midpoints; bin 2^B holds v = 1 alone and is infinite
+    half: np.ndarray  # (2^B + 1,) bracket half-widths, rounded up
+    screen: np.ndarray  # (2m, sum of 2 S_f): draws @ screen = [C | S] of each fold on its S_f screen columns
+    weights: np.ndarray  # (2m, folds): |a_k| for both draws of term k, per fold
+    margins: np.ndarray  # (folds,) rounding margin 16 (m + 1) eps R sum_k |a_k|
+
+
+def _bracket_table() -> tuple:
+    """(mid, half): the midpoint and half-width of each bin's bracket of
+    normals, indexed by the bin i = floor(v 2^_TABLE_BITS) of the offset
+    uniform v = u + 2^-54.
+
+    With B = _TABLE_BITS, the edges are T_i = ndtri(i 2^-B) for 0 < i < 2^B,
+    T_0 = ndtri(2^-54), the smallest offset uniform, and T_top =
+    ndtri(1 - 2^-52), the largest one below 1.  A v in bin i lies in
+    [i 2^-B, (i + 1) 2^-B) and above 2^-54, so ndtri(v) lies in
+    [T_i, T_{i+1}], the top bin's in [T_(2^B - 1), T_top].  Each bracket is
+    widened outward by 4 ulps of its edges, as floating-point ``ndtri`` is
+    not proven monotone (the edge T = 0 at v = 1/2 needs none: ``ndtri``
+    keeps the sign of v - 1/2), and each half-width is rounded up.  Bin 2^B holds
+    v = 1 alone, whose normal is +inf; its bracket is infinite, so no row
+    with such a draw settles on brackets.  4097 ``ndtri`` values.
+    """
+    n = 1 << _TABLE_BITS
+    edges = np.arange(n + 1) * 2.0**-_TABLE_BITS
+    edges[0], edges[n] = 2.0**-54, 1.0 - 2.0**-52
+    edges = ndtri(edges)
+    widen = np.abs(edges) * 2.0**-50  # 4 to 8 ulps
+    lo, hi = edges[:-1] - widen[:-1], edges[1:] + widen[1:]
+    mid, half = np.full(n + 1, math.inf), np.full(n + 1, math.inf)
+    np.add(lo, hi, out=mid[:n])
+    mid[:n] *= 0.5
+    np.maximum(hi - mid[:n], mid[:n] - lo, out=half[:n])
+    half[:n] *= 1.0 + 2.0**-50  # rounded up past the rounding of the differences
+    return mid, half
+
+
+def _bracket(folds: Sequence[_Fold]) -> _Bracket:
+    """The bracket table and the folds' draw screens, weights and margins.
+
+    Fold f's screen turns the draws as it projects them: with h_k = g_k c_k
+    + g'_k s_k and h'_k = g'_k c_k - g_k s_k (c_k, s_k the turn), row 2k
+    holds g_k's coefficients and row 2k + 1 those of g'_k, so draws @ screen
+    gives C and S on the screen columns.  R is the largest |mid| + half of a
+    finite bracket, so sum_k |a_k| (|g^_k| + |g^'_k| + delta_k + delta'_k)
+    <= 2 R sum_k |a_k| for every row.
+    """
+    mid, half = _bracket_table()
+    reach = float(np.max(np.abs(mid[:-1]) + half[:-1]))
+    m, screen = folds[0].shape[0] // 2, folds[0].cos_screen.shape[1]
+    screens = np.empty((m, 2, len(folds), 2, screen))
+    for f, fold in enumerate(folds):
+        turn_cos, turn_sin = fold.turn_cos[:, None], fold.turn_sin[:, None]
+        np.multiply(fold.cos_screen, turn_cos, out=screens[:, 0, f, 0])
+        np.multiply(fold.sin_screen, -turn_sin, out=screens[:, 0, f, 1])
+        np.multiply(fold.cos_screen, turn_sin, out=screens[:, 1, f, 0])
+        np.multiply(fold.sin_screen, turn_cos, out=screens[:, 1, f, 1])
+    coeffs = np.stack([fold.abs_coeffs for fold in folds], axis=1)
+    return _Bracket(
+        mid,
+        half,
+        screens.reshape(2 * m, 2 * len(folds) * screen),
+        np.repeat(coeffs, 2, axis=0),
+        16.0 * (m + 1) * np.finfo(float).eps * reach * coeffs.sum(axis=0),
+    )
+
+
+def _bracket_settled(u: np.ndarray, bracket: _Bracket, caps: Sequence[float]) -> list:
+    """For each fold, which rows of the uniform block ``u`` have a grid
+    maximum above the fold's cap, decided on bracketed draws alone.
+
+    Each draw is replaced by its bracket's midpoint g^ and projected onto
+    the screen columns; a row settles where its screened maximum minus
+    E = sum_k |a_k| (delta_k + delta'_k) and the fold's rounding margin
+    exceeds the cap (the argument is in ``_fold_maxima``).  The draws are
+    read in near-equal column blocks of at most _BRACKET_BLOCK values,
+    through two reused buffers: the bins, and their midpoints, then their
+    half-widths.
+    """
+    rows, width = u.shape[0], bracket.screen.shape[0]
+    totals = np.zeros((rows, bracket.screen.shape[1]))
+    slacks = np.zeros((rows, len(caps)))
+    blocks = max(1, -(-rows * width // _BRACKET_BLOCK))
+    step = max(1, -(-width // blocks))
+    values, bins = np.empty((rows, min(step, width))), np.empty((rows, min(step, width)), dtype=np.intp)
+    for start in range(0, width, step):
+        draws = slice(start, min(start + step, width))
+        block, index = values[:, : draws.stop - start], bins[:, : draws.stop - start]
+        np.add(u[:, draws], 2.0**-54, out=block)
+        np.multiply(block, 2.0**_TABLE_BITS, out=index, casting="unsafe")  # floor(v 2^B), v = u + 2^-54
+        np.take(bracket.mid, index, out=block, mode="clip")
+        totals += block @ bracket.screen[draws]
+        np.take(bracket.half, index, out=block, mode="clip")
+        slacks += block @ bracket.weights[draws]
+    slacks += bracket.margins
+    settled, screen = [], totals.shape[1] // (2 * len(caps))  # every fold has the grid's screen columns
+    for f, cap in enumerate(caps):
+        maxima = totals[:, 2 * f * screen : (2 * f + 1) * screen]
+        maxima += np.abs(totals[:, (2 * f + 1) * screen : (2 * f + 2) * screen])
+        maxima = maxima.max(axis=1)
+        maxima -= slacks[:, f]
+        settled.append(maxima > cap)
+    return settled
+
+
+def _chunk_maxima(
+    seed: int, start: int, end: int, folds: Sequence[_Fold], caps: Sequence[float], bracket: Optional[_Bracket]
+) -> list:
+    """Each fold's grid maxima on replications [start, end), one array per
+    fold; a maximum above the fold's cap may read +inf.
+
+    Without a bracket every row is drawn and runs the full GEMMs.  With one,
+    the first ceil(rows/_PILOT_DIVISOR) rows are bracketed first
+    (``_bracket_settled``).  A fold screens its exact pass (``_fold_maxima``
+    with its cap) only where at least _SCREEN_SHARE of them settled in it.
+    Where fewer than _BRACKET_SHARE of them settled in every fold, every
+    row is drawn and runs the exact pass, the first rows included.
+    Otherwise the other rows are bracketed too, only rows that some fold
+    leaves open get their normals (``ndtri`` of their uniforms, the values
+    of ``normal_draws``), and each fold runs its exact pass on its own open
+    rows.  The choices depend only on the chunk's rows, so the maxima are
+    the same for any worker count.
+    """
+    width, rows = folds[0].shape[0], end - start
+    u = _uniforms(seed, start, rows, width)
+    if bracket is None:
+        draws = _normals(u, width)
+        return [_fold_maxima(draws, fold) for fold in folds]
+    pilot = -(-rows // _PILOT_DIVISOR)
+    heads = _bracket_settled(u[:pilot], bracket, caps)
+    shares = [np.count_nonzero(head) / pilot for head in heads]
+    screen_caps = [cap if share >= _SCREEN_SHARE else math.inf for cap, share in zip(caps, shares)]
+    if np.count_nonzero(np.logical_and.reduce(heads)) < _BRACKET_SHARE * pilot:
+        draws = _normals(u, width)
+        return [_fold_maxima(draws, fold, cap) for fold, cap in zip(folds, screen_caps)]
+    tails = _bracket_settled(u[pilot:], bracket, caps)
+    settled = [np.concatenate([head, tail]) for head, tail in zip(heads, tails)]
+    drawn = np.flatnonzero(~np.logical_and.reduce(settled))
+    draws = _normals(u[drawn], width)
+    del u
+    maxima = []
+    for fold, cap, done in zip(folds, screen_caps, settled):
+        open_rows = np.flatnonzero(~done)
+        values = np.full(rows, math.inf)
+        if open_rows.size:
+            picked = draws if open_rows.size == drawn.size else draws[np.searchsorted(drawn, open_rows)]
+            values[open_rows] = _fold_maxima(picked, fold, cap)
+        maxima.append(values)
     return maxima
 
 
@@ -551,43 +762,46 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def _map_projected(
-    matrices: Sequence, stat: Callable, seed: int, reps: int, workers: int, project: Callable = np.matmul
-) -> list:
-    """``stat(project(draws, matrix))`` for each matrix and every chunk of
-    replications, in chunk order: one list per matrix.
+def _map_chunks(chunk: Callable, reps: int, outputs: int, workers: int, count: int) -> list:
+    """``chunk(start, end)``, a list of ``count`` values, for every chunk of
+    replications in chunk order: one list per value.
 
-    Each chunk's draws are generated once and projected through every
-    matrix in turn, by default one GEMM per matrix, so coupled estimates
-    read the same draws; the matrices must share their shape (width,
-    outputs), which fixes the draws per replication and the chunk bounds.
-    ``stat`` maps a chunk's projected block to one value per replication;
-    it owns its argument and may overwrite it.  A ``_Fold`` with
-    ``project=_fold_maxima`` stands for its full grid; that kernel returns
-    the row maxima itself (one above the fold's cap may read +inf), so its
-    ``stat`` is the identity.  The chunks are those of ``_chunk_bounds``: near-equal, a
+    The chunks are those of ``_chunk_bounds(reps, outputs)``: near-equal, a
     multiple of 4 where the range allows, so the pool's workers get equal
     shares.  reps < 1 is refused before any draw.
     """
     if reps < 1:
         raise DomainError(f"Monte Carlo estimates need reps >= 1, got {reps}")
+    parts = ordered_map(lambda bounds: chunk(*bounds), _chunk_bounds(reps, outputs), workers)
+    return [[values[i] for values in parts] for i in range(count)]
+
+
+def _map_projected(matrices: Sequence, stat: Callable, seed: int, reps: int, workers: int) -> list:
+    """``stat(draws @ matrix)`` for each matrix and every chunk of
+    replications, in chunk order: one list per matrix.
+
+    Each chunk's draws are generated once and projected through every
+    matrix in turn, one GEMM per matrix, so coupled estimates read the same
+    draws; the matrices must share their shape (width, outputs), which
+    fixes the draws per replication and the chunk bounds (``_map_chunks``).
+    ``stat`` maps a chunk's projected block to one value per replication;
+    it owns its argument and may overwrite it.
+    """
     width, outputs = matrices[0].shape
     if any(matrix.shape != (width, outputs) for matrix in matrices):
         raise DomainError("projected matrices must share their shape")
 
-    def run(chunk):
-        s, e = chunk
-        draws = normal_draws(seed, s, e - s, width)
+    def run(start, end):
+        draws = normal_draws(seed, start, end - start, width)
         *rest, last = matrices
-        values = [stat(project(draws, matrix)) for matrix in rest]
-        block = project(draws, last)
+        values = [stat(draws @ matrix) for matrix in rest]
+        block = draws @ last
         # free the draws before the last statistic allocates; holding them
         # cost one-matrix maps 8-9% at workers=1 (2-core Xeon)
         del draws
         return values + [stat(block)]
 
-    chunks = ordered_map(run, _chunk_bounds(reps, outputs), workers)
-    return [[parts[i] for parts in chunks] for i in range(len(matrices))]
+    return _map_chunks(run, reps, outputs, workers, len(matrices))
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -645,10 +859,15 @@ def _grid_maxima(
 
     A maximum above its spec's cap may read +inf, so the count of maxima
     <= theta is exact at every theta <= cap.  With ``caps=None`` every
-    maximum is exact."""
-    caps = [math.inf] * len(specs) if caps is None else caps
-    folds = [_fold(spec, grid, workers, cap) for spec, cap in zip(specs, caps)]
-    return _map_projected(folds, np.asarray, seed, reps, workers, project=_fold_maxima)
+    maximum is exact.  The bracket table is built here, once per call, when
+    some cap is finite; the chunks run ``_chunk_maxima``."""
+    caps = [math.inf] * len(specs) if caps is None else list(caps)
+    folds = [_fold(spec, grid, workers) for spec in specs]
+    outputs = folds[0].shape[1]
+    bracket = _bracket(folds) if min(caps) < math.inf else None
+    return _map_chunks(
+        lambda start, end: _chunk_maxima(seed, start, end, folds, caps, bracket), reps, outputs, workers, len(folds)
+    )
 
 
 def _prob_estimate(parts: list, reps: int, seed: int, theta: Optional[float] = None) -> McEstimate:

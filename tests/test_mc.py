@@ -134,6 +134,59 @@ class TestDraws:
             normal_draws(seed=1, rep_start=rep_start, n_reps=n_reps, draws_per_rep=draws_per_rep)
 
 
+    def test_top_uniform_rounds_to_one(self):
+        """The offset uniforms lie in (0, 1], not inside (0, 1): for
+        raw >> 11 = 2^53 - 1, fl((2^53 - 1) + 1/2) = 2^53, so u = 1 and its
+        normal is +inf; the next word down gives 1 - 2^-52, the largest
+        uniform below 1, and the smallest is 2^-54."""
+        k = np.array([2**53 - 1, 2**53 - 2, 0], dtype=np.float64)
+        u = np.add(k * 2.0**-53, 2.0**-54)
+        assert u.tolist() == [1.0, 1.0 - 2.0**-52, 2.0**-54]
+        assert ((k + 0.5) * 2.0**-53).tolist() == u.tolist()
+        z = mc._normals(np.array([k * 2.0**-53]), 3)
+        assert z[0, 0] == math.inf and np.all(np.isfinite(z[0, 1:]))
+
+
+class TestBracketTable:
+    """Every normal lies in the bracket of its uniform's bin."""
+
+    @staticmethod
+    def bins(v):
+        """The bin of each offset uniform v, as ``_bracket_settled`` reads it."""
+        return (v * 2.0**mc._TABLE_BITS).astype(np.intp)
+
+    def assert_contained(self, v):
+        mid, half = mc._bracket_table()
+        z = ndtri(v)
+        i = self.bins(v)
+        assert np.all(np.abs(z - mid[i]) <= half[i]), v[~(np.abs(z - mid[i]) <= half[i])]
+
+    def test_philox_draws(self):
+        u = mc._uniforms(17, 3, 250000, 4)
+        z = mc._normals(u.copy(), 4)
+        mid, half = mc._bracket_table()
+        i = self.bins(u + 2.0**-54)
+        assert z.size == 10**6
+        assert np.all(np.abs(z - mid[i]) <= half[i])
+
+    def test_neighbours_of_every_edge(self):
+        edges = np.arange(1, 1 << mc._TABLE_BITS) * 2.0**-mc._TABLE_BITS
+        for v in (edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)):
+            self.assert_contained(v)
+
+    def test_outer_bins(self):
+        top = 1.0 - 2.0**-52
+        edge = 2.0**-mc._TABLE_BITS
+        v = np.array([2.0**-54, 2.0**-53, 1e-10, edge / 2, np.nextafter(edge, 0.0), 1.0 - edge, 1.0 - edge / 2, top])
+        self.assert_contained(v)
+        mid, half = mc._bracket_table()
+        assert self.bins(np.array([2.0**-54, top])).tolist() == [0, (1 << mc._TABLE_BITS) - 1]
+        assert np.all(np.isfinite(mid[:-1])) and np.all(np.isfinite(half[:-1]))
+        # u = 1 (a normal of +inf) has a bin of its own, with an infinite bracket
+        assert self.bins(np.array([1.0])).tolist() == [1 << mc._TABLE_BITS]
+        assert half[-1] == math.inf
+
+
 class TestWilson:
     def test_half_width_positive_even_at_extremes(self):
         assert wilson_half_width(0, 100) > 0.0
@@ -456,12 +509,14 @@ class TestSharedDraws:
         calls = []
         lock = threading.Lock()
 
-        def counting(seed, rep_start, n_reps, draws_per_rep):
-            with lock:
-                calls.append((rep_start, rep_start + n_reps))
-            return normal_draws(seed, rep_start, n_reps, draws_per_rep)
+        real = mc._uniforms
 
-        monkeypatch.setattr(mc, "normal_draws", counting)
+        def counting(seed, start, n, width):
+            with lock:
+                calls.append((start, start + n))
+            return real(seed, start, n, width)
+
+        monkeypatch.setattr(mc, "_uniforms", counting)
         harness._transfer_pieces(cfg)
         assert sorted(calls) == chunks
 
@@ -631,6 +686,98 @@ class TestCappedMaxima:
         exact_rows.clear()
         assert mc_sup_prob(spec, grid, math.inf, 2000, seed=21, workers=workers).estimate == 1.0
         assert sum(exact_rows) == 2000
+
+
+class TestBracketedScreen:
+    """Capped sup probabilities draw normals only for rows the bracket screen leaves open."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ndtri_sees_only_open_rows(self, monkeypatch, workers):
+        from supdev.bounds import bound_moderate_trig
+
+        spec = integer_spec(60)
+        grid = GridSpec.cyclic_rule(spec, 1.0)
+        rows = []
+        lock = threading.Lock()
+        real = mc.ndtri
+
+        def spy(x, out=None):
+            if np.ndim(x) == 2:
+                with lock:
+                    rows.append(x.shape[0])
+            return real(x, out=out)
+
+        monkeypatch.setattr(mc, "ndtri", spy)
+        theta = bound_moderate_trig(spec, 0.3, 1.0).threshold
+        assert mc_sup_prob(spec, grid, theta, 2000, seed=21, workers=workers).estimate == 0.0
+        assert sum(rows) < 0.05 * 2000
+        rows.clear()
+        assert mc_sup_prob(spec, grid, math.inf, 2000, seed=21, workers=workers).estimate == 1.0
+        assert sum(rows) == 2000
+
+    @pytest.mark.parametrize("case", ["odd_real_4_chunks", "cyclic_rule_integer"])
+    def test_capped_maxima_do_not_depend_on_workers(self, case):
+        uncapped, _ = uncapped_and_paths(case, 1)
+        ordered = np.sort(uncapped)
+        for cap in (ordered[20], ordered[500], ordered[980]):
+            one, two = (capped_maxima(case, workers, cap) for workers in (1, 2))
+            assert np.array_equal(one, two)
+
+    def test_high_probability_chunks_bracket_only_their_first_rows(self, monkeypatch):
+        spec, grid = FOLD_CASES["cyclic_rule_integer"]
+        uncapped, _ = uncapped_and_paths("cyclic_rule_integer", 1)
+        cap = float(np.sort(uncapped)[980])  # P{max <= cap} ~ .98
+        bracketed = []
+        real = mc._bracket_settled
+
+        def spy(u, bracket, caps):
+            bracketed.append(u.shape[0])
+            return real(u, bracket, caps)
+
+        monkeypatch.setattr(mc, "_bracket_settled", spy)
+        capped_maxima("cyclic_rule_integer", 1, cap)
+        pilots = [-(-(e - s) // mc._PILOT_DIVISOR) for s, e in _chunk_bounds(FOLD_REPS, grid.size)]
+        assert bracketed == pilots
+
+    def test_two_folds_open_different_rows(self, monkeypatch):
+        from supdev.cyclic import TestSequence, perp_process
+
+        spec, grid = FOLD_CASES["odd_real_4_chunks"]
+        specs = [spec, perp_process(spec, TestSequence(kind="pow2"))]
+        alone = [np.concatenate(mc._grid_maxima([s], grid, 31, FOLD_REPS, 1)[0]) for s in specs]
+        caps = [2.0, 3.0]  # below every maximum of X; below all but one of X-perp's
+        drawn = []
+        real = mc._normals
+        monkeypatch.setattr(mc, "_normals", lambda u, width: drawn.append(u.shape[0]) or real(u, width))
+        together = [np.concatenate(parts) for parts in mc._grid_maxima(specs, grid, 31, FOLD_REPS, 1, caps=caps)]
+        settled = [values == math.inf for values in together]
+        assert sum(drawn) < FOLD_REPS / 2
+        assert np.any(settled[0] & ~settled[1])
+        for values, exact, cap, done in zip(together, alone, caps, settled):
+            assert np.all(exact[done] > cap)
+            assert np.max(np.abs(values[~done] - exact[~done])) <= 1e-12 * np.max(np.abs(exact))
+            assert np.count_nonzero(values <= cap) == np.count_nonzero(exact <= cap)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_draw_of_one_keeps_its_row_open(self, monkeypatch):
+        """u = 1 - 2^-53 offsets to 1, whose normal is +inf: its bracket is
+        infinite, so the row is drawn even at cap = -inf, and its maximum
+        (NaN or +inf) counts at no finite threshold."""
+        spec, grid = FOLD_CASES["even_real"]
+        real = mc._uniforms
+
+        def with_one(seed, start, n, width):
+            u = real(seed, start, n, width)
+            if start == 0:
+                u[3, 5] = 1.0 - 2.0**-53
+            return u
+
+        monkeypatch.setattr(mc, "_uniforms", with_one)
+        capped = np.concatenate(mc._grid_maxima([spec], grid, 31, FOLD_REPS, 1, caps=[-math.inf])[0])
+        assert np.all(capped[np.arange(FOLD_REPS) != 3] == math.inf)
+        assert np.isnan(capped[3]) or capped[3] == math.inf
+        uncapped = np.concatenate(mc._grid_maxima([spec], grid, 31, FOLD_REPS, 1)[0])
+        assert np.isnan(uncapped[3]) or uncapped[3] == math.inf
 
 
 class TestWideGrid:
@@ -1140,7 +1287,7 @@ def test_nan_threshold_rejected_before_any_draw(entry, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking theta")
 
-    monkeypatch.setattr(mc, "normal_draws", no_draws)
+    monkeypatch.setattr(mc, "_uniforms", no_draws)
     with pytest.raises(DomainError, match="theta=nan"):
         THRESHOLD_ENTRY_POINTS[entry](math.nan)
 
