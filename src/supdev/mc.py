@@ -595,18 +595,18 @@ def _bracket_table() -> tuple:
     T_0 = ndtri(2^-54), the smallest offset uniform, and T_top =
     ndtri(1 - 2^-52), the largest one below 1.  A v in bin i lies in
     [i 2^-B, (i + 1) 2^-B) and above 2^-54, so ndtri(v) lies in
-    [T_i, T_{i+1}], the top bin's in [T_(2^B - 1), T_top].  Each bracket is
-    widened outward by 4 ulps of its edges, as floating-point ``ndtri`` is
+    [T_i, T_{i+1}], the top bin's in [T_(2^B - 1), T_top].  Each edge is
+    moved outward by |T| 2^-50, 4 to 8 ulps, as floating-point ``ndtri`` is
     not proven monotone (the edge T = 0 at v = 1/2 needs none: ``ndtri``
-    keeps the sign of v - 1/2), and each half-width is rounded up.  Bin 2^B holds
-    v = 1 alone, whose normal is +inf; its bracket is infinite, so no row
-    with such a draw settles on brackets.  4097 ``ndtri`` values.
+    keeps the sign of v - 1/2), and each half-width is rounded up.  Bin 2^B
+    holds v = 1 alone, whose normal is +inf; its bracket is infinite, so no
+    row with such a draw settles on brackets.  4097 ``ndtri`` values.
     """
     n = 1 << _TABLE_BITS
     edges = np.arange(n + 1) * 2.0**-_TABLE_BITS
     edges[0], edges[n] = 2.0**-54, 1.0 - 2.0**-52
     edges = ndtri(edges)
-    widen = np.abs(edges) * 2.0**-50  # 4 to 8 ulps
+    widen = np.abs(edges) * 2.0**-50
     lo, hi = edges[:-1] - widen[:-1], edges[1:] + widen[1:]
     mid, half = np.full(n + 1, math.inf), np.full(n + 1, math.inf)
     np.add(lo, hi, out=mid[:n])
@@ -669,6 +669,8 @@ def _bracket_settled(u: np.ndarray, bracket: _Bracket, caps: Sequence[float]) ->
         block, index = values[:, : draws.stop - start], bins[:, : draws.stop - start]
         np.add(u[:, draws], 2.0**-54, out=block)
         np.multiply(block, 2.0**_TABLE_BITS, out=index, casting="unsafe")  # floor(v 2^B), v = u + 2^-54
+        # every bin lies in [0, 2^B]; "clip" writes straight into the buffer,
+        # where the default mode would check the indices through a copy
         np.take(bracket.mid, index, out=block, mode="clip")
         totals += block @ bracket.screen[draws]
         np.take(bracket.half, index, out=block, mode="clip")
@@ -859,8 +861,8 @@ def _grid_maxima(
 
     A maximum above its spec's cap may read +inf, so the count of maxima
     <= theta is exact at every theta <= cap.  With ``caps=None`` every
-    maximum is exact.  The bracket table is built here, once per call, when
-    some cap is finite; the chunks run ``_chunk_maxima``."""
+    maximum is exact.  The bracket (``_bracket``) is built here, once per
+    call, when some cap is finite; the chunks run ``_chunk_maxima``."""
     caps = [math.inf] * len(specs) if caps is None else list(caps)
     folds = [_fold(spec, grid, workers) for spec in specs]
     outputs = folds[0].shape[1]

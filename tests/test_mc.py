@@ -133,7 +133,6 @@ class TestDraws:
         with pytest.raises(DomainError, match="draw range"):
             normal_draws(seed=1, rep_start=rep_start, n_reps=n_reps, draws_per_rep=draws_per_rep)
 
-
     def test_top_uniform_rounds_to_one(self):
         """The offset uniforms lie in (0, 1], not inside (0, 1): for
         raw >> 11 = 2^53 - 1, fl((2^53 - 1) + 1/2) = 2^53, so u = 1 and its
@@ -163,7 +162,7 @@ class TestBracketTable:
 
     def test_philox_draws(self):
         u = mc._uniforms(17, 3, 250000, 4)
-        z = mc._normals(u.copy(), 4)
+        z = normal_draws(17, 3, 250000, 4)
         mid, half = mc._bracket_table()
         i = self.bins(u + 2.0**-54)
         assert z.size == 10**6
@@ -734,10 +733,20 @@ class TestBracketedScreen:
             bracketed.append(u.shape[0])
             return real(u, bracket, caps)
 
+        columns = []
+        real_max = mc._half_grid_max
+
+        def spy_max(h, h_prime, cos_rows, sin_rows):
+            columns.append(cos_rows.shape[1])
+            return real_max(h, h_prime, cos_rows, sin_rows)
+
         monkeypatch.setattr(mc, "_bracket_settled", spy)
+        monkeypatch.setattr(mc, "_half_grid_max", spy_max)
         capped_maxima("cyclic_rule_integer", 1, cap)
         pilots = [-(-(e - s) // mc._PILOT_DIVISOR) for s, e in _chunk_bounds(FOLD_REPS, grid.size)]
         assert bracketed == pilots
+        # and no chunk runs the exact screen, only the full half grid
+        assert columns == [(grid.size + 1) // 2] * len(pilots)
 
     def test_two_folds_open_different_rows(self, monkeypatch):
         from supdev.cyclic import TestSequence, perp_process
@@ -1112,7 +1121,7 @@ class TestGridSpec:
 def test_chunking_stays_in_mc():
     """Only ``mc`` splits replications into chunks, draws and runs the pool;
     every other module goes through its per-replication map."""
-    private = {"normal_draws", "_chunk_bounds", "_executor", "_map_chunks"}
+    private = {"normal_draws", "_uniforms", "_chunk_bounds", "_executor", "_map_chunks"}
     others = [path for path in Path(supdev.__file__).parent.glob("*.py") if path.name != "mc.py"]
     assert "decoupling.py" in {path.name for path in others}
     for path in sorted(others):
